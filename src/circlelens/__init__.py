@@ -18,9 +18,9 @@ from .families import (CircleArc, CutResult, LensFamily, lens_cutting,
                        lenses_overlap, select_family, verify_cut)
 from .generators import (MODELS, BundleDescriptor, GeneratorSpec,
                          pencil_bundle_construction, random_scene)
-from .geometry import (Arc, Circle, Line, arcs_overlap, circle_line_points,
-                       cyclic_cmp, intersection_points, point_on_circle,
-                       power_of_point, radical_axis)
+from .geometry import (Circle, Line, arcs_overlap, circle_line_points,
+                       cyclic_cmp, intersection_points, lens_arc,
+                       point_on_circle, power_of_point, radical_axis)
 from .incidence import (GraphEdge, SzekelyStats, count_incidences,
                         lens_circle_incidences, szekely_stats)
 from .pencils import (Lens, Scene, brute_force_lenses, enumerate_lenses,
@@ -43,8 +43,8 @@ __all__ = [
     "select_family", "verify_cut",
     "MODELS", "BundleDescriptor", "GeneratorSpec",
     "pencil_bundle_construction", "random_scene",
-    "Arc", "Circle", "Line", "arcs_overlap", "circle_line_points",
-    "cyclic_cmp", "intersection_points", "point_on_circle", "power_of_point",
+    "Circle", "Line", "arcs_overlap", "circle_line_points", "cyclic_cmp",
+    "intersection_points", "lens_arc", "point_on_circle", "power_of_point",
     "radical_axis",
     "GraphEdge", "SzekelyStats", "count_incidences", "lens_circle_incidences",
     "szekely_stats",

@@ -1,11 +1,12 @@
 """Non-overlapping lens families: overlap tests, selection, and lens cutting.
 
-Overlap between two lenses means some shared circle's shorter arcs (between
-the respective base pairs) intersect.  Family selection comes in a greedy
-flavor (degree-descending scan) and an exact flavor (branch-and-bound maximum
-independent set in the overlap graph).  Lens cutting splits circles into arcs
-until no point pair lies on k of them; the fixpoint is verified by
-re-enumeration.
+Overlap between two lenses means their lens arcs intersect on some shared
+circle (geometry.lens_arc: the shorter arc between the base points, or for a
+diameter the CCW half from the lexicographically smaller one).  Family
+selection comes in a greedy flavor (degree-descending scan) and an exact
+flavor (branch-and-bound maximum independent set in the overlap graph).  Lens
+cutting splits circles into arcs until no point pair lies on k of them; the
+fixpoint is verified by re-enumeration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .quadfield import QuadNum
 
 
 def lenses_overlap(l1: Lens, l2: Lens, scene: Scene) -> bool:
-    """True iff a shared circle's shorter arcs for the two base pairs meet."""
+    """True iff a shared circle's lens arcs for the two base pairs meet."""
     shared = set(l1.circles) & set(l2.circles)
     if l1.base == l2.base and shared:
         return True

@@ -201,20 +201,24 @@ def dir_in_ccw_arc(v: Dir, s: Dir, e: Dir) -> bool:
     return cross_sign(s, v) >= 0 or same_direction(v, e)
 
 
-def _short_arc_member(m: Dir, u: Dir, v: Dir) -> bool:
-    """Membership of m in the closed shorter arc between non-antipodal u, v."""
-    if cross_sign(u, v) < 0:
-        u, v = v, u
-    return cross_sign(u, m) >= 0 and cross_sign(m, v) >= 0
+def lens_arc(c: Circle, p, q) -> tuple[Dir, Dir]:
+    """The closed CCW arc (start, end) that a lens with base {p, q} uses on c.
+
+    This is the shorter arc between p and q; for a diameter it is the CCW
+    half from the lexicographically smaller base point.
+    """
+    p, q = QuadPoint.of(p), QuadPoint.of(q)
+    if p.compare(q) > 0:
+        p, q = q, p
+    dp, dq = centered(p, c), centered(q, c)
+    return (dq, dp) if cross_sign(dp, dq) < 0 else (dp, dq)
 
 
 def arcs_overlap(c: Circle, pair1, pair2) -> bool:
-    """Do the shorter arcs of c spanned by two point pairs intersect?
+    """Do the lens arcs of c (see lens_arc) for two point pairs intersect?
 
     Arcs are closed, so arcs sharing only an endpoint count as overlapping.
-    An antipodal pair has no shorter arc; there the rule is that the other
-    pair's points must sit in opposite half-circles (boundary cases count as
-    overlapping), and two antipodal pairs always overlap.
+    Two closed arcs meet iff one of them contains the other's start.
     """
     p1, q1 = (QuadPoint.of(p) for p in pair1)
     p2, q2 = (QuadPoint.of(p) for p in pair2)
@@ -223,51 +227,9 @@ def arcs_overlap(c: Circle, pair1, pair2) -> bool:
             raise DegenerateInput("arc endpoint not on the circle")
     if p1 == q1 or p2 == q2:
         raise DegenerateInput("coincident points in a pair")
-    d1, e1 = centered(p1, c), centered(q1, c)
-    d2, e2 = centered(p2, c), centered(q2, c)
-    anti1 = opposite_direction(d1, e1)
-    anti2 = opposite_direction(d2, e2)
-    if anti1 and anti2:
-        return True
-    if anti1 or anti2:
-        axis, (u, v) = (d1, (d2, e2)) if anti1 else (d2, (d1, e1))
-        su, sv = cross_sign(axis, u), cross_sign(axis, v)
-        if su == 0 or sv == 0:
-            # a point of the other pair coincides with a diameter endpoint
-            return True
-        return su != sv
-    return (_short_arc_member(d2, d1, e1) or _short_arc_member(e2, d1, e1)
-            or _short_arc_member(d1, d2, e2) or _short_arc_member(e1, d2, e2))
-
-
-@dataclass(frozen=True)
-class Arc:
-    """An arc of a circle between two of its points.
-
-    selector "shorter" picks the arc of measure < pi and is valid only for
-    non-antipodal endpoints; "half" designates the CCW half from the first
-    endpoint for the antipodal case.
-    """
-
-    circle: Circle
-    endpoints: tuple[QuadPoint, QuadPoint]
-    selector: str = "shorter"
-
-    def __post_init__(self):
-        p, q = self.endpoints
-        if not (point_on_circle(p, self.circle) and point_on_circle(q, self.circle)):
-            raise DegenerateInput("arc endpoints must lie on the circle")
-        if p == q:
-            raise DegenerateInput("arc endpoints must be distinct")
-        anti = opposite_direction(centered(p, self.circle), centered(q, self.circle))
-        if self.selector == "shorter":
-            if anti:
-                raise DegenerateInput("antipodal endpoints have no shorter arc")
-        elif self.selector == "half":
-            if not anti:
-                raise DegenerateInput("half selector requires antipodal endpoints")
-        else:
-            raise DegenerateInput(f"unknown selector {self.selector!r}")
+    s1, e1 = lens_arc(c, p1, q1)
+    s2, e2 = lens_arc(c, p2, q2)
+    return dir_in_ccw_arc(s2, s1, e1) or dir_in_ccw_arc(s1, s2, e2)
 
 
 def circular_order_consistent(c: Circle, points) -> bool:

@@ -2,9 +2,15 @@
 
 The graph has the marked points as vertices; each circle through at least two
 of them contributes one cyclic run of consecutive-point edges, drawn along
-its arcs.  Edges that belong to k-rich non-overlapping lenses (selected
-greedily) are split off as G1; crossings are counted in the concrete drawing,
-between arc edges of distinct circles, away from graph vertices.
+its arcs.  Edges that realize the lens arc (geometry.lens_arc) of a member of
+a greedy non-overlapping family of k-rich lenses are split off as G1; the
+lens pool is every marked pair with at least k circles through both points.
+
+Crossings are counted in this drawing, between edges of distinct circles and
+away from graph vertices.  The edges of a drawn circle cover all of it, so
+every point where two drawn circles cross lies on an edge of each, and
+crossings = sum over pairs of drawn circles that meet twice of
+(2 - number of marked points on both).
 """
 
 from __future__ import annotations
@@ -14,13 +20,11 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
 
-from .errors import InvalidRichness
+from .errors import DegenerateInput, InvalidRichness
 from .families import select_family
-from .geometry import (centered, cross_sign, cyclic_cmp, dir_in_ccw_arc,
-                       intersection_points, opposite_direction, power_of_point,
-                       same_direction)
-from .pencils import Scene, enumerate_lenses, rich_lenses
-from .quadfield import QuadNum, QuadPoint, frac
+from .geometry import cyclic_cmp, lens_arc, power_of_point
+from .pencils import Lens, Scene
+from .quadfield import QuadNum, frac
 
 
 def count_incidences(points, scene: Scene) -> int:
@@ -50,41 +54,29 @@ class SzekelyStats:
     crossings: int
 
 
-def _circle_edges(scene: Scene, points) -> list[GraphEdge]:
+def _circle_edges(scene: Scene, points, on) -> list[GraphEdge]:
     edges = []
     for cid, c in enumerate(scene.circles):
-        on = [i for i, p in enumerate(points) if power_of_point(p, c) == 0]
-        if len(on) < 2:
+        if len(on[cid]) < 2:
             continue
         dirs = {i: (QuadNum.of(points[i][0] - c.cx), QuadNum.of(points[i][1] - c.cy))
-                for i in on}
-        on.sort(key=cmp_to_key(lambda a, b: cyclic_cmp(dirs[a], dirs[b])))
-        if len(on) == 2:
-            u, v = on
+                for i in on[cid]}
+        ids = sorted(dirs, key=cmp_to_key(lambda a, b: cyclic_cmp(dirs[a], dirs[b])))
+        if len(ids) == 2:
+            u, v = ids
             edges.append(GraphEdge(cid, u, v, dirs[u], dirs[v]))
             edges.append(GraphEdge(cid, u, v, dirs[v], dirs[u]))
         else:
-            for i in range(len(on)):
-                u, v = on[i], on[(i + 1) % len(on)]
+            for i in range(len(ids)):
+                u, v = ids[i], ids[(i + 1) % len(ids)]
                 edges.append(GraphEdge(cid, u, v, dirs[u], dirs[v]))
     return edges
 
 
-def _is_lens_edge(edge: GraphEdge, lens, scene: Scene, points) -> bool:
-    """Does this edge realize the lens's arc on its circle?"""
-    if edge.circle_id not in lens.circles:
-        return False
-    base_pts = {QuadPoint.of(points[edge.u]), QuadPoint.of(points[edge.v])}
-    if base_pts != set(lens.base):
-        return False
-    c = scene.circles[edge.circle_id]
-    dp = centered(lens.base[0], c)
-    dq = centered(lens.base[1], c)
-    if opposite_direction(dp, dq):
-        # designated half: CCW from the canonically-first base point
-        return same_direction(edge.start, dp) and same_direction(edge.end, dq)
-    a, b = (dp, dq) if cross_sign(dp, dq) > 0 else (dq, dp)
-    return same_direction(edge.start, a) and same_direction(edge.end, b)
+def _meet_twice(c1, c2) -> bool:
+    """|r1 - r2| < |center distance| < r1 + r2, in squared rational form."""
+    d2 = (c1.cx - c2.cx) ** 2 + (c1.cy - c2.cy) ** 2
+    return (d2 - c1.r2 - c2.r2) ** 2 < 4 * c1.r2 * c2.r2
 
 
 def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
@@ -92,39 +84,34 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     if k < 2:
         raise InvalidRichness("richness k must be at least 2")
     points = [(frac(x), frac(y)) for x, y in points]
-    edges = _circle_edges(scene, points)
-    incidences = count_incidences(points, scene)
+    repeated = next((p for p, n in Counter(points).items() if n > 1), None)
+    if repeated is not None:
+        raise DegenerateInput(
+            f"marked point ({repeated[0]}, {repeated[1]}) is repeated")
+    on = [frozenset(i for i, p in enumerate(points) if power_of_point(p, c) == 0)
+          for c in scene.circles]
+    edges = _circle_edges(scene, points, on)
 
-    point_set = {QuadPoint.of(p) for p in points}
-    lens_pool = [lens for lens in rich_lenses(enumerate_lenses(scene), k)
-                 if lens.base[0] in point_set and lens.base[1] in point_set]
+    # every circle through both points of a marked pair is in its lens
+    through: dict[tuple[int, int], list[int]] = {}
+    for cid, ids in enumerate(on):
+        for u, v in combinations(sorted(ids), 2):
+            through.setdefault((u, v), []).append(cid)
+    lens_pool = [Lens((points[u], points[v]), cids)
+                 for (u, v), cids in through.items() if len(cids) >= k]
     family = select_family(lens_pool, scene, mode="greedy")
-    g1 = sum(1 for e in edges
-             if any(_is_lens_edge(e, lens, scene, points)
-                    for lens in family.members))
+    lens_edges = {(cid, lens_arc(scene.circles[cid], *lens.base))
+                  for lens in family.members for cid in lens.circles}
+    g1 = sum(1 for e in edges if (e.circle_id, (e.start, e.end)) in lens_edges)
 
     multiplicity = Counter(frozenset((e.u, e.v)) for e in edges)
     max_mult = max(multiplicity.values(), default=0)
 
-    by_circle: dict[int, list[GraphEdge]] = {}
-    for e in edges:
-        by_circle.setdefault(e.circle_id, []).append(e)
-    crossings = 0
-    for i, j in combinations(sorted(by_circle), 2):
-        pts = intersection_points(scene.circles[i], scene.circles[j])
-        if len(pts) != 2:
-            continue  # disjoint or tangent: no transversal crossing
-        for pt in pts:
-            if pt in point_set:
-                continue  # meets at a graph vertex
-            di = centered(pt, scene.circles[i])
-            dj = centered(pt, scene.circles[j])
-            on_i = any(dir_in_ccw_arc(di, e.start, e.end) for e in by_circle[i])
-            on_j = any(dir_in_ccw_arc(dj, e.start, e.end) for e in by_circle[j])
-            if on_i and on_j:
-                crossings += 1
+    drawn = [cid for cid, ids in enumerate(on) if len(ids) >= 2]
+    crossings = sum(2 - len(on[i] & on[j]) for i, j in combinations(drawn, 2)
+                    if _meet_twice(scene.circles[i], scene.circles[j]))
 
-    return SzekelyStats(m=len(points), n=len(scene), incidences=incidences,
+    return SzekelyStats(m=len(points), n=len(scene), incidences=sum(map(len, on)),
                         edges=len(edges), g0=len(edges) - g1, g1=g1,
                         max_multiplicity=max_mult, crossings=crossings)
 

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from circlelens.dual import coplanarity_audit
 from circlelens.errors import CapExceeded, InvalidRichness
 from circlelens.families import (CircleArc, lens_cutting, lenses_overlap,
                                  select_family, verify_cut)
@@ -51,6 +52,26 @@ def test_overlap_symmetry_on_corpus(corpus):
             for b in lenses[i + 1:]:
                 assert lenses_overlap(a, b, scene) == \
                     lenses_overlap(b, a, scene), name
+
+
+# circle (3/2, 3/2), r2 = 9/2 and one partner through each of the base pairs
+# (-3/5, 6/5)-(0, 0), (0, 3)-(3, 0) and (9/5, 18/5)-(3, 3); the three chords
+# meet at (-3, 6), and the middle pair is a diameter
+DIAMETER_SCENE = Scene(circles=(
+    Circle(F(3, 2), F(3, 2), F(9, 2)), Circle(F(-3, 10), F(3, 5), F(9, 20)),
+    Circle(F(0), F(0), F(9)), Circle(F(12, 5), F(33, 10), F(9, 20))))
+
+
+def test_diameter_lens_uses_designated_half():
+    by_circles = {lens.circles: lens for lens in _lenses(DIAMETER_SCENE)}
+    assert set(by_circles) == {(0, 1), (0, 2), (0, 3)}
+    # the diameter (0, 3)-(3, 0) uses the CCW half from (0, 3), through (0, 0)
+    assert lenses_overlap(by_circles[(0, 2)], by_circles[(0, 1)], DIAMETER_SCENE)
+    assert not lenses_overlap(by_circles[(0, 2)], by_circles[(0, 3)],
+                              DIAMETER_SCENE)
+    family = select_family(list(by_circles.values()), DIAMETER_SCENE)
+    assert family.certificate and len(family) == 2
+    assert coplanarity_audit(DIAMETER_SCENE, family).clean
 
 
 def test_greedy_family_certified(corpus):

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelens.errors import DegenerateInput, NoRadicalAxis
-from circlelens.geometry import (Arc, Circle, Line, arcs_overlap,
-                                 canonical_dir, centered, circle_line_points,
+from circlelens.geometry import (Circle, Line, arcs_overlap, canonical_dir,
+                                 centered, circle_line_points,
                                  circular_order_consistent, cross_sign,
                                  cyclic_cmp, dir_in_ccw_arc,
-                                 intersection_points, opposite_direction,
-                                 point_on_circle, power_of_point,
-                                 radical_axis, same_direction)
+                                 intersection_points, lens_arc,
+                                 opposite_direction, point_on_circle,
+                                 power_of_point, radical_axis, same_direction)
 from circlelens.quadfield import QuadNum, QuadPoint
 
 UNIT = Circle(F(0), F(0), F(1))
@@ -152,6 +152,17 @@ P_S = _on_unit((0, 1), (-1, 1))
 P_NE = _on_unit((3, 5), (4, 5))
 P_SE = _on_unit((3, 5), (-4, 5))
 P_NW = _on_unit((-3, 5), (4, 5))
+P_SW = _on_unit((-3, 5), (-4, 5))
+
+
+def test_lens_arc_rule():
+    e, n, w = (centered(p, UNIT) for p in (P_E, P_N, P_W))
+    # shorter arc, CCW, whatever the order of the base points
+    assert lens_arc(UNIT, P_E, P_N) == (e, n)
+    assert lens_arc(UNIT, P_N, P_E) == (e, n)
+    # a diameter uses the CCW half from the lexicographically smaller point
+    assert lens_arc(UNIT, P_E, P_W) == (w, e)
+    assert lens_arc(UNIT, P_N, P_S) == (centered(P_S, UNIT), n)
 
 
 def test_arcs_overlap_shorter_arcs():
@@ -165,8 +176,10 @@ def test_arcs_overlap_shorter_arcs():
 def test_arcs_overlap_antipodal_rules():
     # antipodal pair E-W versus a pair split across the x-axis
     assert arcs_overlap(UNIT, (P_E, P_W), (P_NE, P_SE))
-    # versus a pair on one side
+    # the diameter E-W uses the CCW half from W, the lower half: a pair on
+    # the upper side misses it and a pair on the lower side meets it
     assert not arcs_overlap(UNIT, (P_E, P_W), (P_NE, P_NW))
+    assert arcs_overlap(UNIT, (P_E, P_W), (P_SE, P_SW))
     # a point of the other pair on the diameter counts as overlap
     assert arcs_overlap(UNIT, (P_E, P_W), (P_E, P_N))
     # two antipodal pairs always overlap
@@ -185,17 +198,6 @@ def test_arcs_overlap_symmetry_and_validation():
     off = QuadPoint.of((F(2), F(0)))
     with pytest.raises(DegenerateInput):
         arcs_overlap(UNIT, (off, P_N), (P_E, P_W))
-
-
-def test_arc_selector_validation():
-    Arc(UNIT, (P_E, P_N))
-    Arc(UNIT, (P_E, P_W), selector="half")
-    with pytest.raises(DegenerateInput):
-        Arc(UNIT, (P_E, P_W))  # antipodal has no shorter arc
-    with pytest.raises(DegenerateInput):
-        Arc(UNIT, (P_E, P_N), selector="half")
-    with pytest.raises(DegenerateInput):
-        Arc(UNIT, (P_E, P_N), selector="major")
 
 
 coords = st.fractions(min_value=-5, max_value=5, max_denominator=4)

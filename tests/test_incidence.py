@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from circlelens.errors import InvalidRichness
+from circlelens.errors import DegenerateInput, InvalidRichness
 from circlelens.families import select_family
 from circlelens.generators import pencil_bundle_construction
 from circlelens.geometry import Circle, power_of_point
@@ -37,6 +37,24 @@ def test_two_circle_two_point_instance():
     assert stats.g0 == 2
 
 
+def test_exact_counts_with_a_shared_marked_point():
+    # both circles pass through (5, 0); the first also through (3, 4) and
+    # (0, 5), the second through (12, 7)
+    circles = (Circle(F(0), F(0), F(25)), Circle(F(9), F(3), F(25)))
+    points = ((F(5), F(0)), (F(3), F(4)), (F(0), F(5)), (F(12), F(7)))
+    stats = szekely_stats(points, Scene(circles=circles), 2)
+    assert (stats.incidences, stats.edges, stats.g0, stats.g1) == (5, 5, 5, 0)
+    assert stats.max_multiplicity == 2
+    # the circles meet twice; one meeting point is marked, the other crosses
+    assert stats.crossings == 1
+
+
+def test_repeated_marked_point_rejected():
+    scene = _two_circle_instance()
+    with pytest.raises(DegenerateInput, match=r"\(4, 3\) is repeated"):
+        szekely_stats(scene.points + ((F(4), F(3)),), scene, 2)
+
+
 def test_incidences_equal_neighborhood_sum(corpus):
     for name, scene in corpus[:15]:
         pts = []
@@ -65,7 +83,7 @@ def test_bundle_base_points():
     assert stats.incidences == 24  # every base point on its 3 pencil circles
     assert stats.edges == 24  # each circle joins its 2 points by both arcs
     assert stats.max_multiplicity == 6  # 3 circles x 2 arcs per pencil pair
-    assert stats.crossings <= len(scene) * (len(scene) - 1)
+    assert stats.crossings == 0
 
 
 def test_richness_validation():
