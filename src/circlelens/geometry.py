@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegenerateInput, NoRadicalAxis
-from .quadfield import QuadNum, QuadPoint, frac
-from .radicals import Rad
+from .quadfield import (QuadNum, QuadPoint, frac, one_radicand, sign_q,
+                        two_field_sign)
 
 
 @dataclass(frozen=True)
@@ -75,25 +75,40 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
     return Line.of(a, b, c)
 
 
+def chord_of(c: Circle, line: Line) -> tuple[Fraction, Fraction, Fraction]:
+    """The chord a rational line cuts from a circle, in rational terms.
+
+    Returns (fx, fy, x): (fx, fy) is the foot of the perpendicular from the
+    center (the chord midpoint) and x = h2 * (a^2 + b^2), with h2 the squared
+    half chord.  The line misses the circle iff x < 0 and touches it iff
+    x == 0; otherwise it meets it at foot +- sqrt(x)/(a^2 + b^2) * (-b, a).
+    """
+    a, b = line.a, line.b
+    d2 = a * a + b * b
+    n = a * c.cx + b * c.cy + line.c
+    t = n / d2
+    return c.cx - t * a, c.cy - t * b, c.r2 * d2 - n * n
+
+
+def chord_points(line: Line, fx, fy, x) -> tuple[QuadPoint, ...]:
+    """The points of a chord given by chord_of (0, 1, or 2 points).
+
+    The two points of a chord share one radicand."""
+    if x < 0:
+        return ()
+    if x == 0:
+        return (QuadPoint(fx, fy),)
+    k = Fraction(1, line.a * line.a + line.b * line.b)
+    a, b = line.a * k, line.b * k
+    return (QuadPoint(QuadNum(fx, -b, x), QuadNum(fy, a, x)),
+            QuadPoint(QuadNum(fx, b, x), QuadNum(fy, -a, x)))
+
+
 def circle_line_points(c: Circle, line: Line) -> tuple[QuadPoint, ...]:
     """Exact intersection of a circle with a rational line (0, 1, or 2 points).
 
     The two points share one radicand; a single point means tangency."""
-    a, b, g = Fraction(line.a), Fraction(line.b), Fraction(line.c)
-    d2 = a * a + b * b
-    # foot of the perpendicular from the center onto the line
-    t = (a * c.cx + b * c.cy + g) / d2
-    fx, fy = c.cx - t * a, c.cy - t * b
-    h2 = c.r2 - t * t * d2
-    if h2 < 0:
-        return ()
-    if h2 == 0:
-        return (QuadPoint(QuadNum(fx), QuadNum(fy)),)
-    # points = foot +- s * (-b, a) with s = sqrt(h2 / d2)
-    s2 = h2 / d2
-    p1 = QuadPoint(QuadNum(fx, -b, s2), QuadNum(fy, a, s2))
-    p2 = QuadPoint(QuadNum(fx, b, s2), QuadNum(fy, -a, s2))
-    return (p1, p2)
+    return chord_points(line, *chord_of(c, line))
 
 
 def intersection_points(c1: Circle, c2: Circle) -> tuple[QuadPoint, ...]:
@@ -123,23 +138,45 @@ def centered(p: QuadPoint, c: Circle) -> Dir:
     return (p.x - c.cx, p.y - c.cy)
 
 
+def _coords(d: Dir) -> tuple:
+    """(xa, xb, ya, yb, m): the direction (xa + xb*sqrt(m), ya + yb*sqrt(m))
+    scaled by a positive integer so that xa, xb, ya, yb are integers."""
+    x, y = one_radicand(*d)
+    parts = (x.a, x.b, y.a, y.b)
+    den = lcm(*(q.denominator for q in parts))
+    return (*(q.numerator * (den // q.denominator) for q in parts),
+            x.delta or y.delta)
+
+
+def _bilinear_sign(u: Dir, v: Dir, cross: bool) -> int:
+    """Sign of u.x*v.y - u.y*v.x (cross) or u.x*v.x + u.y*v.y (dot).
+
+    Both signs are unchanged when u and v are scaled by positive integers, so
+    the work is over integers.  With u over sqrt(al) and v over sqrt(be) the
+    value is r0 + r1*sqrt(al) + (r2 + r3*sqrt(al))*sqrt(be); two different
+    radicands go through two_field_sign."""
+    uxa, uxb, uya, uyb, al = _coords(u)
+    vxa, vxb, vya, vyb, be = _coords(v)
+    if cross:
+        vxa, vxb, vya, vyb = vya, vyb, -vxa, -vxb
+    r0 = uxa * vxa + uya * vya
+    r1 = uxb * vxa + uyb * vya
+    r2 = uxa * vxb + uya * vyb
+    r3 = uxb * vxb + uyb * vyb
+    if not al:
+        return sign_q(r0, r2, be)
+    if not be or al == be:
+        return sign_q(r0 + r3 * al, r1 + r2, al)
+    return two_field_sign(r0, r1, r2, r3, al, be)
+
+
 def cross_sign(u: Dir, v: Dir) -> int:
     """Sign of u.x*v.y - u.y*v.x; exact across different radicands."""
-    du = u[0].delta or u[1].delta
-    dv = v[0].delta or v[1].delta
-    if du == 0 or dv == 0 or du == dv:
-        return (u[0] * v[1] - u[1] * v[0]).sign()
-    r = u[0].to_rad() * v[1].to_rad() - u[1].to_rad() * v[0].to_rad()
-    return r.sign()
+    return _bilinear_sign(u, v, cross=True)
 
 
 def dot_sign(u: Dir, v: Dir) -> int:
-    du = u[0].delta or u[1].delta
-    dv = v[0].delta or v[1].delta
-    if du == 0 or dv == 0 or du == dv:
-        return (u[0] * v[0] + u[1] * v[1]).sign()
-    r = u[0].to_rad() * v[0].to_rad() + u[1].to_rad() * v[1].to_rad()
-    return r.sign()
+    return _bilinear_sign(u, v, cross=False)
 
 
 def quadrant(d: Dir) -> int:

@@ -2,9 +2,10 @@
 
 Lenses are always merged by base pair, so one enumeration never contains two
 lenses with the same endpoints.  The fast path buckets circle pairs by their
-(purely rational) radical axis and only then constructs intersection points;
-the brute-force oracle groups pairwise intersection points by exact equality
-and exists solely to cross-check the fast path.
+(purely rational) radical axis, groups each bucket by the rational chord
+(midpoint, half-chord squared), and builds points only for groups of two or
+more circles.  The brute-force oracle groups pairwise intersection points by
+exact equality and exists solely to cross-check the fast path.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
-from .geometry import Circle, circle_line_points, intersection_points, radical_axis
-from .errors import NoRadicalAxis
+from .errors import (DegenerateInput, InvalidRichness, NoRadicalAxis,
+                     OracleCapExceeded)
+from .geometry import (Circle, chord_of, chord_points, intersection_points,
+                       radical_axis)
 from .quadfield import QuadPoint, frac
 
 
@@ -99,17 +101,18 @@ def enumerate_lenses(scene: Scene) -> list[Lens]:
         except NoRadicalAxis:
             continue
         buckets[axis].update((i, j))
-    lenses: dict = {}
+    lenses = []
     for axis, ids in buckets.items():
+        # circles on one axis with the same chord (midpoint, half-chord^2)
         groups: dict = defaultdict(list)
         for i in sorted(ids):
-            pts = circle_line_points(scene.circles[i], axis)
-            if len(pts) == 2:
-                groups[_base_key(*pts)].append(i)
+            key = chord_of(scene.circles[i], axis)
+            if key[2] > 0:
+                groups[key].append(i)
         for key, members in groups.items():
             if len(members) >= 2:
-                lenses[key] = Lens(key, members)
-    return sorted(lenses.values(), key=lens_sort_key)
+                lenses.append(Lens(chord_points(axis, *key), members))
+    return sorted(lenses, key=lens_sort_key)
 
 
 def rich_lenses(lenses, k: int) -> list[Lens]:

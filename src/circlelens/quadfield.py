@@ -1,40 +1,117 @@
 """Numbers and points in a quadratic extension Q(sqrt(delta)) of the rationals.
 
-A :class:`QuadNum` is stored canonically as ``a + b*sqrt(delta)`` with a, b
-rational and delta a square-free positive integer (delta == 0 for rational
-values).  Canonical storage makes structural equality and hashing agree with
-numeric equality, even across values built from different radicands.
+A :class:`QuadNum` is stored as ``a + b*sqrt(delta)`` with a, b rational and
+delta a positive non-square integer (delta == 0 for rational values).  A
+rational radicand p/q is stored as delta = p*q with b scaled by 1/q, so an
+``isqrt`` test is the only integer work a radicand ever needs; delta is not
+made square-free.  One field therefore has many representatives
+(sqrt(8) = 2*sqrt(2)).  Two radicands name the same field iff their product
+is a perfect square, and equality and hashing go through
+(a, sign of b, b*b*delta), which is unique per value.
+
+Signs over two different radicands are decided by squaring once
+(:func:`two_field_sign`), which uses only real-number reasoning and so stays
+sound when the two radicands turn out to name the same field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, sqrt
 
-from .radicals import Rad, sqrt_fraction
+from .radicals import Rad
+
+_ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def sign_q(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for rationals a, b and an integer d >= 0."""
+    sa = (a > 0) - (a < 0)
+    if not b or not d:
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa == 0 or sa == sb:
+        return sb
+    # sign(a^2 - b^2*d), denominators cleared
+    t = (a.numerator * b.denominator) ** 2 \
+        - (b.numerator * a.denominator) ** 2 * d
+    return sa * ((t > 0) - (t < 0))
+
+
+def two_field_sign(u0, u1, v0, v1, m1: int, m2: int) -> int:
+    """Exact sign of U + V*sqrt(m2) with U = u0 + u1*sqrt(m1), V = v0 + v1*sqrt(m1).
+
+    If U and V agree in sign (or one is zero) that is the answer; otherwise
+    the sign is sign(U) * sign(U^2 - m2*V^2), one sign in Q(sqrt(m1)).
+    """
+    su = sign_q(u0, u1, m1)
+    sv = sign_q(v0, v1, m1) if m2 else 0
+    if sv == 0 or su == sv:
+        return su
+    if su == 0:
+        return sv
+    # scale U and V by a common denominator so the square is over integers
+    den = u0.denominator * u1.denominator * v0.denominator * v1.denominator
+    u0, u1, v0, v1 = (x.numerator * (den // x.denominator)
+                      for x in (u0, u1, v0, v1))
+    return su * sign_q(u0 * u0 + u1 * u1 * m1 - m2 * (v0 * v0 + v1 * v1 * m1),
+                       2 * (u0 * u1 - m2 * v0 * v1), m1)
+
+
+def _quad(a: Fraction, b: Fraction, delta: int) -> "QuadNum":
+    """A QuadNum from a canonical radicand (non-square, or 0 with b == 0)."""
+    x = object.__new__(QuadNum)
+    if b and delta:
+        x.a, x.b, x.delta = a, b, delta
+    else:
+        x.a, x.b, x.delta = a, _ZERO, 0
+    return x
+
+
+# Squares of these primes are taken out of a radicand when it is printed.
+_PRINT_PRIMES = tuple(p for p in range(2, 1000)
+                      if all(p % q for q in range(2, isqrt(p) + 1)))
+
+
+def _printed_radicand(n: int) -> tuple[int, int]:
+    """n = s*s*m with m free of the squares of the primes below 1000."""
+    s = 1
+    for p in _PRINT_PRIMES:
+        pp = p * p
+        if pp > n:
+            break
+        while n % pp == 0:
+            n //= pp
+            s *= p
+    return s, n
+
+
 class QuadNum:
-    """Exact number a + b*sqrt(delta); delta square-free, 0 iff rational."""
+    """Exact number a + b*sqrt(delta); delta a non-square integer, 0 iff rational."""
 
     __slots__ = ("a", "b", "delta")
 
     def __init__(self, a, b=0, delta=0):
         a, b = frac(a), frac(b)
-        if b == 0 or delta == 0:
-            self.a, self.b, self.delta = a, Fraction(0), 0
-            return
-        delta = frac(delta)
-        if delta < 0:
-            raise ValueError("radicand must be nonnegative")
-        coeff, d = sqrt_fraction(delta)
-        if d == 1:
-            self.a, self.b, self.delta = a + b * coeff, Fraction(0), 0
+        d = 0
+        if b and delta:
+            delta = frac(delta)
+            if delta < 0:
+                raise ValueError("radicand must be nonnegative")
+            # sqrt(p/q) = sqrt(p*q)/q
+            d = delta.numerator * delta.denominator
+            b = b / delta.denominator
+            r = isqrt(d)
+            if r * r == d:
+                a, d = a + b * r, 0
+        if d:
+            self.a, self.b, self.delta = a, b, d
         else:
-            self.a, self.b, self.delta = a, b * coeff, d
+            self.a, self.b, self.delta = a, _ZERO, 0
 
     # -- construction helpers -------------------------------------------------
 
@@ -42,7 +119,7 @@ class QuadNum:
     def of(cls, value) -> "QuadNum":
         if isinstance(value, QuadNum):
             return value
-        return cls(frac(value))
+        return _quad(frac(value), _ZERO, 0)
 
     @classmethod
     def sqrt(cls, radicand) -> "QuadNum":
@@ -54,27 +131,33 @@ class QuadNum:
         return self.delta == 0
 
     def to_rad(self) -> Rad:
-        return Rad({1: self.a, self.delta if self.delta else 1: self.b}) \
-            if self.delta else Rad.rational(self.a)
+        return Rad({1: self.a, self.delta: self.b}) if self.delta \
+            else Rad.rational(self.a)
 
-    # -- field arithmetic (same radicand, or one side rational) ---------------
+    # -- field arithmetic (one field, or one side rational) -------------------
 
-    def _join(self, other: "QuadNum") -> int:
-        if self.delta == 0:
-            return other.delta
-        if other.delta == 0 or other.delta == self.delta:
-            return self.delta
-        raise ValueError("mixed radicands in QuadNum arithmetic")
+    def _join(self, other: "QuadNum") -> tuple[int, Fraction]:
+        """A radicand for both operands, and other.b rewritten over it."""
+        d1, d2 = self.delta, other.delta
+        if d1 == d2 or d2 == 0:
+            return d1, other.b
+        if d1 == 0:
+            return d2, other.b
+        r = isqrt(d1 * d2)
+        if r * r != d1 * d2:
+            raise ValueError("mixed radicands in QuadNum arithmetic")
+        # sqrt(d2) = sqrt(d1*d2)/d1 * sqrt(d1)
+        return d1, other.b * Fraction(r, d1)
 
     def __add__(self, other):
         other = QuadNum.of(other)
-        d = self._join(other)
-        return QuadNum(self.a + other.a, self.b + other.b, d)
+        d, ob = self._join(other)
+        return _quad(self.a + other.a, self.b + ob, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.delta)
+        return _quad(-self.a, -self.b, self.delta)
 
     def __sub__(self, other):
         return self + (-QuadNum.of(other))
@@ -84,21 +167,18 @@ class QuadNum:
 
     def __mul__(self, other):
         other = QuadNum.of(other)
-        d = self._join(other)
-        dd = frac(d)
-        return QuadNum(self.a * other.a + self.b * other.b * dd,
-                       self.a * other.b + self.b * other.a, d)
+        d, ob = self._join(other)
+        return _quad(self.a * other.a + self.b * ob * d,
+                     self.a * ob + self.b * other.a, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
+        # nonzero for every nonzero value, since delta is not a square
         norm = self.a * self.a - self.b * self.b * self.delta
         if norm == 0:
-            if self.a == 0 and self.b == 0:
-                raise ZeroDivisionError("QuadNum division by zero")
-            # cannot happen for canonical nonzero values (delta square-free)
-            raise ZeroDivisionError("QuadNum with zero norm")
-        return QuadNum(self.a / norm, -self.b / norm, self.delta)
+            raise ZeroDivisionError("QuadNum division by zero")
+        return _quad(self.a / norm, -self.b / norm, self.delta)
 
     def __truediv__(self, other):
         return self * QuadNum.of(other).inverse()
@@ -117,37 +197,39 @@ class QuadNum:
     # -- ordering and equality ------------------------------------------------
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        t = self.a * self.a - self.b * self.b * self.delta
-        s = (t > 0) - (t < 0)
-        return s if sa > 0 else -s
+        return sign_q(self.a, self.b, self.delta)
 
     def compare(self, other) -> int:
         """Exact three-way comparison; works across different radicands."""
         other = QuadNum.of(other)
-        if self.delta == 0 or other.delta == 0 or self.delta == other.delta:
-            return (self - other).sign()
-        return (self.to_rad() - other.to_rad()).sign()
+        if not self.delta and not other.delta:
+            return (self.a > other.a) - (self.a < other.a)
+        if self.delta == other.delta or not self.delta or not other.delta:
+            d, ob = self._join(other)
+            return sign_q(self.a - other.a, self.b - ob, d)
+        # (a1 - a2 + b1*sqrt(d1)) + (-b2)*sqrt(d2)
+        return two_field_sign(self.a - other.a, self.b, -other.b, _ZERO,
+                              self.delta, other.delta)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QuadNum.of(other)
         if not isinstance(other, QuadNum):
             return NotImplemented
-        # canonical form: structural equality is numeric equality
-        return (self.a, self.b, self.delta) == (other.a, other.b, other.delta)
+        if self.delta == other.delta:
+            return self.a == other.a and self.b == other.b
+        return (self.a == other.a and self.delta != 0 and other.delta != 0
+                and (self.b > 0) == (other.b > 0)
+                and self.b * self.b * self.delta
+                == other.b * other.b * other.delta)
 
     def __hash__(self):
         if self.delta == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.delta))
+        # b*b*delta in lowest terms: gcd(n, d) = 1, so only delta and d*d share
+        n, d = self.b.numerator, self.b.denominator
+        g = gcd(self.delta, d * d)
+        return hash((self.a, n * abs(n) * (self.delta // g), d * d // g))
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -162,7 +244,7 @@ class QuadNum:
         return self.compare(other) >= 0
 
     def __float__(self):
-        return float(self.a) + float(self.b) * self.delta ** 0.5
+        return float(self.a) + float(self.b) * sqrt(self.delta)
 
     def __repr__(self):
         return f"QuadNum({self.a!r}, {self.b!r}, {self.delta!r})"
@@ -170,25 +252,40 @@ class QuadNum:
     def __str__(self):
         if self.delta == 0:
             return str(self.a)
+        s, m = _printed_radicand(self.delta)
+        b = self.b * s
         head = f"{self.a}" if self.a else ""
-        sgn = "+" if self.b > 0 and head else ""
-        return f"{head}{sgn}{self.b}*sqrt({self.delta})"
+        sgn = "+" if b > 0 and head else ""
+        return f"{head}{sgn}{b}*sqrt({m})"
 
 
 ZERO = QuadNum(0)
 ONE = QuadNum(1)
 
 
+def one_radicand(x: QuadNum, y: QuadNum) -> tuple[QuadNum, QuadNum]:
+    """x and y with y written over x's radicand when both are irrational.
+
+    Raises ValueError when x and y lie in different quadratic fields.
+    """
+    if not x.delta or not y.delta or x.delta == y.delta:
+        return x, y
+    d, yb = x._join(y)
+    return x, _quad(y.a, yb, d)
+
+
 class QuadPoint:
-    """A planar point with both coordinates in one quadratic field."""
+    """A planar point with both coordinates in one quadratic field, stored
+    over one radicand."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
         x, y = QuadNum.of(x), QuadNum.of(y)
-        if x.delta and y.delta and x.delta != y.delta:
-            raise ValueError("QuadPoint coordinates must share one radicand")
-        self.x, self.y = x, y
+        try:
+            self.x, self.y = one_radicand(x, y)
+        except ValueError:
+            raise ValueError("QuadPoint coordinates must share one field") from None
 
     @classmethod
     def of(cls, value) -> "QuadPoint":

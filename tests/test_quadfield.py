@@ -20,7 +20,19 @@ def test_sqrt_and_square():
     assert r * r == QuadNum.of(2)
     assert (r * r).is_rational
     s = QuadNum.sqrt(Fraction(8))
-    assert s.delta == 2 and s.b == 2  # sqrt(8) = 2*sqrt(2)
+    assert s == 2 * QuadNum.sqrt(2) and hash(s) == hash(2 * QuadNum.sqrt(2))
+
+
+def test_one_field_two_representatives():
+    x, y = QuadNum(0, 2, 2), QuadNum(0, 1, 8)  # 2*sqrt(2) and sqrt(8)
+    assert x == y and hash(x) == hash(y)
+    assert x - y == QuadNum.of(0)
+    assert x + y == QuadNum(0, 4, 2) and x * y == QuadNum.of(8)
+    assert (1 + x) / (1 + y) == QuadNum.of(1)
+    assert x.compare(y) == 0 and (x + 1).compare(y) == 1
+    p = QuadPoint(QuadNum.sqrt(2), QuadNum.sqrt(8))
+    assert p.x.delta == p.y.delta == p.delta
+    assert p == QuadPoint(QuadNum.sqrt(2), 2 * QuadNum.sqrt(2))
 
 
 def test_mixed_radicand_arithmetic_rejected():

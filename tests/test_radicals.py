@@ -5,40 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelens.radicals import Rad, sqrt_fraction, square_free
-
-
-def test_square_free_basic():
-    assert square_free(1) == (1, 1)
-    assert square_free(4) == (2, 1)
-    assert square_free(12) == (2, 3)
-    assert square_free(45) == (3, 5)
-    assert square_free(97) == (1, 97)
-
-
-def test_square_free_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        square_free(0)
-    with pytest.raises(ValueError):
-        square_free(-3)
-
-
-def test_sqrt_fraction():
-    coeff, d = sqrt_fraction(Fraction(9, 4))
-    assert (coeff, d) == (Fraction(3, 2), 1)
-    coeff, d = sqrt_fraction(Fraction(1, 2))
-    assert (coeff, d) == (Fraction(1, 2), 2)
-    assert float(coeff) * math.sqrt(d) == pytest.approx(math.sqrt(0.5))
-
-
-@given(st.integers(min_value=1, max_value=10 ** 6))
-@settings(max_examples=200)
-def test_square_free_reconstructs(n):
-    s, d = square_free(n)
-    assert s * s * d == n
-    # d has no square divisor
-    for p in (2, 3, 5, 7):
-        assert d % (p * p) != 0
+from circlelens.radicals import Rad
 
 
 def test_rad_zero_and_sign():
