@@ -6,7 +6,8 @@ diameter the CCW half from the lexicographically smaller one).  Family
 selection comes in a greedy flavor (degree-descending scan) and an exact
 flavor (branch-and-bound maximum independent set in the overlap graph).  Lens
 cutting splits circles into arcs until no point pair lies on k of them; the
-fixpoint is verified by re-enumeration.
+fixpoint is re-checked against the scene's k-rich lenses, which both cutting
+and verify_cut take from the scene's one enumeration (enumerate_lenses).
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
 
     Greedy fixpoint: while some k-rich base pair is still covered by k arcs,
     cut the lexicographically-last covering arcs at the midpoint of the in-arc
-    path between the base points.  The postcondition is re-verified over the
-    returned arcs before returning.
+    path between the base points.  Before returning, every k-rich lens of
+    the scene is checked against the returned arcs.
     """
     if k < 2:
         raise InvalidRichness("richness k must be at least 2")
@@ -266,7 +267,9 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
 
 
 def verify_cut(scene: Scene, result: CutResult) -> bool:
-    """Independent re-check: no k-rich base pair is covered by k arcs."""
+    """Re-check from the result's arcs alone: no k-rich lens of the scene is
+    covered by k arcs.  The lenses are the scene's one enumeration, which
+    lens_cutting used too."""
     per_circle: dict[int, list] = {cid: [] for cid in range(len(scene))}
     for arc in result.arcs:
         per_circle[arc.circle_id].append(

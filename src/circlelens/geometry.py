@@ -123,10 +123,18 @@ def intersection_points(c1: Circle, c2: Circle) -> tuple[QuadPoint, ...]:
 
 
 def point_on_circle(p: QuadPoint, c: Circle) -> bool:
-    """Exact containment test in the quadratic field of p."""
+    """Exact containment test in the quadratic field of p.
+
+    With p = (xa + xb*sqrt(d), ya + yb*sqrt(d)), u = xa - cx and w = ya - cy,
+    the power of p is u^2 + w^2 - r^2 + (xb^2 + yb^2)*d plus
+    2*(u*xb + w*yb)*sqrt(d); it is zero iff both parts are, since d is never
+    a square.
+    """
     p = QuadPoint.of(p)
-    v = (p.x - c.cx) ** 2 + (p.y - c.cy) ** 2 - c.r2
-    return v == 0
+    x, y, d = p.x, p.y, p.delta
+    u, w = x.a - c.cx, y.a - c.cy
+    return (u * x.b + w * y.b == 0
+            and u * u + w * w - c.r2 + (x.b * x.b + y.b * y.b) * d == 0)
 
 
 # -- exact angular order ------------------------------------------------------

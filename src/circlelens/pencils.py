@@ -4,8 +4,10 @@ Lenses are always merged by base pair, so one enumeration never contains two
 lenses with the same endpoints.  The fast path buckets circle pairs by their
 (purely rational) radical axis, groups each bucket by the rational chord
 (midpoint, half-chord squared), and builds points only for groups of two or
-more circles.  The brute-force oracle groups pairwise intersection points by
-exact equality and exists solely to cross-check the fast path.
+more circles.  The fast path runs once per Scene, whose lenses every later
+stage shares.  The brute-force oracle groups pairwise intersection points by
+exact equality, is recomputed on every call, and exists solely to cross-check
+the fast path.
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ class Scene:
 
 
 class Lens:
-    """A base point pair plus the circles passing through both points."""
+    """A base point pair plus the circles passing through both points.
+
+    Immutable, since every caller of enumerate_lenses on a scene gets the same
+    Lens objects."""
 
     __slots__ = ("base", "circles")
 
@@ -53,12 +58,16 @@ class Lens:
             raise DegenerateInput("lens base points must be distinct")
         if p.compare(q) > 0:
             p, q = q, p
-        self.base = (p, q)
-        self.circles = tuple(sorted(circles))
-        if len(self.circles) < 2:
+        circles = tuple(sorted(circles))
+        if len(circles) < 2:
             raise DegenerateInput("a lens needs at least two circles")
-        if len(set(self.circles)) != len(self.circles):
+        if len(set(circles)) != len(circles):
             raise DegenerateInput("repeated circle in lens")
+        object.__setattr__(self, "base", (p, q))
+        object.__setattr__(self, "circles", circles)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Lens is immutable")
 
     @property
     def degree(self) -> int:
@@ -93,7 +102,20 @@ def _base_key(p: QuadPoint, q: QuadPoint) -> tuple[QuadPoint, QuadPoint]:
 
 
 def enumerate_lenses(scene: Scene) -> list[Lens]:
-    """All lenses of the scene, merged by base pair, in canonical order."""
+    """All lenses of the scene, merged by base pair, in canonical order.
+
+    A Scene is immutable, so its lenses are built once and kept on it (a
+    private attribute outside the dataclass fields); every call returns a
+    fresh list of them.
+    """
+    lenses = vars(scene).get("_lenses")
+    if lenses is None:
+        lenses = _build_lenses(scene)
+        object.__setattr__(scene, "_lenses", lenses)
+    return list(lenses)
+
+
+def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
     buckets: dict = defaultdict(set)
     for i, j in combinations(range(len(scene)), 2):
         try:
@@ -112,7 +134,7 @@ def enumerate_lenses(scene: Scene) -> list[Lens]:
         for key, members in groups.items():
             if len(members) >= 2:
                 lenses.append(Lens(chord_points(axis, *key), members))
-    return sorted(lenses, key=lens_sort_key)
+    return tuple(sorted(lenses, key=lens_sort_key))
 
 
 def rich_lenses(lenses, k: int) -> list[Lens]:

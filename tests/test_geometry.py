@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circlelens.errors import DegenerateInput, NoRadicalAxis
@@ -220,3 +220,86 @@ def test_cyclic_order_transitive_on_random_directions(raw):
     for u in dirs:
         for v in dirs:
             assert cyclic_cmp(u, v) == -cyclic_cmp(v, u)
+
+
+# -- point_on_circle against the squared-distance formula ---------------------
+
+def _power(p, c):
+    """The old membership formula, kept as the oracle: the power of p."""
+    p = QuadPoint.of(p)
+    return (p.x - c.cx) ** 2 + (p.y - c.cy) ** 2 - c.r2
+
+
+def _moved(p, c, kind, m):
+    """p moved off (or along) c; see test_point_on_circle_matches_power."""
+    x, y = p.x, p.y
+    root = QuadNum.sqrt(p.delta or 2)
+    u, w = x.a - c.cx, y.a - c.cy
+    if kind == "x+q":
+        return QuadPoint(x + m, y)
+    if kind == "y+q":
+        return QuadPoint(x, y + m)
+    if kind == "x+sqrt":
+        return QuadPoint(x + m * root, y)
+    if kind == "y+sqrt":
+        return QuadPoint(x, y + m * root)
+    if kind == "reflect-x":  # u -> -u: only the sqrt(d) part can survive
+        return QuadPoint(x - 2 * u, y)
+    if kind == "reflect-y":
+        return QuadPoint(x, y - 2 * w)
+    if kind == "flip-xb":  # xb -> -xb: only the sqrt(d) part can survive
+        return QuadPoint(x - 2 * x.b * root, y)
+    if kind == "along":  # rational step along (yb, -xb): sqrt(d) part stays 0
+        return QuadPoint(x + m * y.b, y - m * x.b)
+    return p
+
+
+KINDS = ("on", "x+q", "y+q", "x+sqrt", "y+sqrt", "reflect-x", "reflect-y",
+         "flip-xb", "along")
+small = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@given(cx=small, cy=small,
+       r2=st.fractions(min_value=F(1, 4), max_value=30, max_denominator=7),
+       a=st.integers(-5, 5), b=st.integers(-5, 5),
+       offset=st.fractions(min_value=F(-1, 2), max_value=F(1, 2),
+                           max_denominator=9),
+       index=st.integers(0, 1), kind=st.sampled_from(KINDS),
+       m=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+       two_forms=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_point_on_circle_matches_power(cx, cy, r2, a, b, offset, index, kind,
+                                       m, two_forms):
+    assume(a or b)
+    c = Circle(cx, cy, r2)
+    # |offset| <= 1/2 and r2 >= 1/4 put the line through the closed disc
+    pts = circle_line_points(c, Line.of(a, b, offset - a * cx - b * cy))
+    assert pts
+    p = _moved(pts[index % len(pts)], c, kind, m)
+    if two_forms and p.y.delta:
+        # y written over 4*d, another form of the same field
+        p = (p.x, QuadNum(p.y.a, p.y.b / 2, 4 * p.y.delta))
+    assert point_on_circle(p, c) == (_power(p, c) == 0)
+    if kind == "on":
+        assert point_on_circle(p, c)
+
+
+def test_point_on_circle_needs_both_parts():
+    # the chord x + y = 1/2 of the unit circle: x = 1/4 - sqrt(7)/4, so
+    # u, xb and yb are all nonzero
+    c = UNIT
+    p = circle_line_points(c, Line.of(2, 2, -1))[0]
+    assert point_on_circle(p, c) and p.x.b and p.y.b
+    for kind in ("reflect-x", "flip-xb"):
+        q = _moved(p, c, kind, None)
+        v = _power(q, c)
+        assert v.a == 0 and v.b != 0, kind  # only the rational part vanishes
+        assert not point_on_circle(q, c), kind
+    q = _moved(p, c, "along", F(1, 3))
+    v = _power(q, c)
+    assert v.a != 0 and v.b == 0  # only the sqrt(d) part vanishes
+    assert not point_on_circle(q, c)
+    # a rational point and a point over a different radicand than its chord's
+    assert point_on_circle((F(3, 5), F(-4, 5)), c)
+    assert not point_on_circle((F(3, 5), F(4, 5) + QuadNum.sqrt(2)), c)
+    assert point_on_circle((QuadNum.sqrt(F(1, 2)), -QuadNum.sqrt(2) / 2), c)

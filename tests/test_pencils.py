@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from circlelens import pencils
 from circlelens.errors import (DegenerateInput, InvalidRichness,
                                OracleCapExceeded)
+from circlelens.families import lens_cutting, verify_cut
 from circlelens.generators import GeneratorSpec, random_scene
 from circlelens.geometry import Circle
 from circlelens.pencils import (Lens, Scene, brute_force_lenses,
@@ -90,8 +92,10 @@ def test_oracle_cap():
 
 
 def test_enumeration_deterministic(corpus):
+    # a fresh Scene with equal circles enumerates anew
     for name, scene in corpus[:10]:
-        assert enumerate_lenses(scene) == enumerate_lenses(scene), name
+        again = Scene(circles=scene.circles, points=scene.points)
+        assert enumerate_lenses(scene) == enumerate_lenses(again), name
 
 
 def test_canonical_order_sorted(corpus):
@@ -99,3 +103,47 @@ def test_canonical_order_sorted(corpus):
         lenses = enumerate_lenses(scene)
         for a, b in zip(lenses, lenses[1:]):
             assert a.compare(b) < 0, name
+
+
+def test_enumeration_built_once_per_scene(monkeypatch):
+    scene = random_scene(GeneratorSpec(model="unit-circles-on-grid", n=12,
+                                       seed=3))
+    before = (repr(scene), hash(scene))
+    axes, builds = [], []
+
+    def counted_axis(c1, c2):
+        axes.append((c1, c2))
+        return real_axis(c1, c2)
+
+    def counted_build(s):
+        builds.append(s)
+        return real_build(s)
+
+    real_axis, real_build = pencils.radical_axis, pencils._build_lenses
+    monkeypatch.setattr(pencils, "radical_axis", counted_axis)
+    monkeypatch.setattr(pencils, "_build_lenses", counted_build)
+    pairs = len(scene) * (len(scene) - 1) // 2
+
+    lenses = enumerate_lenses(scene)
+    result = lens_cutting(scene, 2)
+    assert result.cut_count > 0 and verify_cut(scene, result)
+    assert len(builds) == 1 and len(axes) == pairs
+    # the kept lenses are outside the dataclass fields
+    assert (repr(scene), hash(scene)) == before
+
+    # a returned list is the caller's own, and its lenses cannot change
+    with pytest.raises(AttributeError):
+        lenses[0].circles = (0, 1)
+    expected = list(lenses)
+    lenses.clear()
+    lenses = enumerate_lenses(scene)
+    assert lenses == expected == brute_force_lenses(scene)
+    lenses.append(lenses[0])
+    assert enumerate_lenses(scene) == expected
+    assert len(builds) == 1 and len(axes) == pairs
+
+    # an equal but distinct Scene has lenses of its own
+    fresh = Scene(circles=scene.circles, points=scene.points)
+    assert fresh == scene
+    assert enumerate_lenses(fresh) == expected
+    assert len(builds) == 2 and len(axes) == 2 * pairs
