@@ -26,7 +26,6 @@ from .incidence import (GraphEdge, SzekelyStats, count_incidences,
 from .pencils import (Lens, Scene, brute_force_lenses, enumerate_lenses,
                       rich_lenses)
 from .quadfield import QuadNum, QuadPoint
-from .radicals import Rad
 from .sceneio import parse_scene, serialize_scene
 from .slopes import GammaPoint, OrderReversal, gamma_point, order_reversal_check
 
@@ -50,7 +49,6 @@ __all__ = [
     "szekely_stats",
     "Lens", "Scene", "brute_force_lenses", "enumerate_lenses", "rich_lenses",
     "QuadNum", "QuadPoint",
-    "Rad",
     "parse_scene", "serialize_scene",
     "GammaPoint", "OrderReversal", "gamma_point", "order_reversal_check",
 ]

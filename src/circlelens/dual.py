@@ -6,6 +6,10 @@ z = -2*p.x*x - 2*p.y*y + (p.x^2 + p.y^2), and a lens base pair becomes the
 intersection line of its two planes.  Containment transports exactly: p lies
 on a circle iff the lifted circle lies on p's plane.
 
+Lens lines are rational: a lens's base points are rational or Galois
+conjugates over one Q(sqrt(delta)), and conjugation swaps their planes, so
+it fixes their common line.  Lines and audits therefore run over Fraction.
+
 The audits check, with exact arithmetic, that no circle participating in
 three lenses of a certified non-overlapping family has coplanar lens lines,
 and that any plane spanned by a coplanar pair of family lines carries at most
@@ -16,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DegenerateInput
 from .families import LensFamily
 from .pencils import Scene
 from .quadfield import QuadNum, QuadPoint, frac
-from .radicals import Rad
 
 
 @dataclass(frozen=True)
@@ -33,17 +37,18 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class DualPlane:
-    """The plane z = a*x + b*y + d (never vertical by construction)."""
+    """The plane z = a*x + b*y + d (never vertical by construction), with
+    coefficients in the field of the point it is dual to."""
 
     a: QuadNum
     b: QuadNum
     d: QuadNum
 
     def contains(self, point) -> bool:
+        """Exact test in one field: the point's coordinates must be rational
+        or lie in the plane's field (two fields raise ValueError)."""
         x, y, z = point
-        lhs = self.a.to_rad() * QuadNum.of(x).to_rad() \
-            + self.b.to_rad() * QuadNum.of(y).to_rad() + self.d.to_rad()
-        return (lhs - QuadNum.of(z).to_rad()).is_zero
+        return self.a * x + self.b * y + self.d == z
 
 
 def lift_circle(c) -> DualPoint:
@@ -55,12 +60,12 @@ def dual_plane(p) -> DualPlane:
     return DualPlane(a=-2 * p.x, b=-2 * p.y, d=p.x * p.x + p.y * p.y)
 
 
-Vec3 = tuple[QuadNum, QuadNum, QuadNum]
+Vec3 = tuple[Fraction, Fraction, Fraction]
 
 
 @dataclass(frozen=True)
 class DualLine:
-    """Line in R^3, canonicalized so equal lines compare bit-equal.
+    """Rational line in R^3, canonicalized so equal lines compare equal.
 
     The direction is scaled to make its first nonzero component 1, and the
     anchor is slid along the line to zero out that same component.
@@ -71,110 +76,101 @@ class DualLine:
 
     @classmethod
     def of(cls, anchor, direction) -> "DualLine":
-        anchor = tuple(QuadNum.of(v) for v in anchor)
-        direction = tuple(QuadNum.of(v) for v in direction)
-        pivot = next((i for i in range(3) if direction[i].sign() != 0), None)
+        anchor = tuple(frac(v) for v in anchor)
+        direction = tuple(frac(v) for v in direction)
+        pivot = next((i for i in range(3) if direction[i]), None)
         if pivot is None:
             raise DegenerateInput("line direction must be nonzero")
-        inv = direction[pivot].inverse()
+        inv = 1 / direction[pivot]
         direction = tuple(v * inv for v in direction)
         t = anchor[pivot]
         anchor = tuple(anchor[i] - t * direction[i] for i in range(3))
         return cls(anchor=anchor, direction=direction)
 
     def contains(self, point) -> bool:
-        point = tuple(QuadNum.of(v) for v in point)
-        w = [point[i].to_rad() - self.anchor[i].to_rad() for i in range(3)]
-        d = [v.to_rad() for v in self.direction]
-        return ((w[1] * d[2] - w[2] * d[1]).is_zero
-                and (w[2] * d[0] - w[0] * d[2]).is_zero
-                and (w[0] * d[1] - w[1] * d[0]).is_zero)
+        """Exact test for a point with coordinates rational or in one field."""
+        w = [QuadNum.of(v) - a for v, a in zip(point, self.anchor)]
+        return all(c == 0 for c in _cross3(w, self.direction))
 
 
 def lens_line(p, q) -> DualLine:
-    """The intersection line of the dual planes of p and q."""
+    """The intersection line of the dual planes of p and q: with m = (p+q)/2
+    and h = (q-p)/2 it passes through (m, |h|^2 - |m|^2) along
+    (-h.y, h.x, 2*(m.x*h.y - m.y*h.x)), where a conjugate pair's h loses its
+    sqrt(delta).  Raises DegenerateInput for a pair that cannot be a lens
+    base: equal points, two fields, or non-conjugate irrational points.
+    """
     p, q = QuadPoint.of(p), QuadPoint.of(q)
     if p == q:
         raise DegenerateInput("lens base points must be distinct")
-    # planes z = a_i x + b_i y + d_i; their xy-shadow is A x + B y + C = 0
-    a1, b1, d1 = -2 * p.x, -2 * p.y, p.x * p.x + p.y * p.y
-    big_a = 2 * (q.x - p.x)
-    big_b = 2 * (q.y - p.y)
-    big_c = (p.x * p.x + p.y * p.y) - (q.x * q.x + q.y * q.y)
-    dx, dy = -big_b, big_a
-    dz = a1 * dx + b1 * dy
-    if big_a.sign() != 0:
-        x0, y0 = -big_c / big_a, QuadNum.of(0)
-    else:
-        x0, y0 = QuadNum.of(0), -big_c / big_b
-    z0 = a1 * x0 + b1 * y0 + d1
-    return DualLine.of((x0, y0, z0), (dx, dy, dz))
+    try:
+        mx, my = (p.x + q.x) / 2, (p.y + q.y) / 2
+        h = QuadPoint((q.x - p.x) / 2, (q.y - p.y) / 2)
+    except ValueError:
+        raise DegenerateInput(
+            "lens base points lie in two quadratic fields") from None
+    hx, hy = h
+    if not (mx.is_rational and my.is_rational) or (
+            not h.is_rational and (hx.a or hy.a)):
+        raise DegenerateInput("irrational lens base points must be conjugate")
+    mx, my = mx.a, my.a
+    u, v, d = (hx.a, hy.a, 1) if h.is_rational else (hx.b, hy.b, h.delta)
+    return DualLine.of((mx, my, (u * u + v * v) * d - mx * mx - my * my),
+                       (-v, u, 2 * (mx * v - my * u)))
 
 
 # -- exact audits -------------------------------------------------------------
 
-def _rad_vec(v) -> list[Rad]:
-    return [QuadNum.of(x).to_rad() for x in v]
-
-
-def _cross3(u: list[Rad], v: list[Rad]) -> list[Rad]:
+def _cross3(u, v) -> list[Fraction]:
     return [u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0]]
 
 
-def _dot3(u: list[Rad], v: list[Rad]) -> Rad:
+def _dot3(u, v) -> Fraction:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _sub3(u: list[Rad], v: list[Rad]) -> list[Rad]:
+def _sub3(u, v) -> list[Fraction]:
     return [a - b for a, b in zip(u, v)]
 
 
 def _pair_plane(l1: DualLine, l2: DualLine):
     """Common plane of two coplanar lines as (normal, offset), or None."""
-    d1, d2 = _rad_vec(l1.direction), _rad_vec(l2.direction)
-    a1, a2 = _rad_vec(l1.anchor), _rad_vec(l2.anchor)
-    w = _sub3(a2, a1)
-    if not _dot3(_cross3(d1, d2), w).is_zero:
+    w = _sub3(l2.anchor, l1.anchor)
+    normal = _cross3(l1.direction, l2.direction)
+    if _dot3(normal, w):
         return None  # skew lines
-    normal = _cross3(d1, d2)
-    if all(c.is_zero for c in normal):
+    if not any(normal):
         # parallel lines: span with the anchor offset instead
-        normal = _cross3(d1, w)
-        if all(c.is_zero for c in normal):
+        normal = _cross3(l1.direction, w)
+        if not any(normal):
             return None  # identical lines do not span a plane
-    return normal, _dot3(normal, a1)
+    return normal, _dot3(normal, l1.anchor)
 
 
 def _plane_contains_line(plane, line: DualLine) -> bool:
     normal, offset = plane
-    d = _rad_vec(line.direction)
-    a = _rad_vec(line.anchor)
-    return _dot3(normal, d).is_zero and (_dot3(normal, a) - offset).is_zero
+    return not _dot3(normal, line.direction) \
+        and _dot3(normal, line.anchor) == offset
 
 
 def _plane_contains_point(plane, point) -> bool:
     normal, offset = plane
-    return (_dot3(normal, _rad_vec(point)) - offset).is_zero
+    return _dot3(normal, point) == offset
 
 
 def lines_coplanar(l1: DualLine, l2: DualLine, l3: DualLine) -> bool:
     """Exact test that three lines lie in one common plane."""
     for a, b in ((l1, l2), (l1, l3), (l2, l3)):
-        d1, d2 = _rad_vec(a.direction), _rad_vec(b.direction)
-        w = _sub3(_rad_vec(b.anchor), _rad_vec(a.anchor))
-        if not _dot3(_cross3(d1, d2), w).is_zero:
+        w = _sub3(b.anchor, a.anchor)
+        if _dot3(_cross3(a.direction, b.direction), w):
             return False
     for a, b, c in ((l1, l2, l3), (l1, l3, l2), (l2, l3, l1)):
         plane = _pair_plane(a, b)
         if plane is not None:
             return _plane_contains_line(plane, c)
-    # all three pairwise identical-or-parallel without a spanning pair:
-    # distinct parallel lines are coplanar pairwise but a common plane needs
-    # the third to sit in the plane of the first two; handled above whenever
-    # any pair spans one.  Remaining case: all identical.
-    return True
+    return True  # no pair spans a plane: all three lines are identical
 
 
 @dataclass
@@ -200,7 +196,6 @@ def coplanarity_audit(scene: Scene, family: LensFamily) -> AuditReport:
         for cid in lens.circles:
             by_circle.setdefault(cid, []).append(lens)
 
-    from itertools import combinations
     for cid, lenses in sorted(by_circle.items()):
         if len(lenses) < 3:
             continue
@@ -215,12 +210,12 @@ def coplanarity_audit(scene: Scene, family: LensFamily) -> AuditReport:
             plane = _pair_plane(lines[li], lines[lj])
             if plane is None:
                 continue
-            in_plane_circles = [cid for cid, pt in lifted.items()
-                                if _plane_contains_point(plane, (pt.x, pt.y, pt.z))]
+            in_plane_circles = {cid for cid, pt in lifted.items()
+                                if _plane_contains_point(plane, (pt.x, pt.y, pt.z))}
             in_plane_lenses = [lens for lens in members
                                if _plane_contains_line(plane, lines[lens])]
             incidences = sum(1 for lens in in_plane_lenses
-                             for cid in lens.circles if cid in set(in_plane_circles))
+                             for cid in lens.circles if cid in in_plane_circles)
             if incidences > 2 * len(in_plane_circles):
                 report.plane_violations.append(
                     ((li, lj), incidences, len(in_plane_circles)))

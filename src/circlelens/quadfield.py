@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
-from .radicals import Rad
-
 _ZERO = Fraction(0)
 
 
@@ -129,10 +127,6 @@ class QuadNum:
     @property
     def is_rational(self) -> bool:
         return self.delta == 0
-
-    def to_rad(self) -> Rad:
-        return Rad({1: self.a, self.delta: self.b}) if self.delta \
-            else Rad.rational(self.a)
 
     # -- field arithmetic (one field, or one side rational) -------------------
 

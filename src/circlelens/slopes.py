@@ -29,12 +29,17 @@ class GammaPoint:
     circle_id: int | None = None
 
 
-def gamma_point(c: Circle, p, circle_id=None) -> GammaPoint:
-    p = QuadPoint.of(p)
+def _check_lift_point(c: Circle, p: QuadPoint) -> None:
+    """Raise unless p is on c with a non-vertical tangent there."""
     if not point_on_circle(p, c):
         raise DegenerateInput("point not on circle")
-    if (p.y - c.cy).sign() == 0:
+    if p.y == c.cy:
         raise VerticalTangent("tangent is vertical at this point")
+
+
+def gamma_point(c: Circle, p, circle_id=None) -> GammaPoint:
+    p = QuadPoint.of(p)
+    _check_lift_point(c, p)
     z = -(p.x - c.cx) / (p.y - c.cy)
     return GammaPoint(x=p.x, y=p.y, z=z, circle_id=circle_id)
 
@@ -77,8 +82,8 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
     for cid in lens.circles:
         c = scene.circles[cid]
         try:
-            gamma_point(c, p, cid)
-            gamma_point(c, q, cid)
+            _check_lift_point(c, p)
+            _check_lift_point(c, q)
         except VerticalTangent:
             excluded.append(cid)
             continue

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from circlelens.errors import DegenerateInput
 from circlelens.families import LensFamily, select_family
 from circlelens.geometry import Circle, power_of_point
 from circlelens.pencils import Scene, enumerate_lenses, rich_lenses
-from circlelens.quadfield import QuadNum
+from circlelens.quadfield import QuadNum, QuadPoint
 
 
 def test_lift_circle():
@@ -33,6 +34,16 @@ def test_containment_transports():
         plane = dual_plane((px, py))
         assert (power_of_point((px, py), c) == 0) == \
             plane.contains((star.x, star.y, star.z))
+
+
+def test_containment_in_the_point_field():
+    r2 = QuadNum.sqrt(2)
+    axis = DualLine.of((F(0), F(0), F(0)), (F(1), F(0), F(0)))
+    assert axis.contains((r2, 0, 0)) and not axis.contains((r2, r2, 0))
+    plane = dual_plane((r2, F(0)))  # z = -2*sqrt(2)*x + 2
+    assert plane.contains((r2, F(5), F(-2)))
+    assert not plane.contains((r2, F(5), F(2)))
+    assert plane.contains((F(0), F(7), F(2)))
 
 
 def test_dual_line_canonical():
@@ -79,6 +90,52 @@ def test_lens_line_irrational_base():
         assert line.contains((pt.x, pt.y, pt.z))
 
 
+def _pencil_through(p, q, ts):
+    """Circles through the conjugate or rational pair p, q: centers m + t*n
+    on the perpendicular bisector, with n a rational normal of the chord."""
+    mx, my = (p.x + q.x) / 2, (p.y + q.y) / 2
+    hx, hy = (q.x - p.x) / 2, (q.y - p.y) / 2
+    nx, ny = (-hy, hx) if hx.is_rational and hy.is_rational \
+        else (-hy.b, hx.b)
+    out = []
+    for t in ts:
+        cx, cy = mx + t * nx, my + t * ny
+        r2 = (cx - p.x) * (cx - p.x) + (cy - p.y) * (cy - p.y)
+        assert cx.is_rational and cy.is_rational and r2.is_rational
+        out.append(Circle(cx.a, cy.a, r2.a))
+    return out
+
+
+@pytest.mark.parametrize("p, q", [
+    ((F(1, 3), F(2)), (F(-4), F(5, 7))),
+    ((QuadNum(1, 1, 2), QuadNum(2, -1, 2)), (QuadNum(1, -1, 2), QuadNum(2, 1, 2))),
+    # one field in two forms: sqrt(8) = 2*sqrt(2)
+    ((QuadNum(F(1, 2), 1, 8), QuadNum(3)), (QuadNum(F(1, 2), -2, 2), QuadNum(3))),
+    ((QuadNum(0), QuadNum(1, 3, 5)), (QuadNum(0), QuadNum(1, -3, 5))),
+])
+def test_lens_line_contains_pencil_of_pair(p, q):
+    p, q = QuadPoint(*p), QuadPoint(*q)
+    line = lens_line(p, q)
+    assert line == lens_line(q, p)
+    assert all(isinstance(v, F) for v in line.anchor + line.direction)
+    for c in _pencil_through(p, q, [F(t, 3) for t in range(-4, 5)]):
+        pt = lift_circle(c)
+        assert line.contains((pt.x, pt.y, pt.z))
+        assert dual_plane(p).contains((pt.x, pt.y, pt.z))
+        assert dual_plane(q).contains((pt.x, pt.y, pt.z))
+
+
+@pytest.mark.parametrize("p, q", [
+    ((QuadNum.sqrt(2), 0), (QuadNum.sqrt(3), 0)),  # two fields
+    ((QuadNum.sqrt(2), 0), (1 + QuadNum.sqrt(2), 0)),  # one field, not conjugate
+    ((QuadNum.sqrt(2), 0), (F(1), F(0))),  # irrational with rational
+    ((QuadNum(1, 1, 2), QuadNum(0, 1, 2)), (QuadNum(1, -1, 2), QuadNum(1, -1, 2))),
+])
+def test_lens_line_rejects_non_lens_pairs(p, q):
+    with pytest.raises(DegenerateInput):
+        lens_line(p, q)
+
+
 def test_lines_coplanar_cases():
     # two lines in the z = 0 plane plus one out of plane
     a = DualLine.of((F(0), F(0), F(0)), (F(1), F(0), F(0)))
@@ -92,6 +149,10 @@ def test_lines_coplanar_cases():
     y = DualLine.of((F(0), F(0), F(0)), (F(0), F(1), F(0)))
     z = DualLine.of((F(0), F(0), F(0)), (F(0), F(0), F(1)))
     assert not lines_coplanar(x, y, z)
+    # three parallel lines, pairwise coplanar but not in one plane
+    e = DualLine.of((F(0), F(0), F(1)), (F(1), F(0), F(0)))
+    assert lines_coplanar(a, c, DualLine.of((F(0), F(5), F(0)), (F(2), F(0), F(0))))
+    assert not lines_coplanar(a, c, e)
     # all identical
     assert lines_coplanar(a, a, a)
 
@@ -146,3 +207,53 @@ def test_audit_clean_on_corpus_families(corpus):
         family = select_family(lenses, scene, mode="greedy")
         report = coplanarity_audit(scene, family)
         assert report.clean, name
+
+
+def _lattice_triple_scene(n=10, seed=3):
+    """Circumcircles of seeded non-collinear triples of the 4 x 4 grid."""
+    rng = random.Random(seed)
+    grid = [(F(x), F(y)) for x in range(4) for y in range(4)]
+    circles = set()
+    while len(circles) < n:
+        (ax, ay), (bx, by), (cx, cy) = rng.sample(grid, 3)
+        d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        if d == 0:
+            continue
+        sa, sb, sc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        ux = (sa * (by - cy) + sb * (cy - ay) + sc * (ay - by)) / d
+        uy = (sa * (cx - bx) + sb * (ax - cx) + sc * (bx - ax)) / d
+        circles.add(Circle(ux, uy, (ax - ux) ** 2 + (ay - uy) ** 2))
+    return Scene(circles=tuple(sorted(circles, key=lambda c: (c.cx, c.cy, c.r2))))
+
+
+def _chords_concurrent(c, partners):
+    """Planar oracle: the radical axes of c with each partner, as rows
+    (a, b, e) of a*x + b*y + e = 0, meet in one point, possibly at infinity."""
+    def axis(o):
+        return (2 * (o.cx - c.cx), 2 * (o.cy - c.cy),
+                c.cx ** 2 + c.cy ** 2 - c.r2 - (o.cx ** 2 + o.cy ** 2 - o.r2))
+    (a1, b1, e1), (a2, b2, e2), (a3, b3, e3) = (axis(o) for o in partners)
+    return (a1 * (b2 * e3 - e2 * b3) - b1 * (a2 * e3 - e2 * a3)
+            + e1 * (a2 * b3 - b2 * a3)) == 0
+
+
+@pytest.mark.parametrize("scene, verdicts", [
+    (_lattice_triple_scene(), {True, False}),
+    (_concurrent_chord_scene(), {True}),
+], ids=["lattice-triples", "concurrent-chords"])
+def test_lines_coplanar_matches_planar_oracle(scene, verdicts):
+    # three lens lines through one lifted circle are coplanar iff the three
+    # chords on that circle are concurrent or all parallel
+    lenses = enumerate_lenses(scene)
+    lines = {lens: lens_line(*lens.base) for lens in lenses}
+    seen, irrational = set(), 0
+    for cid, c in enumerate(scene.circles):
+        through = [lens for lens in lenses if cid in lens.circles]
+        for trio in itertools.islice(itertools.combinations(through, 3), 150):
+            partners = [scene.circles[next(o for o in lens.circles if o != cid)]
+                        for lens in trio]
+            coplanar = lines_coplanar(*(lines[lens] for lens in trio))
+            assert coplanar == _chords_concurrent(c, partners), (cid, trio)
+            seen.add(coplanar)
+            irrational += any(not lens.base[0].is_rational for lens in trio)
+    assert seen == verdicts and irrational > 0

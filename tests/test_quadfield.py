@@ -98,7 +98,7 @@ def test_sign_matches_float(x):
 @settings(max_examples=150)
 def test_eq_hash_contract(x, y):
     if x.compare(y) == 0:
-        assert x.to_rad() == y.to_rad()
+        assert x == y and hash(x) == hash(y)
     if x == y:
         assert hash(x) == hash(y)
 

@@ -4,7 +4,7 @@ import pytest
 
 from circlelens.errors import DegenerateInput, Inconclusive, VerticalTangent
 from circlelens.geometry import Circle
-from circlelens.pencils import Scene, enumerate_lenses
+from circlelens.pencils import Lens, Scene, enumerate_lenses
 from circlelens.quadfield import QuadPoint
 from circlelens.slopes import gamma_point, order_reversal_check
 
@@ -99,3 +99,15 @@ def test_inconclusive_when_too_few_finite_slopes():
     (lens,) = enumerate_lenses(scene)
     with pytest.raises(Inconclusive):
         order_reversal_check(lens, scene)
+
+
+def test_order_reversal_rejects_circle_off_the_base():
+    # a lens naming a circle that misses its base pair is not a lens
+    circles = (Circle(F(0), F(1), F(2)),
+               Circle(F(0), F(-1), F(2)),
+               Circle(F(5), F(5), F(1)))
+    scene = Scene(circles=circles)
+    (lens,) = enumerate_lenses(scene)
+    forged = Lens(lens.base, lens.circles + (2,))
+    with pytest.raises(DegenerateInput):
+        order_reversal_check(forged, scene)
