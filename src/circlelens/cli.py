@@ -16,7 +16,8 @@ from .bounds import bound_eval, dyadic_degree_sum, recurrence_certify
 from .dual import coplanarity_audit, dual_plane, lift_circle
 from .errors import CircleLensError, Inconclusive
 from .families import lens_cutting, select_family, verify_cut
-from .generators import GeneratorSpec, pencil_bundle_construction, random_scene
+from .generators import (MODELS, GeneratorSpec, pencil_bundle_construction,
+                         random_scene)
 from .geometry import Circle, power_of_point
 from .incidence import szekely_stats
 from .pencils import brute_force_lenses, enumerate_lenses, rich_lenses
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a scene file")
     p.add_argument("--model", default="bundle",
-                   choices=("bundle", "uniform-random", "unit-circles-on-grid"))
+                   choices=MODELS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)

@@ -1,37 +1,88 @@
-"""Non-overlapping lens families: overlap tests, selection, and lens cutting.
+"""Non-overlapping lens families and lens cutting, on one arc model.
 
-Overlap between two lenses means their lens arcs intersect on some shared
-circle (geometry.lens_arc: the shorter arc between the base points, or for a
-diameter the CCW half from the lexicographically smaller one).  Family
-selection comes in a greedy flavor (degree-descending scan) and an exact
-flavor (branch-and-bound maximum independent set in the overlap graph).  Lens
-cutting splits circles into arcs until no point pair lies on k of them; the
-fixpoint is re-checked against the scene's k-rich lenses, which both cutting
-and verify_cut take from the scene's one enumeration (enumerate_lenses).
+The model sorts the base points on each circle once (geometry.cyclic_key),
+so a lens arc (geometry.lens_arc) is a pair of vertex indices, and overlap
+and covering tests compare integers.  Family selection is greedy (degree-
+descending scan) or exact (branch-and-bound maximum independent set in the
+overlap graph).  Lens cutting cuts circles until no k-rich lens of the
+scene's one enumeration lies on k arcs; verify_cut re-reads the arcs alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cmp_to_key
+from operator import eq
 
-from .errors import CapExceeded, DegenerateInput, InvalidRichness
-from .geometry import (Dir, arcs_overlap, canonical_dir, centered, cross_sign,
-                       cyclic_cmp, dir_in_ccw_arc, opposite_direction,
-                       same_direction)
-from .pencils import Lens, Scene, enumerate_lenses, rich_lenses
-from .quadfield import QuadNum
+from .errors import CapExceeded, DegenerateInput
+from .geometry import (Dir, canonical_dir, centered, cyclic_key,
+                       lens_arc_forward, point_on_circle)
+from .pencils import Lens, Scene, enumerate_lenses, lens_sort_key, rich_lenses
+
+
+def _position(keys, d: Dir) -> int:
+    """Doubled index of direction d among sorted cyclic keys: 2i at key i,
+    2i + 1 strictly between keys i and i + 1 (cyclically)."""
+    key = cyclic_key(d)
+    i = bisect_left(keys, key)
+    return 2 * i if i < len(keys) and keys[i] == key else (2 * i - 1) % (2 * len(keys))
+
+
+def _point_ids(lenses) -> list[tuple[int, int]]:
+    """Base pairs as ids, equal points sharing one (one hash per point)."""
+    ids: dict = {}
+    return [(ids.setdefault(p, len(ids)), ids.setdefault(q, len(ids)))
+            for p, q in (lens.base for lens in lenses)]
+
+
+class _ArcModel:
+    """dirs[cid] and keys[cid] are the base points on circle cid (directions
+    and cyclic keys) in order; arcs[i][cid] = (s, e): the lens arc of
+    lenses[i] runs CCW from vertex s to e.  If checked, as overlap requires,
+    base points must lie on their lens's circles."""
+
+    def __init__(self, scene: Scene, lenses, checked: bool = True):
+        pairs = _point_ids(lenses)
+        on: dict[int, dict] = defaultdict(dict)  # cid -> {point id: direction}
+        for lens, pair in zip(lenses, pairs):
+            if pair[0] == pair[1]:
+                raise DegenerateInput("coincident points in a pair")
+            for cid in lens.circles:
+                for pid, pt in zip(pair, lens.base):
+                    if pid not in on[cid]:
+                        if checked and not point_on_circle(pt, scene.circles[cid]):
+                            raise DegenerateInput(
+                                f"base point {pt} is not on circle {cid}")
+                        on[cid][pid] = centered(pt, scene.circles[cid])
+        self.dirs, self.keys, index = {}, {}, {}
+        for cid, dirs in on.items():
+            key = {pid: cyclic_key(d) for pid, d in dirs.items()}
+            order = sorted(key, key=key.get)
+            self.dirs[cid] = [dirs[pid] for pid in order]
+            self.keys[cid] = [key[pid] for pid in order]
+            index[cid] = {pid: i for i, pid in enumerate(order)}
+        self.arcs = [{cid: (index[cid][p], index[cid][q])
+                      if lens_arc_forward(on[cid][p], on[cid][q])
+                      else (index[cid][q], index[cid][p])
+                      for cid in lens.circles}
+                     for lens, (p, q) in zip(lenses, pairs)]
+
+    def overlap(self, i: int, j: int) -> bool:
+        """Two closed CCW index intervals meet iff one holds the other's
+        start; lenses overlap iff their lens arcs meet on a shared circle."""
+        for cid, (s, e) in self.arcs[i].items():
+            if cid in self.arcs[j]:
+                m, (s2, e2) = len(self.dirs[cid]), self.arcs[j][cid]
+                if (s2 - s) % m <= (e - s) % m or (s - s2) % m <= (e2 - s2) % m:
+                    return True
+        return False
 
 
 def lenses_overlap(l1: Lens, l2: Lens, scene: Scene) -> bool:
     """True iff a shared circle's lens arcs for the two base pairs meet."""
     shared = set(l1.circles) & set(l2.circles)
-    if l1.base == l2.base and shared:
-        return True
-    for cid in shared:
-        if arcs_overlap(scene.circles[cid], l1.base, l2.base):
-            return True
-    return False
+    return bool(shared) and _ArcModel(scene, (l1, l2)).overlap(0, 1)
 
 
 @dataclass(frozen=True)
@@ -46,37 +97,25 @@ class LensFamily:
         return len(self.members)
 
 
-def _certify(members, scene) -> bool:
-    return all(not lenses_overlap(a, b, scene)
-               for i, a in enumerate(members) for b in members[i + 1:])
-
-
-def _greedy_order(lenses):
-    return sorted(lenses, key=cmp_to_key(
-        lambda a, b: (b.degree - a.degree) or a.compare(b)))
-
-
 def _max_independent_set(adj: list[int], n: int) -> int:
     """Deterministic branch-and-bound MIS on a bitmask adjacency list."""
-    best_mask = 0
-    best_size = 0
+    best = 0
 
-    def expand(cand: int, cur: int, cur_size: int):
-        nonlocal best_mask, best_size
-        if cur_size + cand.bit_count() <= best_size:
+    def expand(cand: int, cur: int):
+        nonlocal best
+        if (cur | cand).bit_count() <= best.bit_count():
             return
         if cand == 0:
-            if cur_size > best_size:
-                best_size, best_mask = cur_size, cur
+            best = cur
             return
         # pivot on the candidate with most candidate-neighbors
         v = max((i for i in range(n) if cand >> i & 1),
                 key=lambda i: (adj[i] & cand).bit_count())
-        expand(cand & ~(adj[v] | 1 << v), cur | 1 << v, cur_size + 1)
-        expand(cand & ~(1 << v), cur, cur_size)
+        expand(cand & ~(adj[v] | 1 << v), cur | 1 << v)
+        expand(cand & ~(1 << v), cur)
 
-    expand((1 << n) - 1, 0, 0)
-    return best_mask
+    expand((1 << n) - 1, 0)
+    return best
 
 
 def select_family(lenses, scene: Scene, mode: str = "greedy",
@@ -87,28 +126,27 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
     exact: maximum-cardinality independent set in the overlap graph.
     """
     lenses = list(lenses)
-    if mode == "greedy":
-        kept: list[Lens] = []
-        for lens in _greedy_order(lenses):
-            if all(not lenses_overlap(lens, other, scene) for other in kept):
-                kept.append(lens)
-    elif mode == "exact":
-        if len(lenses) > exact_cap:
-            raise CapExceeded(f"exact selection capped at {exact_cap} lenses")
-        n = len(lenses)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if lenses_overlap(lenses[i], lenses[j], scene):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        mask = _max_independent_set(adj, n)
-        kept = [lenses[i] for i in range(n) if mask >> i & 1]
-    else:
+    if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    members = tuple(sorted(kept, key=cmp_to_key(lambda a, b: a.compare(b))))
-    return LensFamily(members=members,
-                      certificate=_certify(members, scene),
+    if mode == "exact" and len(lenses) > exact_cap:
+        raise CapExceeded(f"exact selection capped at {exact_cap} lenses")
+    model, n = _ArcModel(scene, lenses), len(lenses)
+    if mode == "greedy":
+        kept: list[int] = []
+        for i in sorted(range(n), key=lambda i: (-lenses[i].degree,
+                                                  lens_sort_key(lenses[i]))):
+            if not any(model.overlap(i, j) for j in kept):
+                kept.append(i)
+    else:
+        mask = _max_independent_set(
+            [sum(1 << j for j in range(n) if j != i and model.overlap(i, j))
+             for i in range(n)], n)
+        kept = [i for i in range(n) if mask >> i & 1]
+    kept.sort(key=lambda i: lens_sort_key(lenses[i]))
+    certificate = all(not model.overlap(i, j)
+                      for a, i in enumerate(kept) for j in kept[a + 1:])
+    members = tuple(lenses[i] for i in kept)
+    return LensFamily(members=members, certificate=certificate,
                       total_degree=sum(m.degree for m in members))
 
 
@@ -116,13 +154,9 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
 
 @dataclass(frozen=True)
 class CircleArc:
-    """One arc of a cut circle.
-
-    Endpoints are stored as exact direction vectors from the circle's center
-    (cut points generally leave the quadratic field of any single lens, but
-    their directions do not).  start is None for an uncut full circle; arcs
-    run CCW from start to end and are closed.
-    """
+    """A closed arc of a cut circle, CCW from start to end: exact directions
+    (geometry.canonical_dir) of lens arc midpoints.  start is None for an
+    uncut circle; start == end for a circle with a single cut."""
 
     circle_id: int
     start: Dir | None
@@ -140,148 +174,113 @@ class CutResult:
     k: int
 
 
-_dir_key = cmp_to_key(cyclic_cmp)
-
-
-def _arcs_from_cuts(cuts: list[Dir]) -> list[tuple[Dir, Dir] | None]:
-    """Arc intervals between cyclically consecutive cut directions."""
-    if not cuts:
-        return [None]
-    if len(cuts) == 1:
-        return [(cuts[0], cuts[0])]
-    ordered = sorted(cuts, key=_dir_key)
-    return [(ordered[i], ordered[(i + 1) % len(ordered)])
-            for i in range(len(ordered))]
-
-
-def _arc_contains(arc, v: Dir) -> bool:
-    if arc is None:
-        return True
-    s, e = arc
-    if same_direction(s, e):  # single cut: whole circle, closed at s
-        return True
-    return dir_in_ccw_arc(v, s, e)
-
-
-def _mid_candidates(dp: Dir, dq: Dir) -> tuple[Dir, Dir]:
-    """The two arc-midpoint directions of the p-q chord (shorter first)."""
-    if opposite_direction(dp, dq):
-        perp = (-dp[1], dp[0])
-        return canonical_dir(perp), canonical_dir((dp[1], -dp[0]))
-    m = (dp[0] + dq[0], dp[1] + dq[1])
+def _midpoints(s: Dir, e: Dir) -> tuple[Dir, Dir]:
+    """Midpoint directions of the lens arc CCW from s to e and of the rest of
+    the circle.  Only a diameter's lens arc is a half circle; it starts at s."""
+    m = (s[0] + e[0], s[1] + e[1])
+    if not (m[0].sign() or m[1].sign()):
+        m = (-s[1], s[0])
     return canonical_dir(m), canonical_dir((-m[0], -m[1]))
-
-
-def _in_path(arc, dp: Dir, dq: Dir, v: Dir) -> bool:
-    """Is v on the path between dp and dq inside the given arc?"""
-    if arc is None or same_direction(arc[0], arc[1]):
-        # effectively uncut: both circle arcs between p and q are available
-        return True
-    s, _ = arc
-    # order dp, dq by CCW position from the arc start
-    if same_direction(dq, s):
-        first, second = dq, dp
-    elif same_direction(dp, s) or dir_in_ccw_arc(dp, s, dq):
-        first, second = dp, dq
-    else:
-        first, second = dq, dp
-    if same_direction(first, second):
-        return False
-    return dir_in_ccw_arc(v, first, second)
 
 
 def lens_cutting(scene: Scene, k: int) -> CutResult:
     """Cut circles into arcs until no point pair lies on k arcs.
 
-    Greedy fixpoint: while some k-rich base pair is still covered by k arcs,
-    cut the lexicographically-last covering arcs at the midpoint of the in-arc
-    path between the base points.  Before returning, every k-rich lens of
-    the scene is checked against the returned arcs.
-    """
-    if k < 2:
-        raise InvalidRichness("richness k must be at least 2")
-    targets = [lens for lens in enumerate_lenses(scene) if lens.degree >= k]
-    cuts: dict[int, list[Dir]] = {cid: [] for cid in range(len(scene))}
-    base_dirs = {}
-    for lens in targets:
-        p, q = lens.base
-        base_dirs[lens] = {cid: (centered(p, scene.circles[cid]),
-                                 centered(q, scene.circles[cid]))
-                           for cid in lens.circles}
+    While a k-rich lens lies on k arcs, each after the first k - 1 (by circle,
+    then from angle 0) is cut at the midpoint of the side of the base pair it
+    covers, else at the other side's; a one-arc circle is cut at both.  A cut
+    sits at a doubled index: 2i on vertex i, 2i + 1 in the gap after it."""
+    targets = rich_lenses(enumerate_lenses(scene), k)  # InvalidRichness if k < 2
+    model = _ArcModel(scene, targets, checked=False)
+    cuts: dict[int, set] = defaultdict(set)  # cid -> cut directions
+    at: dict[int, list] = defaultdict(list)  # cid -> their doubled indices
 
-    def covering(lens):
+    def covering(i) -> list:
+        """(cid, side) per covering arc: side 0 over the lens arc, 1 over the
+        rest (covered iff no cut is strictly inside), None for one arc."""
         out = []
-        for cid in lens.circles:
-            dp, dq = base_dirs[lens][cid]
-            for idx, arc in enumerate(_arcs_from_cuts(cuts[cid])):
-                if _arc_contains(arc, dp) and _arc_contains(arc, dq):
-                    out.append((cid, idx, arc))
+        for cid, (s, e) in model.arcs[i].items():
+            if len(at[cid]) <= 1:
+                out.append((cid, None))
+                continue
+            # both sides free: arcs from cuts on vertices s and e, in order
+            for side in ((0, 1) if s < e else (1, 0)):
+                a, b = (2 * s, 2 * e)[::1 - 2 * side]
+                inside = bisect_left(at[cid], b) - bisect_right(at[cid], a)
+                if inside + (len(at[cid]) if a > b else 0) == 0:
+                    out.append((cid, side))
         return out
+
+    def cut(cid, d) -> bool:
+        if d in cuts[cid]:
+            return False
+        cuts[cid].add(d)
+        insort(at[cid], _position(model.keys[cid], d))
+        return True
 
     changed = True
     while changed:
         changed = False
-        for lens in targets:
-            cov = covering(lens)
-            if len(cov) < k:
-                continue
-            # keep the first k-1 covering arcs, cut the lexicographically-last
-            for cid, _, arc in cov[k - 1:]:
-                dp, dq = base_dirs[lens][cid]
-                short_mid, long_mid = _mid_candidates(dp, dq)
-                if arc is None or same_direction(arc[0], arc[1]):
-                    # a full circle needs both midpoints to separate the pair
-                    for m in (short_mid, long_mid):
-                        if all(not same_direction(m, c) for c in cuts[cid]):
-                            cuts[cid].append(m)
-                            changed = True
-                    continue
-                chosen = None
-                for m in (short_mid, long_mid):
-                    if _arc_contains(arc, m) and _in_path(arc, dp, dq, m):
-                        chosen = m
-                        break
-                candidates = (chosen, long_mid, short_mid) if chosen is not None \
-                    else (short_mid, long_mid)
-                for m in candidates:
-                    if all(not same_direction(m, c) for c in cuts[cid]):
-                        cuts[cid].append(m)
-                        changed = True
-                        break
-
+        for i in range(len(targets)):
+            cov = covering(i)
+            for cid, side in cov[k - 1:] if len(cov) >= k else ():
+                mids = _midpoints(*(model.dirs[cid][v] for v in model.arcs[i][cid]))
+                if side is None:
+                    changed |= cut(cid, mids[0]) | cut(cid, mids[1])
+                else:
+                    changed |= cut(cid, mids[side]) or cut(cid, mids[1 - side])
+    if any(len(covering(i)) >= k for i in range(len(targets))):
+        raise DegenerateInput("lens cutting failed to reach a fixpoint")
     arcs = []
     for cid in range(len(scene)):
-        for arc in _arcs_from_cuts(cuts[cid]):
-            if arc is None:
-                arcs.append(CircleArc(cid, None, None))
-            else:
-                arcs.append(CircleArc(cid, arc[0], arc[1]))
+        ordered = sorted(cuts.get(cid, ()), key=cyclic_key)
+        arcs += [CircleArc(cid, d, ordered[(j + 1) % len(ordered)])
+                 for j, d in enumerate(ordered)] or [CircleArc(cid, None, None)]
+    return CutResult(tuple(arcs), sum(map(len, cuts.values())), k)
 
-    # postcondition: re-check every k-rich base pair against the arcs
-    for lens in targets:
-        if len(covering(lens)) >= k:
-            raise DegenerateInput("lens cutting failed to reach a fixpoint")
-    return CutResult(arcs=tuple(arcs),
-                     cut_count=sum(len(v) for v in cuts.values()),
-                     k=k)
+
+def _covering_counts(scene: Scene, result: CutResult) -> list[int] | None:
+    """Per k-rich lens, the number of the result's arcs holding both base
+    points; None unless one arc or a chain of arcs tiles each circle."""
+    by_circle: list[list] = [[] for _ in scene.circles]
+    for arc in result.arcs:
+        if not 0 <= arc.circle_id < len(scene):
+            raise DegenerateInput(f"arc on circle {arc.circle_id}, but the "
+                                  f"scene has circles 0..{len(scene) - 1}")
+        by_circle[arc.circle_id].append(arc)
+    cut_keys = []  # per circle, the sorted keys of its cuts (arc j: j -> j + 1)
+    for arcs in by_circle:
+        if len(arcs) == 1 and arcs[0].is_full:
+            cut_keys.append([])
+            continue
+        if not arcs or any(arc.is_full for arc in arcs):
+            return None
+        arcs.sort(key=lambda arc: cyclic_key(arc.start))
+        keys = [cyclic_key(arc.start) for arc in arcs]
+        if ([cyclic_key(arc.end) for arc in arcs] != keys[1:] + keys[:1]
+                or any(map(eq, keys, keys[1:]))):
+            return None
+        cut_keys.append(keys)
+    rich = rich_lenses(enumerate_lenses(scene), result.k)
+    held: dict = {}  # (cid, point id) -> the arcs holding the point
+    counts = []
+    for lens, pair in zip(rich, _point_ids(rich)):
+        count = 0
+        for cid in lens.circles:
+            t = len(cut_keys[cid])
+            for pid, pt in zip(pair, lens.base):
+                if t > 1 and (cid, pid) not in held:
+                    j, odd = divmod(_position(
+                        cut_keys[cid], centered(pt, scene.circles[cid])), 2)
+                    held[cid, pid] = {j} if odd else {j, (j - 1) % t}
+            count += 1 if t <= 1 else len(held[cid, pair[0]] & held[cid, pair[1]])
+        counts.append(count)
+    return counts
 
 
 def verify_cut(scene: Scene, result: CutResult) -> bool:
-    """Re-check from the result's arcs alone: no k-rich lens of the scene is
-    covered by k arcs.  The lenses are the scene's one enumeration, which
-    lens_cutting used too."""
-    per_circle: dict[int, list] = {cid: [] for cid in range(len(scene))}
-    for arc in result.arcs:
-        per_circle[arc.circle_id].append(
-            None if arc.is_full else (arc.start, arc.end))
-    for lens in rich_lenses(enumerate_lenses(scene), result.k):
-        count = 0
-        for cid in lens.circles:
-            dp = centered(lens.base[0], scene.circles[cid])
-            dq = centered(lens.base[1], scene.circles[cid])
-            for arc in per_circle[cid]:
-                if _arc_contains(arc, dp) and _arc_contains(arc, dq):
-                    count += 1
-        if count >= result.k:
-            return False
-    return True
+    """Re-check a cut from its arcs alone: they tile every circle, and no
+    k-rich lens lies on k of them.  An arc on a circle the scene lacks
+    raises DegenerateInput."""
+    counts = _covering_counts(scene, result)
+    return counts is not None and all(n < result.k for n in counts)

@@ -1,4 +1,9 @@
-"""Deterministic scene generators: extremal pencil bundles and seeded models."""
+"""Deterministic scene generators: extremal pencil bundles and seeded models.
+
+lattice-triples is the rich model: circumcircles of random grid triples share
+many grid points, so its lenses reach degree 8 on a 4 x 4 grid, where the
+uniform-random model rarely has a 3-rich lens.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from .geometry import Circle
 from .pencils import Scene
 from .quadfield import frac
 
-MODELS = ("bundle", "uniform-random", "unit-circles-on-grid")
+MODELS = ("bundle", "uniform-random", "unit-circles-on-grid", "lattice-triples")
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,10 @@ class GeneratorSpec:
             raise InvalidInput("n must be positive")
         if self.model == "bundle" and (self.k < 2 or self.n % self.k):
             raise InvalidInput("bundle model requires k >= 2 and k | n")
+        if self.model == "lattice-triples" and (
+                frac(self.spread).denominator != 1 or self.spread < 3):
+            raise InvalidInput("lattice-triples needs an integer grid side "
+                               "(spread) of at least 3")
         object.__setattr__(self, "spread", frac(self.spread))
 
 
@@ -68,6 +77,44 @@ def _seeded_fraction(rng: random.Random, max_den: int = 8) -> Fraction:
     return Fraction(num, den * 4)
 
 
+def _circumcircle(a, b, c) -> Circle | None:
+    """The circle through three rational points, None if they are collinear."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if d == 0:
+        return None
+    sa, sb, sc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ux = Fraction(sa * (by - cy) + sb * (cy - ay) + sc * (ay - by), d)
+    uy = Fraction(sa * (cx - bx) + sb * (ax - cx) + sc * (bx - ax), d)
+    return Circle(ux, uy, (ax - ux) ** 2 + (ay - uy) ** 2)
+
+
+def _lattice_triples(n: int, g: int, seed: int) -> Scene:
+    """Circumcircles of random non-collinear triples of the g x g grid
+    {0..g-1}^2, with the grid points as the scene's marked points.
+
+    Triples are drawn with random.Random(seed).sample; collinear triples and
+    repeated circles are skipped until n distinct circles are placed.  A 4 x 4
+    grid has 223 distinct circumcircles, so the draws are capped and asking
+    for more circles than the grid holds raises InvalidInput.
+    """
+    rng = random.Random(seed)
+    pts = [(x, y) for x in range(g) for y in range(g)]
+    circles: list[Circle] = []
+    seen = set()
+    draws = 0
+    while len(circles) < n:
+        if draws == 100 * n + 1000:
+            raise InvalidInput(f"the {g} x {g} grid gave only {len(circles)} "
+                               f"distinct circumcircles, not {n}")
+        draws += 1
+        c = _circumcircle(*rng.sample(pts, 3))
+        if c is not None and c not in seen:
+            seen.add(c)
+            circles.append(c)
+    return Scene(circles=tuple(circles), points=tuple(pts))
+
+
 def random_scene(spec: GeneratorSpec) -> Scene:
     """Deterministic scene for a generator spec; rational coordinates only."""
     if spec.model == "bundle":
@@ -80,6 +127,8 @@ def random_scene(spec: GeneratorSpec) -> Scene:
             i, j = divmod(idx, side)
             circles.append(Circle(Fraction(j), Fraction(i), Fraction(1)))
         return Scene(circles=tuple(circles))
+    if spec.model == "lattice-triples":
+        return _lattice_triples(spec.n, int(spec.spread), spec.seed)
     # uniform-random: integer lattice scaled by spread, plus a bounded-
     # denominator rational perturbation so predicates stay exact
     rng = random.Random(spec.seed)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, lcm
 
 from .errors import DegenerateInput, NoRadicalAxis
-from .quadfield import (QuadNum, QuadPoint, frac, one_radicand, sign_q,
+from .quadfield import (QuadNum, QuadPoint, _quad, frac, one_radicand, sign_q,
                         two_field_sign)
 
 
@@ -143,7 +144,9 @@ Dir = tuple[QuadNum, QuadNum]
 
 
 def centered(p: QuadPoint, c: Circle) -> Dir:
-    return (p.x - c.cx, p.y - c.cy)
+    """The direction p - center, over p's radicand."""
+    x, y = p.x, p.y
+    return (_quad(x.a - c.cx, x.b, x.delta), _quad(y.a - c.cy, y.b, y.delta))
 
 
 def _coords(d: Dir) -> tuple:
@@ -210,6 +213,19 @@ def cyclic_cmp(u: Dir, v: Dir) -> int:
     return -s
 
 
+def _quadrant_cmp(a, b) -> int:
+    return (a[0] > b[0]) - (a[0] < b[0]) or cross_sign(b[1], a[1])
+
+
+_quadrant_key = cmp_to_key(_quadrant_cmp)
+
+
+def cyclic_key(d: Dir):
+    """Sort key for the order of cyclic_cmp.  The quadrant of d is found once,
+    and a cross sign is taken only against directions in the same quadrant."""
+    return _quadrant_key((quadrant(d), d))
+
+
 def same_direction(u: Dir, v: Dir) -> bool:
     return cross_sign(u, v) == 0 and dot_sign(u, v) > 0
 
@@ -246,6 +262,13 @@ def dir_in_ccw_arc(v: Dir, s: Dir, e: Dir) -> bool:
     return cross_sign(s, v) >= 0 or same_direction(v, e)
 
 
+def lens_arc_forward(dp: Dir, dq: Dir) -> bool:
+    """Does the lens arc run CCW from p to q?  dp and dq are the directions
+    of a lens's base points p < q (lexicographically) from a circle's center.
+    """
+    return cross_sign(dp, dq) >= 0
+
+
 def lens_arc(c: Circle, p, q) -> tuple[Dir, Dir]:
     """The closed CCW arc (start, end) that a lens with base {p, q} uses on c.
 
@@ -256,7 +279,7 @@ def lens_arc(c: Circle, p, q) -> tuple[Dir, Dir]:
     if p.compare(q) > 0:
         p, q = q, p
     dp, dq = centered(p, c), centered(q, c)
-    return (dq, dp) if cross_sign(dp, dq) < 0 else (dp, dq)
+    return (dp, dq) if lens_arc_forward(dp, dq) else (dq, dp)
 
 
 def arcs_overlap(c: Circle, pair1, pair2) -> bool:

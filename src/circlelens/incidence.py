@@ -2,8 +2,10 @@
 
 The graph has the marked points as vertices; each circle through at least two
 of them contributes one cyclic run of consecutive-point edges, drawn along
-its arcs.  Edges that realize the lens arc (geometry.lens_arc) of a member of
-a greedy non-overlapping family of k-rich lenses are split off as G1; the
+its arcs.  An edge is the triple (circle, u, v): its arc runs
+counterclockwise from marked point u to marked point v.  Edges that realize
+the lens arc (geometry.lens_arc) of a member of a greedy non-overlapping
+family of k-rich lenses are split off as G1, by comparing those triples; the
 lens pool is every marked pair with at least k circles through both points.
 
 Crossings are counted in this drawing, between edges of distinct circles and
@@ -17,12 +19,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import DegenerateInput, InvalidRichness
 from .families import select_family
-from .geometry import cyclic_cmp, lens_arc, power_of_point
+from .geometry import centered, cyclic_key, lens_arc_forward, power_of_point
 from .pencils import Lens, Scene
 from .quadfield import QuadNum, frac
 
@@ -35,11 +36,11 @@ def count_incidences(points, scene: Scene) -> int:
 
 @dataclass(frozen=True)
 class GraphEdge:
+    """The arc of circle circle_id running CCW from marked point u to v."""
+
     circle_id: int
     u: int
     v: int
-    start: tuple
-    end: tuple
 
 
 @dataclass(frozen=True)
@@ -61,15 +62,10 @@ def _circle_edges(scene: Scene, points, on) -> list[GraphEdge]:
             continue
         dirs = {i: (QuadNum.of(points[i][0] - c.cx), QuadNum.of(points[i][1] - c.cy))
                 for i in on[cid]}
-        ids = sorted(dirs, key=cmp_to_key(lambda a, b: cyclic_cmp(dirs[a], dirs[b])))
-        if len(ids) == 2:
-            u, v = ids
-            edges.append(GraphEdge(cid, u, v, dirs[u], dirs[v]))
-            edges.append(GraphEdge(cid, u, v, dirs[v], dirs[u]))
-        else:
-            for i in range(len(ids)):
-                u, v = ids[i], ids[(i + 1) % len(ids)]
-                edges.append(GraphEdge(cid, u, v, dirs[u], dirs[v]))
+        ids = sorted(dirs, key=lambda i: cyclic_key(dirs[i]))
+        # two points on a circle make two edges, u -> v and v -> u
+        edges += [GraphEdge(cid, u, ids[(i + 1) % len(ids)])
+                  for i, u in enumerate(ids)]
     return edges
 
 
@@ -97,12 +93,18 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     for cid, ids in enumerate(on):
         for u, v in combinations(sorted(ids), 2):
             through.setdefault((u, v), []).append(cid)
-    lens_pool = [Lens((points[u], points[v]), cids)
-                 for (u, v), cids in through.items() if len(cids) >= k]
-    family = select_family(lens_pool, scene, mode="greedy")
-    lens_edges = {(cid, lens_arc(scene.circles[cid], *lens.base))
-                  for lens in family.members for cid in lens.circles}
-    g1 = sum(1 for e in edges if (e.circle_id, (e.start, e.end)) in lens_edges)
+    pool = {Lens((points[u], points[v]), cids): (u, v)
+            for (u, v), cids in through.items() if len(cids) >= k}
+    family = select_family(pool, scene, mode="greedy")
+    lens_edges = set()
+    for lens in family.members:
+        u, v = sorted(pool[lens], key=points.__getitem__)  # as in lens.base
+        for cid in lens.circles:
+            c = scene.circles[cid]
+            forward = lens_arc_forward(centered(lens.base[0], c),
+                                       centered(lens.base[1], c))
+            lens_edges.add((cid, u, v) if forward else (cid, v, u))
+    g1 = sum(1 for e in edges if (e.circle_id, e.u, e.v) in lens_edges)
 
     multiplicity = Counter(frozenset((e.u, e.v)) for e in edges)
     max_mult = max(multiplicity.values(), default=0)

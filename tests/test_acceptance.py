@@ -193,13 +193,13 @@ def test_criterion_7_lens_cutting():
     ratios = []
     count = 0
     for seed in range(17):
+        # one scene per seed, so its lenses are enumerated once for all k
+        n = 20 + 12 * (seed % 4)
+        scene = random_scene(GeneratorSpec(model="uniform-random", n=n,
+                                           seed=1000 + seed, spread=F(6)))
         for k in (2, 3, 4):
             if count >= 50:
                 break
-            n = 20 + 12 * (seed % 4)
-            scene = random_scene(GeneratorSpec(model="uniform-random", n=n,
-                                               seed=1000 + seed,
-                                               spread=F(6)))
             result = lens_cutting(scene, k)
             ok &= verify_cut(scene, result)
             bound = bound_eval("thm1-degree", n=n, k=k)

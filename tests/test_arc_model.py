@@ -1,0 +1,199 @@
+"""Differential checks of the arc model of vertex indices (families) against
+the direction predicates it replaced, on uniform-random and lattice-triple
+scenes:
+
+- lens overlap and greedy families against geometry.arcs_overlap;
+- lens cutting against the direction-based greedy cutting, and covering
+  counts against dir_in_ccw_arc over the sorted cut arcs;
+- Szekely G1 against lens_arc directions compared with edge directions.
+"""
+
+from collections import defaultdict
+from fractions import Fraction as F
+from functools import cmp_to_key
+from itertools import combinations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from circlelens.families import (_covering_counts, lens_cutting,
+                                 lenses_overlap, select_family)
+from circlelens.generators import GeneratorSpec, random_scene
+from circlelens.geometry import (arcs_overlap, canonical_dir, centered,
+                                 cyclic_cmp, dir_in_ccw_arc, lens_arc,
+                                 opposite_direction, power_of_point,
+                                 same_direction)
+from circlelens.incidence import szekely_stats
+from circlelens.pencils import Lens, enumerate_lenses, rich_lenses
+from circlelens.quadfield import QuadPoint
+
+_dir_key = cmp_to_key(cyclic_cmp)
+
+
+def lattice(n, seed, g):
+    return random_scene(GeneratorSpec(model="lattice-triples", n=n, seed=seed,
+                                      spread=F(g)))
+
+
+uniform_scenes = st.builds(
+    lambda n, seed, spread: random_scene(GeneratorSpec(
+        model="uniform-random", n=n, seed=seed, spread=F(spread))),
+    st.integers(6, 14), st.integers(0, 10 ** 6), st.sampled_from((3, 4, 6)))
+lattice_scenes = st.builds(
+    lattice, st.integers(6, 18), st.integers(0, 10 ** 6), st.sampled_from((3, 4)))
+scenes = st.one_of(uniform_scenes, lattice_scenes)
+
+
+# -- oracles ------------------------------------------------------------------
+
+def overlap_oracle(l1, l2, scene) -> bool:
+    shared = set(l1.circles) & set(l2.circles)
+    if l1.base == l2.base and shared:
+        return True
+    return any(arcs_overlap(scene.circles[cid], l1.base, l2.base)
+               for cid in shared)
+
+
+def greedy_oracle(lenses, scene) -> list:
+    kept = []
+    for lens in sorted(lenses, key=cmp_to_key(
+            lambda a, b: (b.degree - a.degree) or a.compare(b))):
+        if not any(overlap_oracle(lens, other, scene) for other in kept):
+            kept.append(lens)
+    return kept
+
+
+def cut_arcs(cuts) -> list:
+    """Arcs between cyclically consecutive cuts: None if uncut, (c, c) for
+    one cut."""
+    ordered = sorted(cuts, key=_dir_key)
+    if not ordered:
+        return [None]
+    return [(d, ordered[(j + 1) % len(ordered)]) for j, d in enumerate(ordered)]
+
+
+def holds(arc, v) -> bool:
+    return arc is None or same_direction(*arc) or dir_in_ccw_arc(v, *arc)
+
+
+def cutting_oracle(scene, k) -> list:
+    """The greedy cutting on direction predicates, re-sorting each circle's
+    cuts for every covering test: (circle id, start, end) per arc."""
+    targets = rich_lenses(enumerate_lenses(scene), k)
+    cuts = defaultdict(list)
+
+    def add(cid, m) -> bool:
+        if any(same_direction(m, c) for c in cuts[cid]):
+            return False
+        cuts[cid].append(m)
+        return True
+
+    def in_path(arc, dp, dq, v) -> bool:
+        s = arc[0]
+        if same_direction(dq, s):
+            first, second = dq, dp
+        elif same_direction(dp, s) or dir_in_ccw_arc(dp, s, dq):
+            first, second = dp, dq
+        else:
+            first, second = dq, dp
+        return dir_in_ccw_arc(v, first, second)
+
+    changed = True
+    while changed:
+        changed = False
+        for lens in targets:
+            cov = []
+            for cid in lens.circles:
+                dp, dq = (centered(p, scene.circles[cid]) for p in lens.base)
+                cov += [(cid, arc, dp, dq) for arc in cut_arcs(cuts[cid])
+                        if holds(arc, dp) and holds(arc, dq)]
+            for cid, arc, dp, dq in cov[k - 1:] if len(cov) >= k else ():
+                if opposite_direction(dp, dq):
+                    short = canonical_dir((-dp[1], dp[0]))
+                    long = canonical_dir((dp[1], -dp[0]))
+                else:
+                    m = (dp[0] + dq[0], dp[1] + dq[1])
+                    short, long = canonical_dir(m), canonical_dir((-m[0], -m[1]))
+                if arc is None or same_direction(*arc):
+                    changed |= add(cid, short) | add(cid, long)
+                    continue
+                chosen = next(m for m in (short, long)
+                              if holds(arc, m) and in_path(arc, dp, dq, m))
+                changed |= any(add(cid, m) for m in (chosen, long, short))
+    return [(cid, *(arc or (None, None)))
+            for cid in range(len(scene)) for arc in cut_arcs(cuts[cid])]
+
+
+def covering_oracle(scene, result) -> list[int]:
+    by_circle = defaultdict(list)
+    for arc in result.arcs:
+        by_circle[arc.circle_id].append(
+            None if arc.is_full else (arc.start, arc.end))
+    counts = []
+    for lens in rich_lenses(enumerate_lenses(scene), result.k):
+        count = 0
+        for cid in lens.circles:
+            dp, dq = (centered(p, scene.circles[cid]) for p in lens.base)
+            count += sum(holds(arc, dp) and holds(arc, dq)
+                         for arc in by_circle[cid])
+        counts.append(count)
+    return counts
+
+
+def g1_oracle(points, scene, k) -> int:
+    on = [[i for i, p in enumerate(points) if power_of_point(p, c) == 0]
+          for c in scene.circles]
+    edges = []
+    for cid, ids in enumerate(on):
+        if len(ids) >= 2:
+            dirs = sorted((centered(QuadPoint(*points[i]), scene.circles[cid])
+                           for i in ids), key=_dir_key)
+            edges += [(cid, (d, dirs[(j + 1) % len(dirs)]))
+                      for j, d in enumerate(dirs)]
+    through = defaultdict(list)
+    for cid, ids in enumerate(on):
+        for u, v in combinations(ids, 2):
+            through[u, v].append(cid)
+    pool = [Lens((points[u], points[v]), cids)
+            for (u, v), cids in through.items() if len(cids) >= k]
+    lens_edges = {(cid, lens_arc(scene.circles[cid], *lens.base))
+                  for lens in greedy_oracle(pool, scene) for cid in lens.circles}
+    return sum(edge in lens_edges for edge in edges)
+
+
+# -- checks -------------------------------------------------------------------
+
+@given(scenes, st.randoms(use_true_random=False))
+@settings(max_examples=8, deadline=None)
+def test_overlap_and_greedy_family_match_arcs_overlap(scene, rnd):
+    lenses = enumerate_lenses(scene)
+    pairs = [(a, b) for a, b in combinations(lenses, 2)
+             if set(a.circles) & set(b.circles)]
+    for a, b in rnd.sample(pairs, min(len(pairs), 100)):
+        assert lenses_overlap(a, b, scene) == overlap_oracle(a, b, scene)
+    for k in (2, 3):
+        rich = rich_lenses(lenses, k)
+        family = select_family(rich, scene)
+        assert set(family.members) == set(greedy_oracle(rich, scene))
+
+
+# the first scene covers a base pair by both arcs of a circle cut exactly at
+# its two points; the second cuts an arc over the rest of a circle
+@given(scenes, st.sampled_from((2, 3)))
+@example(lattice(8, 0, 3), 2)
+@example(lattice(14, 3, 3), 3)
+@settings(max_examples=16, deadline=None)
+def test_cutting_matches_direction_cutting(scene, k):
+    result = lens_cutting(scene, k)
+    got = [(arc.circle_id, arc.start, arc.end) for arc in result.arcs]
+    assert got == cutting_oracle(scene, k)
+    counts = covering_oracle(scene, result)
+    assert _covering_counts(scene, result) == counts
+    assert all(n < k for n in counts)
+
+
+@given(lattice_scenes, st.sampled_from((2, 3)))
+@settings(max_examples=10, deadline=None)
+def test_szekely_g1_matches_lens_arc_directions(scene, k):
+    stats = szekely_stats(scene.points, scene, k)
+    assert stats.g1 == g1_oracle(scene.points, scene, k)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from circlelens.cli import main
 
 
@@ -39,6 +41,19 @@ def test_generate_round_trip_determinism(tmp_path, capsys):
         assert code == 0
         outs.append(path.read_text())
     assert outs[0] == outs[1]
+
+
+def test_generate_lattice_triples(tmp_path, capsys):
+    path = tmp_path / "lattice.scene"
+    code, _, _ = run_cli(["generate", "--model", "lattice-triples", "--n", "48",
+                          "--seed", "1", "--spread", "4", "--out", str(path)],
+                         capsys)
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "lattice-n48-g4-s1.scene"
+    assert path.read_text() == golden.read_text()
+    code, _, err = run_cli(["generate", "--model", "lattice-triples", "--n",
+                            "300", "--spread", "4"], capsys)
+    assert code == 2 and "223" in err
 
 
 def test_cut_command(tmp_path, capsys):

@@ -3,13 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from circlelens.dual import coplanarity_audit
-from circlelens.errors import CapExceeded, InvalidRichness
-from circlelens.families import (CircleArc, lens_cutting, lenses_overlap,
-                                 select_family, verify_cut)
+from circlelens.errors import CapExceeded, DegenerateInput, InvalidRichness
+from circlelens.families import (CircleArc, CutResult, lens_cutting,
+                                 lenses_overlap, select_family, verify_cut)
 from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
                                    random_scene)
 from circlelens.geometry import Circle
 from circlelens.pencils import Scene, enumerate_lenses, rich_lenses
+from circlelens.quadfield import QuadNum
 
 
 def _lenses(scene):
@@ -166,8 +167,84 @@ def test_verify_cut_rejects_uncut():
     uncut = lens_cutting(scene, 3)
     assert verify_cut(scene, uncut)
     # replacing all arcs by full circles must fail verification
-    from circlelens.families import CutResult
     fake = CutResult(arcs=tuple(CircleArc(cid, None, None)
                                 for cid in range(len(scene))),
                      cut_count=0, k=3)
     assert not verify_cut(scene, fake)
+
+
+def test_verify_cut_rejects_a_circle_without_arcs():
+    scene, _ = pencil_bundle_construction(12, 3)
+    assert not verify_cut(scene, CutResult(arcs=(), cut_count=0, k=3))
+    result = lens_cutting(scene, 3)
+    dropped = tuple(arc for arc in result.arcs if arc.circle_id != 5)
+    assert not verify_cut(scene, CutResult(dropped, result.cut_count, 3))
+
+
+def test_verify_cut_names_an_unknown_circle():
+    scene, _ = pencil_bundle_construction(12, 3)
+    result = lens_cutting(scene, 3)
+    for cid in (99, -1):
+        bad = CutResult(result.arcs + (CircleArc(cid, None, None),),
+                        result.cut_count, 3)
+        with pytest.raises(DegenerateInput, match=f"circle {cid}"):
+            verify_cut(scene, bad)
+
+
+def test_verify_cut_needs_arcs_that_chain_around_the_circle():
+    scene, _ = pencil_bundle_construction(12, 3)
+    result = lens_cutting(scene, 3)
+    cut = next(cid for cid in range(len(scene))
+               if sum(arc.circle_id == cid for arc in result.arcs) >= 2)
+    arcs = [arc for arc in result.arcs if arc.circle_id == cut]
+    rest = tuple(arc for arc in result.arcs if arc.circle_id != cut)
+
+    def verdict(*circle_arcs):
+        return verify_cut(scene, CutResult(rest + circle_arcs,
+                                           result.cut_count, 3))
+
+    assert verdict(*arcs) and verdict(*reversed(arcs))
+    assert not verdict(*arcs[1:])  # a gap
+    assert not verdict(*arcs, arcs[0])  # once round and a bit more
+    assert not verdict(CircleArc(cut, None, None), *arcs)
+    first = arcs[0]
+    assert not verdict(CircleArc(cut, first.start, arcs[1].end), *arcs[1:])
+    # a single arc must be full or closed at its one cut
+    assert not verdict(first)
+    assert verdict(CircleArc(cut, first.start, first.start)) == \
+        verdict(CircleArc(cut, None, None))
+
+
+def test_verify_cut_counts_both_arcs_through_a_cut_base_pair(worked_pencil):
+    # the pencil's lens (0, -1)-(0, 1) at k = 3: cutting leaves circle 0
+    # whole and cuts circle 2 at both midpoints; cutting circle 0 exactly at
+    # the base points gives two arcs that each hold both points
+    result = lens_cutting(worked_pencil, 3)
+    assert verify_cut(worked_pencil, result)
+    assert [a.circle_id for a in result.arcs] == [0, 1, 2, 2]
+
+    def with_circle_0_cut_at(*dirs):
+        ends = [(QuadNum.of(x), QuadNum.of(y)) for x, y in dirs]
+        arcs = tuple(CircleArc(0, d, ends[(j + 1) % 2])
+                     for j, d in enumerate(ends))
+        return CutResult(arcs + result.arcs[1:], result.cut_count + 2, 3)
+
+    assert not verify_cut(worked_pencil, with_circle_0_cut_at((0, -1), (0, 1)))
+    assert verify_cut(worked_pencil, with_circle_0_cut_at((1, 0), (-1, 0)))
+
+
+LATTICE = {n: random_scene(GeneratorSpec(model="lattice-triples", n=n,
+                                         seed=seed, spread=F(4)))
+           for n, seed in ((24, 2), (36, 3))}
+
+
+@pytest.mark.parametrize("n", sorted(LATTICE))
+def test_cutting_rich_lattice_scenes(n):
+    scene = LATTICE[n]
+    for k in (3, 4):
+        assert rich_lenses(enumerate_lenses(scene), k)
+        result = lens_cutting(scene, k)
+        assert result.cut_count > 0, (n, k)
+        assert verify_cut(scene, result), (n, k)
+        family = select_family(rich_lenses(enumerate_lenses(scene), k), scene)
+        assert family.certificate and coplanarity_audit(scene, family).clean

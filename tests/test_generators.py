@@ -18,7 +18,12 @@ def test_spec_validation():
         GeneratorSpec(model="bundle", n=10, k=1)
     with pytest.raises(InvalidInput):
         GeneratorSpec(model="uniform-random", n=0)
-    assert set(MODELS) == {"bundle", "uniform-random", "unit-circles-on-grid"}
+    with pytest.raises(InvalidInput):
+        GeneratorSpec(model="lattice-triples", n=10, spread=F(7, 2))
+    with pytest.raises(InvalidInput):
+        GeneratorSpec(model="lattice-triples", n=1, spread=F(2))
+    assert set(MODELS) == {"bundle", "uniform-random", "unit-circles-on-grid",
+                           "lattice-triples"}
 
 
 def test_bundle_descriptor_promises():
@@ -76,3 +81,25 @@ def test_bundle_via_random_scene():
     scene = random_scene(spec)
     ref, _ = pencil_bundle_construction(12, 3)
     assert scene == ref
+
+
+def test_lattice_triples_circles_pass_through_grid_points():
+    spec = GeneratorSpec(model="lattice-triples", n=30, seed=4, spread=F(4))
+    scene = random_scene(spec)
+    assert scene == random_scene(spec)
+    assert scene != random_scene(
+        GeneratorSpec(model="lattice-triples", n=30, seed=5, spread=F(4)))
+    assert len(scene) == 30 and len(set(scene.circles)) == 30
+    grid = {(F(x), F(y)) for x in range(4) for y in range(4)}
+    assert set(scene.points) == grid
+    for c in scene.circles:
+        assert sum(1 for p in grid if power_of_point(p, c) == 0) >= 3
+    assert max(lens.degree for lens in enumerate_lenses(scene)) >= 4
+
+
+def test_lattice_triples_runs_out_of_circles():
+    # a 3 x 3 grid has 34 distinct circumcircles
+    assert len(random_scene(GeneratorSpec(model="lattice-triples", n=34,
+                                          spread=F(3)))) == 34
+    with pytest.raises(InvalidInput, match="only 34"):
+        random_scene(GeneratorSpec(model="lattice-triples", n=35, spread=F(3)))

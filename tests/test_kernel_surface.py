@@ -31,11 +31,15 @@ def test_lenses_output_is_byte_identical(name, capsys):
 
 
 @pytest.mark.parametrize("name,k", [("uniform-n12-s5", 2), ("uniform-n16-s9", 2),
-                                    ("grid-n12-s3", 2), ("bundle-n12-k3", 3)])
+                                    ("grid-n12-s3", 2), ("bundle-n12-k3", 3),
+                                    ("lattice-n48-g4-s1", 3)])
 def test_cut_output_is_byte_identical(name, k, capsys):
     # expected files were written by the kernel that enumerated once per
-    # stage; bundle-n12-k3.scene is `circlelens generate --model bundle
-    # --n 12 --k 3`, the one golden scene with 3-rich lenses
+    # stage, except lattice-n48-g4-s1.cut-k3.csv, written by the cutting
+    # that compared directions, before the arc model of vertex indices;
+    # bundle-n12-k3.scene is `circlelens generate --model bundle --n 12
+    # --k 3`, and lattice-n48-g4-s1.scene is `circlelens generate --model
+    # lattice-triples --n 48 --seed 1 --spread 4` (80 cuts at k = 3)
     assert main(["cut", str(DATA / f"{name}.scene"), "--k", str(k)]) == 0
     out, _ = capsys.readouterr()
     assert out == (DATA / f"{name}.cut-k{k}.csv").read_text()
