@@ -18,7 +18,7 @@ from operator import eq
 from .errors import CapExceeded, DegenerateInput
 from .geometry import (Dir, canonical_dir, centered, cyclic_key,
                        lens_arc_forward, point_on_circle)
-from .pencils import Lens, Scene, enumerate_lenses, lens_sort_key, rich_lenses
+from .pencils import Lens, Scene, enumerate_lenses, lens_keys, rich_lenses
 
 
 def _position(keys, d: Dir) -> int:
@@ -131,10 +131,10 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
     if mode == "exact" and len(lenses) > exact_cap:
         raise CapExceeded(f"exact selection capped at {exact_cap} lenses")
     model, n = _ArcModel(scene, lenses), len(lenses)
+    keys = lens_keys(lenses)
     if mode == "greedy":
         kept: list[int] = []
-        for i in sorted(range(n), key=lambda i: (-lenses[i].degree,
-                                                  lens_sort_key(lenses[i]))):
+        for i in sorted(range(n), key=lambda i: (-lenses[i].degree, keys[i])):
             if not any(model.overlap(i, j) for j in kept):
                 kept.append(i)
     else:
@@ -142,7 +142,7 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
             [sum(1 << j for j in range(n) if j != i and model.overlap(i, j))
              for i in range(n)], n)
         kept = [i for i in range(n) if mask >> i & 1]
-    kept.sort(key=lambda i: lens_sort_key(lenses[i]))
+    kept.sort(key=keys.__getitem__)
     certificate = all(not model.overlap(i, j)
                       for a, i in enumerate(kept) for j in kept[a + 1:])
     members = tuple(lenses[i] for i in kept)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInput, NoRadicalAxis
 from .quadfield import (QuadNum, QuadPoint, _quad, frac, one_radicand, sign_q,
@@ -99,10 +99,16 @@ def chord_points(line: Line, fx, fy, x) -> tuple[QuadPoint, ...]:
         return ()
     if x == 0:
         return (QuadPoint(fx, fy),)
-    k = Fraction(1, line.a * line.a + line.b * line.b)
-    a, b = line.a * k, line.b * k
-    return (QuadPoint(QuadNum(fx, -b, x), QuadNum(fy, a, x)),
-            QuadPoint(QuadNum(fx, b, x), QuadNum(fy, -a, x)))
+    a, b = line.a, line.b
+    # sqrt(p/q) = sqrt(p*q)/q, the radicand QuadNum gives it, found once
+    d, den = x.numerator * x.denominator, (a * a + b * b) * x.denominator
+    r = isqrt(d)
+    if r * r == d:
+        u, v = Fraction(b * r, den), Fraction(a * r, den)
+        return (QuadPoint(fx - u, fy + v), QuadPoint(fx + u, fy - v))
+    u, v = Fraction(b, den), Fraction(a, den)
+    return (QuadPoint(_quad(fx, -u, d), _quad(fy, v, d)),
+            QuadPoint(_quad(fx, u, d), _quad(fy, -v, d)))
 
 
 def circle_line_points(c: Circle, line: Line) -> tuple[QuadPoint, ...]:

@@ -1,13 +1,20 @@
 """Lens enumeration: find every pair of points shared by two or more circles.
 
 Lenses are always merged by base pair, so one enumeration never contains two
-lenses with the same endpoints.  The fast path buckets circle pairs by their
-(purely rational) radical axis, groups each bucket by the rational chord
-(midpoint, half-chord squared), and builds points only for groups of two or
-more circles.  The fast path runs once per Scene, whose lenses every later
-stage shares.  The brute-force oracle groups pairwise intersection points by
-exact equality, is recomputed on every call, and exists solely to cross-check
-the fast path.
+lenses with the same endpoints.  The fast path works on integers: the scene
+is scaled once by L, the lcm of the denominators of every cx, cy and r^2, so
+each circle is (X, Y, R) = (L*cx, L*cy, L^2*r^2) with its power constant
+X^2 + Y^2 - R.  Circle pairs are bucketed by their radical axis, a canonical
+integer triple, and each bucket is grouped by an integer chord key (the
+chord's midpoint and squared half chord, both times a^2 + b^2).  Points are
+built only for groups of two or more circles, in the original coordinates,
+and a rational point shared by lenses is one object.  Lenses are sorted by
+lens_keys, which compares an exact integer prefix floor(2^K * v) of each
+coordinate first and the exact value only on a tie.  The fast path runs once
+per Scene, whose lenses every later stage shares.  The brute-force oracle
+groups pairwise intersection points by exact equality, sorts with
+Lens.compare alone, is recomputed on every call, and exists solely to
+cross-check the fast path.
 """
 
 from __future__ import annotations
@@ -17,12 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from math import gcd, lcm
 
-from .errors import (DegenerateInput, InvalidRichness, NoRadicalAxis,
-                     OracleCapExceeded)
-from .geometry import (Circle, chord_of, chord_points, intersection_points,
-                       radical_axis)
-from .quadfield import QuadPoint, frac
+from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
+from .geometry import Circle, Line, chord_points, intersection_points
+from .quadfield import QuadPoint, frac, scaled_floor
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,29 @@ class Lens:
         return f"Lens(base=({self.base[0]}, {self.base[1]}), circles={self.circles})"
 
 
-lens_sort_key = cmp_to_key(lambda a, b: a.compare(b))
+# bits of the integer prefix floor(2^K * v) that lens_keys compares first
+_PREFIX_BITS = 32
+
+
+def lens_keys(lenses) -> list[tuple]:
+    """One sort key per lens, in the order of Lens.compare.
+
+    A base point's key is (floor(2^K*x), x, floor(2^K*y), y), built once per
+    distinct point object, so tuple comparison settles most pairs on the
+    integer prefixes and on identity, and compares coordinates exactly only
+    when their prefixes tie.
+    """
+    points: dict[int, tuple] = {}
+
+    def point_key(p: QuadPoint) -> tuple:
+        key = points.get(id(p))
+        if key is None:
+            key = points[id(p)] = (scaled_floor(p.x, _PREFIX_BITS), p.x,
+                                   scaled_floor(p.y, _PREFIX_BITS), p.y)
+        return key
+
+    return [(point_key(lens.base[0]), point_key(lens.base[1]), lens.circles)
+            for lens in lenses]
 
 
 def _base_key(p: QuadPoint, q: QuadPoint) -> tuple[QuadPoint, QuadPoint]:
@@ -115,26 +143,70 @@ def enumerate_lenses(scene: Scene) -> list[Lens]:
     return list(lenses)
 
 
+def _scaled_axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
+    """The radical axis of two scaled circles (X, Y, R, power constant) as
+    an integer triple with content 1 and first nonzero coefficient positive;
+    None for concentric circles."""
+    a, b = 2 * (v[0] - u[0]), 2 * (v[1] - u[1])
+    if not a and not b:
+        return None
+    c = u[3] - v[3]
+    g = gcd(a, b, c)
+    if a < 0 or (not a and b < 0):
+        g = -g
+    return a // g, b // g, c // g
+
+
 def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
+    circles = scene.circles
+    scale = lcm(*(q.denominator for c in circles for q in (c.cx, c.cy, c.r2)))
+    scaled = []
+    for c in circles:
+        x = c.cx.numerator * (scale // c.cx.denominator)
+        y = c.cy.numerator * (scale // c.cy.denominator)
+        r = c.r2.numerator * (scale * scale // c.r2.denominator)
+        scaled.append((x, y, r, x * x + y * y - r))
     buckets: dict = defaultdict(set)
-    for i, j in combinations(range(len(scene)), 2):
-        try:
-            axis = radical_axis(scene.circles[i], scene.circles[j])
-        except NoRadicalAxis:
-            continue
-        buckets[axis].update((i, j))
+    for i, j in combinations(range(len(circles)), 2):
+        axis = _scaled_axis(scaled[i], scaled[j])
+        if axis is not None:
+            buckets[axis].update((i, j))
+    shared: dict[tuple, QuadPoint] = {}
     lenses = []
-    for axis, ids in buckets.items():
-        # circles on one axis with the same chord (midpoint, half-chord^2)
+    for (a, b, c), ids in buckets.items():
+        # circles on one axis with the same chord (midpoint, half-chord^2),
+        # all three times a^2 + b^2
+        d2 = a * a + b * b
         groups: dict = defaultdict(list)
         for i in sorted(ids):
-            key = chord_of(scene.circles[i], axis)
+            x, y, r, _ = scaled[i]
+            n = a * x + b * y + c
+            key = (x * d2 - n * a, y * d2 - n * b, r * d2 - n * n)
             if key[2] > 0:
                 groups[key].append(i)
+        # The axis in the original coordinates is (a*L, b*L, c)/content with
+        # content = gcd(a*L, b*L, c), a divisor of L.  Its coefficients are g
+        # times the scaled ones (g = L/content), which scales the radicand by
+        # g^2, so the chord is rebuilt on that line as chord_of gives it:
+        # midpoint (key[0], key[1])/(L*d2) and x = g^2*key[2]/L^2.
+        line = None
         for key, members in groups.items():
-            if len(members) >= 2:
-                lenses.append(Lens(chord_points(axis, *key), members))
-    return tuple(sorted(lenses, key=lens_sort_key))
+            if len(members) < 2:
+                continue
+            if line is None:
+                content = gcd(a * scale, b * scale, c)
+                g, den = scale // content, scale * d2
+                line = Line(a * g, b * g, c // content)
+            base = chord_points(line, Fraction(key[0], den), Fraction(key[1], den),
+                                Fraction(g * g * key[2], scale * scale))
+            if base[0].is_rational:
+                # two rational lines meet in a rational point, so only
+                # rational points can be shared by lenses
+                base = tuple(shared.setdefault((p.x.a, p.y.a), p) for p in base)
+            lenses.append(Lens(base, members))
+    keys = lens_keys(lenses)
+    return tuple(lenses[i] for i in sorted(range(len(lenses)),
+                                           key=keys.__getitem__))
 
 
 def rich_lenses(lenses, k: int) -> list[Lens]:
@@ -154,4 +226,4 @@ def brute_force_lenses(scene: Scene, cap: int = 64) -> list[Lens]:
         if len(pts) == 2:
             groups[_base_key(*pts)].update((i, j))
     return sorted((Lens(key, members) for key, members in groups.items()),
-                  key=lens_sort_key)
+                  key=cmp_to_key(Lens.compare))

@@ -144,6 +144,8 @@ class QuadNum:
         return d1, other.b * Fraction(r, d1)
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a + other, self.b, self.delta)
         other = QuadNum.of(other)
         d, ob = self._join(other)
         return _quad(self.a + other.a, self.b + ob, d)
@@ -154,6 +156,10 @@ class QuadNum:
         return _quad(-self.a, -self.b, self.delta)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a - other, self.b, self.delta)
+        if isinstance(other, QuadNum) and other.delta == self.delta:
+            return _quad(self.a - other.a, self.b - other.b, self.delta)
         return self + (-QuadNum.of(other))
 
     def __rsub__(self, other):
@@ -251,6 +257,22 @@ class QuadNum:
         head = f"{self.a}" if self.a else ""
         sgn = "+" if b > 0 and head else ""
         return f"{head}{sgn}{b}*sqrt({m})"
+
+
+def scaled_floor(x: QuadNum, k: int) -> int:
+    """The integer floor(2^k * x), from one isqrt.
+
+    With x = (P +- sqrt(Q))/D for integers P, Q >= 0 and D > 0, this is
+    floor((P + isqrt(Q))/D) for the plus sign and floor((P - isqrt(Q) - 1)/D)
+    for the minus sign, since Q is a square only when it is 0.
+    """
+    a, b = x.a, x.b
+    if not b:
+        return (a.numerator << k) // a.denominator
+    den = a.denominator * b.denominator
+    p = (a.numerator * b.denominator) << k
+    s = isqrt(((b.numerator * a.denominator) << k) ** 2 * x.delta)
+    return (p + s) // den if b > 0 else (p - s - 1) // den
 
 
 ZERO = QuadNum(0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from circlelens.errors import DegenerateInput, NoRadicalAxis
 from circlelens.geometry import (Circle, Line, arcs_overlap, canonical_dir,
-                                 centered, circle_line_points,
+                                 centered, chord_points, circle_line_points,
                                  circular_order_consistent, cross_sign,
                                  cyclic_cmp, dir_in_ccw_arc,
                                  intersection_points, lens_arc,
@@ -64,6 +64,28 @@ def test_circle_line_points_cases():
     assert circle_line_points(UNIT, Line.of(1, 0, -2)) == ()
     for p in circle_line_points(UNIT, Line.of(1, 1, -1)):
         assert point_on_circle(p, UNIT)
+
+
+@given(a=st.integers(-12, 12), b=st.integers(-12, 12),
+       fx=st.fractions(max_denominator=50), fy=st.fractions(max_denominator=50),
+       x=st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 4),
+       square=st.booleans())
+@settings(max_examples=150)
+def test_chord_points_match_per_coordinate_radicands(a, b, fx, fy, x, square):
+    # the points, radicands included, as four QuadNums each normalizing x
+    assume(a or b)
+    if square:
+        x = x * x
+    line = Line(a, b, 0)
+    k = F(1, a * a + b * b)
+    expected = ((QuadNum(fx, -b * k, x), QuadNum(fy, a * k, x)),
+                (QuadNum(fx, b * k, x), QuadNum(fy, -a * k, x)))
+    got = chord_points(line, fx, fy, x)
+    if x == 0:
+        assert got == (QuadPoint(fx, fy),)
+        return
+    parts = [[(c.a, c.b, c.delta) for c in p] for p in got]
+    assert parts == [[(c.a, c.b, c.delta) for c in p] for p in expected]
 
 
 def test_intersection_points_symmetric_membership():

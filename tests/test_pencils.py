@@ -1,4 +1,8 @@
+import math
+import random
 from fractions import Fraction as F
+from functools import cmp_to_key
+from itertools import combinations
 
 import pytest
 
@@ -7,10 +11,10 @@ from circlelens.errors import (DegenerateInput, InvalidRichness,
                                OracleCapExceeded)
 from circlelens.families import lens_cutting, verify_cut
 from circlelens.generators import GeneratorSpec, random_scene
-from circlelens.geometry import Circle
+from circlelens.geometry import Circle, radical_axis
 from circlelens.pencils import (Lens, Scene, brute_force_lenses,
                                 enumerate_lenses, rich_lenses)
-from circlelens.quadfield import QuadPoint
+from circlelens.quadfield import QuadNum, QuadPoint
 
 
 def test_scene_rejects_duplicates():
@@ -106,21 +110,22 @@ def test_canonical_order_sorted(corpus):
 
 
 def test_enumeration_built_once_per_scene(monkeypatch):
+    # the build keys each circle pair once, by its integer radical axis
     scene = random_scene(GeneratorSpec(model="unit-circles-on-grid", n=12,
                                        seed=3))
     before = (repr(scene), hash(scene))
     axes, builds = [], []
 
-    def counted_axis(c1, c2):
-        axes.append((c1, c2))
-        return real_axis(c1, c2)
+    def counted_axis(u, v):
+        axes.append((u, v))
+        return real_axis(u, v)
 
     def counted_build(s):
         builds.append(s)
         return real_build(s)
 
-    real_axis, real_build = pencils.radical_axis, pencils._build_lenses
-    monkeypatch.setattr(pencils, "radical_axis", counted_axis)
+    real_axis, real_build = pencils._scaled_axis, pencils._build_lenses
+    monkeypatch.setattr(pencils, "_scaled_axis", counted_axis)
     monkeypatch.setattr(pencils, "_build_lenses", counted_build)
     pairs = len(scene) * (len(scene) - 1) // 2
 
@@ -147,3 +152,130 @@ def test_enumeration_built_once_per_scene(monkeypatch):
     assert fresh == scene
     assert enumerate_lenses(fresh) == expected
     assert len(builds) == 2 and len(axes) == 2 * pairs
+
+
+def _assert_matches_oracle(scene: Scene) -> list[Lens]:
+    """Enumeration equals the oracle, base points written over the same
+    radicands (repr), and is sorted by Lens.compare."""
+    lenses = enumerate_lenses(scene)
+    oracle = brute_force_lenses(scene)
+    assert lenses == oracle
+    assert [repr(l.base) for l in lenses] == [repr(l.base) for l in oracle]
+    assert all(a.compare(b) < 0 for a, b in zip(lenses, lenses[1:]))
+    return lenses
+
+
+@pytest.mark.parametrize("n,g", [(32, 3), (32, 4), (48, 4), (64, 4)])
+def test_oracle_equivalence_on_lattice_scenes(n, g):
+    # a 3 x 3 grid has only 34 circumcircles, so n = 48 and 64 use g = 4;
+    # at n = 64 lenses reach degree 6
+    scene = random_scene(GeneratorSpec(model="lattice-triples", n=n, seed=1,
+                                       spread=F(g)))
+    lenses = _assert_matches_oracle(scene)
+    assert max(l.degree for l in lenses) >= 3
+    assert any(not l.base[0].is_rational for l in lenses)
+
+
+def _c(cx, cy, r2) -> Circle:
+    return Circle(F(cx), F(cy), F(r2))
+
+
+def test_tangent_pairs_share_no_lens():
+    # A and B touch externally at (1, 0), D touches both there (inside A);
+    # E crosses A at (0, 1), (1, 0) and B at (1, 0), (2, 1)
+    a, b, d, e = _c(0, 0, 1), _c(2, 0, 1), _c(F(1, 2), 0, F(1, 4)), _c(1, 1, 1)
+    lenses = _assert_matches_oracle(Scene(circles=(a, b, d, e)))
+    assert [l.circles for l in lenses] == [(0, 3), (2, 3), (1, 3)]
+    one_zero = QuadPoint.of((F(1), F(0)))
+    assert lenses[0].base == (QuadPoint.of((F(0), F(1))), one_zero)
+    assert lenses[2].base == (one_zero, QuadPoint.of((F(2), F(1))))
+
+
+def test_concentric_circles_share_no_lens():
+    # three circles about the origin, crossed by one off-center circle on
+    # the chords x = 1/4, 1 and 9/4
+    circles = (_c(0, 0, 1), _c(0, 0, 4), _c(0, 0, 9), _c(2, 0, 4))
+    lenses = _assert_matches_oracle(Scene(circles=circles))
+    assert [l.circles for l in lenses] == [(0, 3), (1, 3), (2, 3)]
+    assert [l.base[0].x for l in lenses] == [F(1, 4), 1, F(9, 4)]
+
+
+def test_many_circles_through_one_pair():
+    # seven circles through (0, +-1), one of them on the diameter, and four
+    # through (0, 1) and (1, 0), one on the diameter; the pencils share the
+    # point (0, 1) and the unit circle (3), which passes through all three
+    first = [_c(t, 0, t * t + 1) for t in range(-3, 4)]
+    second = [_c(s, s, s * s + (s - 1) ** 2) for s in (-1, F(1, 2), 2, 3)]
+    lenses = _assert_matches_oracle(Scene(circles=tuple(first + second)))
+    by_degree = sorted(lenses, key=lambda l: -l.degree)
+    assert by_degree[0].circles == tuple(range(7))
+    assert by_degree[0].base == (QuadPoint.of((F(0), F(-1))),
+                                 QuadPoint.of((F(0), F(1))))
+    assert by_degree[1].circles == (3, 7, 8, 9, 10)
+    assert by_degree[1].base == (QuadPoint.of((F(0), F(1))),
+                                 QuadPoint.of((F(1), F(0))))
+    assert all(l.degree == 2 for l in by_degree[2:])
+
+
+def test_large_coprime_denominators():
+    # Pencils through m +- h*sqrt(3) and through two rational points, with
+    # circle parameters over pairwise-coprime primes, so the scene's common
+    # denominator L is large, and circles off both pencils.
+    m, h = (F(1, 3), F(2, 5)), (1, 2)
+    ts = (F(1, 101), F(-2, 103), F(3, 107), F(5, 109))
+    circles = [_c(m[0] - t * h[1], m[1] + t * h[0], (t * t + 3) * 5) for t in ts]
+    circles += [_c(F(u, p), F(1, 2), F(u, p) ** 2 + F(5, 4))
+                for u, p in ((1, 113), (-4, 127), (7, 131))]
+    circles += [_c(F(1, 137), F(-1, 139), F(17, 149)),
+                _c(F(2, 151), F(3, 157), F(5, 163))]
+    scene = Scene(circles=tuple(circles))
+    lenses = _assert_matches_oracle(scene)
+    assert sorted(l.degree for l in lenses)[-2:] == [3, 4]
+    # some radical axis, written over the scaled integer coordinates, has a
+    # content that its original integer form lacks
+    scale = math.lcm(*(q.denominator for c in circles for q in (c.cx, c.cy, c.r2)))
+    contents = []
+    for c1, c2 in combinations(circles, 2):
+        axis = radical_axis(c1, c2)
+        contents.append(math.gcd(axis.a, axis.b, axis.c * scale))
+    assert max(contents) > 1
+
+
+def _near_ties() -> list[Lens]:
+    """Lenses whose first x coordinates are distinct but closer than
+    2^-32, with their y coordinates in the opposite order."""
+    r2, close = QuadNum.sqrt(2), F(665857, 470832)  # |close - sqrt(2)| < 2^-38
+    far = QuadPoint(F(9), F(9))
+    return [Lens((QuadPoint(F(1, 3), F(5)), far), (0, 1)),
+            Lens((QuadPoint(F(1, 3) + F(1, 2 ** 40), F(1)), far), (0, 1)),
+            Lens((QuadPoint(r2, F(0)), far), (0, 2)),
+            Lens((QuadPoint(close, F(3)), far), (0, 2)),
+            Lens((QuadPoint(r2, r2), far), (1, 2))]
+
+
+def test_lens_keys_sort_like_lens_compare():
+    # shuffled enumerations that share base points, plus copies of some
+    # lenses on fresh (not shared) point objects, and a few over a radicand
+    # with a square factor, so prefix ties reach the exact comparison
+    rng = random.Random(5)
+    lens_compare = cmp_to_key(Lens.compare)
+    for spec in (GeneratorSpec(model="lattice-triples", n=40, seed=2, spread=F(4)),
+                 GeneratorSpec(model="uniform-random", n=16, seed=4),
+                 GeneratorSpec(model="unit-circles-on-grid", n=16)):
+        lenses = enumerate_lenses(random_scene(spec))
+        copies = []
+        for lens in rng.sample(lenses, min(30, len(lenses))):
+            p, q = lens.base
+            if p.delta:
+                d = p.delta
+                p, q = (QuadPoint(QuadNum(u.x.a, u.x.b / 2, 4 * d),
+                                  QuadNum(u.y.a, u.y.b / 2, 4 * d))
+                        for u in (p, q))
+            else:
+                p, q = QuadPoint(p.x.a, p.y.a), QuadPoint(q.x.a, q.y.a)
+            copies.append(Lens((p, q), lens.circles))
+        mixed = lenses + copies + _near_ties()
+        rng.shuffle(mixed)
+        keys = pencils.lens_keys(mixed)
+        by_keys = [mixed[i] for i in sorted(range(len(mixed)), key=keys.__getitem__)]
+        assert by_keys == sorted(mixed, key=lens_compare)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelens.quadfield import QuadNum, QuadPoint
+from circlelens.quadfield import QuadNum, QuadPoint, _quad, scaled_floor, sign_q
 
 
 def test_canonical_storage_folds_square_radicands():
@@ -127,3 +127,74 @@ def test_quadpoint_order_and_equality():
     assert p == QuadPoint(QuadNum(0), QuadNum(1))
     assert hash(p) == hash(QuadPoint(0, 1))
     assert float(p.x) == 0.0 and math.isclose(float(p.y), 1.0)
+
+
+def _joined_sum(x: QuadNum, y, sign: int) -> QuadNum:
+    """x + sign*y by the generic path: y as a QuadNum, over x's radicand."""
+    y = QuadNum.of(y)
+    if sign < 0:
+        y = _quad(-y.a, -y.b, y.delta)
+    d, yb = x._join(y)
+    return _quad(x.a + y.a, x.b + yb, d)
+
+
+def _parts(x: QuadNum) -> tuple:
+    return x.a, x.b, x.delta
+
+
+@st.composite
+def operand_pairs(draw):
+    """x, and y that is an int, a Fraction, a rational QuadNum, a QuadNum
+    over x's radicand, or one over x's field written with a square factor."""
+    d = draw(deltas)
+    x = draw(quadnums(delta=d))
+    kind = draw(st.sampled_from(["int", "fraction", "rational", "same", "compatible"]))
+    if kind == "int":
+        y = draw(st.integers(-20, 20))
+    elif kind == "fraction":
+        y = draw(rationals)
+    elif kind == "rational":
+        y = QuadNum.of(draw(rationals))
+    elif kind == "same":
+        y = draw(quadnums(delta=d))
+    else:
+        s = draw(st.integers(2, 5))
+        y = QuadNum(draw(rationals), draw(rationals), d * s * s)
+    return x, y
+
+
+@given(operand_pairs())
+@settings(max_examples=100)
+def test_add_sub_fast_paths_match_the_joined_path(pair):
+    x, y = pair
+    assert _parts(x + y) == _parts(_joined_sum(x, y, 1))
+    assert _parts(x - y) == _parts(_joined_sum(x, y, -1))
+    if not isinstance(y, QuadNum):
+        assert _parts(y + x) == _parts(_joined_sum(x, y, 1))
+        assert _parts(y - x) == _parts(_joined_sum(-x, y, 1))
+
+
+big_rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                             max_denominator=10 ** 12)
+
+
+@given(big_rationals, big_rationals, st.integers(2, 10 ** 15),
+       st.sampled_from([0, 1, 7, 32, 64]))
+@settings(max_examples=150)
+def test_scaled_floor_brackets_the_value(a, b, delta, k):
+    # f <= 2^k * x < f + 1, decided exactly by sign_q
+    x = QuadNum(a, b, delta)
+    f = scaled_floor(x, k)
+    assert isinstance(f, int)
+    scaled_a, scaled_b = x.a * 2 ** k, x.b * 2 ** k
+    assert sign_q(scaled_a - f, scaled_b, x.delta) >= 0
+    assert sign_q(scaled_a - f - 1, scaled_b, x.delta) < 0
+
+
+def test_scaled_floor_cases():
+    assert scaled_floor(QuadNum.of(Fraction(-3, 2)), 0) == -2
+    assert scaled_floor(QuadNum.of(Fraction(-3, 2)), 1) == -3
+    assert scaled_floor(QuadNum.sqrt(2), 0) == 1
+    assert scaled_floor(-QuadNum.sqrt(2), 0) == -2
+    assert scaled_floor(QuadNum(1, Fraction(-1, 3), 2), 10) == 541  # 0.5285...
+    assert scaled_floor(QuadNum(0, 1, 8), 32) == scaled_floor(QuadNum(0, 2, 2), 32)
