@@ -8,7 +8,11 @@ on a circle iff the lifted circle lies on p's plane.
 
 Lens lines are rational: a lens's base points are rational or Galois
 conjugates over one Q(sqrt(delta)), and conjugation swaps their planes, so
-it fixes their common line.  Lines and audits therefore run over Fraction.
+it fixes their common line.  A DualLine keeps its canonical Fraction anchor
+and direction and, computed once, an integer form: both times their common
+denominator.  The audits run on these integer forms, with the lifted
+circles taken from the scene frame (pencils.scene_frame) as integer points
+over L^2, so no Fraction is built per test.
 
 The audits check, with exact arithmetic, that no circle participating in
 three lenses of a certified non-overlapping family has coplanar lens lines,
@@ -21,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import DegenerateInput
 from .families import LensFamily
-from .pencils import Scene
+from .pencils import Scene, scene_frame
 from .quadfield import QuadNum, QuadPoint, frac
 
 
@@ -73,6 +78,15 @@ class DualLine:
 
     anchor: Vec3
     direction: Vec3
+    # (s*anchor, s*direction, s) for s the lcm of the six denominators
+    scaled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s = lcm(*(v.denominator for v in self.anchor + self.direction))
+        object.__setattr__(self, "scaled", (
+            tuple(v.numerator * (s // v.denominator) for v in self.anchor),
+            tuple(v.numerator * (s // v.denominator) for v in self.direction),
+            s))
 
     @classmethod
     def of(cls, anchor, direction) -> "DualLine":
@@ -94,9 +108,9 @@ class DualLine:
 
 
 def lens_line(p, q) -> DualLine:
-    """The intersection line of the dual planes of p and q: with m = (p+q)/2
-    and h = (q-p)/2 it passes through (m, |h|^2 - |m|^2) along
-    (-h.y, h.x, 2*(m.x*h.y - m.y*h.x)), where a conjugate pair's h loses its
+    """The intersection line of the dual planes of p and q: with s = p + q
+    and e = q - p it passes through (s/2, (|e|^2 - |s|^2)/4) along
+    (-e.y, e.x, s.x*e.y - s.y*e.x), where a conjugate pair's e loses its
     sqrt(delta).  Raises DegenerateInput for a pair that cannot be a lens
     base: equal points, two fields, or non-conjugate irrational points.
     """
@@ -104,67 +118,74 @@ def lens_line(p, q) -> DualLine:
     if p == q:
         raise DegenerateInput("lens base points must be distinct")
     try:
-        mx, my = (p.x + q.x) / 2, (p.y + q.y) / 2
-        h = QuadPoint((q.x - p.x) / 2, (q.y - p.y) / 2)
+        sx, sy = p.x + q.x, p.y + q.y
+        e = QuadPoint(q.x - p.x, q.y - p.y)
     except ValueError:
         raise DegenerateInput(
             "lens base points lie in two quadratic fields") from None
-    hx, hy = h
-    if not (mx.is_rational and my.is_rational) or (
-            not h.is_rational and (hx.a or hy.a)):
+    ex, ey = e
+    if not (sx.is_rational and sy.is_rational) or (
+            not e.is_rational and (ex.a or ey.a)):
         raise DegenerateInput("irrational lens base points must be conjugate")
-    mx, my = mx.a, my.a
-    u, v, d = (hx.a, hy.a, 1) if h.is_rational else (hx.b, hy.b, h.delta)
-    return DualLine.of((mx, my, (u * u + v * v) * d - mx * mx - my * my),
-                       (-v, u, 2 * (mx * v - my * u)))
+    sx, sy = sx.a, sy.a
+    u, v, d = (ex.a, ey.a, 1) if e.is_rational else (ex.b, ey.b, e.delta)
+    z = ((u * u + v * v) * d - sx * sx - sy * sy) / 4
+    return DualLine.of((sx / 2, sy / 2, z), (-v, u, sx * v - sy * u))
 
 
 # -- exact audits -------------------------------------------------------------
+#
+# The audits run on each line's integer form (A, D, s) (DualLine.scaled): a
+# plane is (normal, k, s) for the points x with s*(normal . x) == k, and a
+# point or an anchor is homogeneous, (P, w) for P/w with w > 0.
 
-def _cross3(u, v) -> list[Fraction]:
+def _cross3(u, v) -> list:
     return [u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0]]
 
 
-def _dot3(u, v) -> Fraction:
+def _dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _sub3(u, v) -> list[Fraction]:
-    return [a - b for a, b in zip(u, v)]
+def _offset(l1: DualLine, l2: DualLine) -> list[int]:
+    """s1*s2 times the anchor of l2 minus the anchor of l1."""
+    (a1, _, s1), (a2, _, s2) = l1.scaled, l2.scaled
+    return [y * s1 - x * s2 for x, y in zip(a1, a2)]
 
 
 def _pair_plane(l1: DualLine, l2: DualLine):
-    """Common plane of two coplanar lines as (normal, offset), or None."""
-    w = _sub3(l2.anchor, l1.anchor)
-    normal = _cross3(l1.direction, l2.direction)
+    """Common plane of two coplanar lines as (normal, k, s), or None."""
+    a1, d1, s1 = l1.scaled
+    w = _offset(l1, l2)
+    normal = _cross3(d1, l2.scaled[1])
     if _dot3(normal, w):
         return None  # skew lines
     if not any(normal):
         # parallel lines: span with the anchor offset instead
-        normal = _cross3(l1.direction, w)
+        normal = _cross3(d1, w)
         if not any(normal):
             return None  # identical lines do not span a plane
-    return normal, _dot3(normal, l1.anchor)
+    return normal, _dot3(normal, a1), s1
 
 
 def _plane_contains_line(plane, line: DualLine) -> bool:
-    normal, offset = plane
-    return not _dot3(normal, line.direction) \
-        and _dot3(normal, line.anchor) == offset
+    normal, k, s = plane
+    anchor, direction, w = line.scaled
+    return not _dot3(normal, direction) and s * _dot3(normal, anchor) == w * k
 
 
-def _plane_contains_point(plane, point) -> bool:
-    normal, offset = plane
-    return _dot3(normal, point) == offset
+def _plane_contains_point(plane, point, w: int) -> bool:
+    """Does the plane hold the point point/w (integer point, w > 0)?"""
+    normal, k, s = plane
+    return s * _dot3(normal, point) == w * k
 
 
 def lines_coplanar(l1: DualLine, l2: DualLine, l3: DualLine) -> bool:
     """Exact test that three lines lie in one common plane."""
     for a, b in ((l1, l2), (l1, l3), (l2, l3)):
-        w = _sub3(b.anchor, a.anchor)
-        if _dot3(_cross3(a.direction, b.direction), w):
+        if _dot3(_cross3(a.scaled[1], b.scaled[1]), _offset(a, b)):
             return False
     for a, b, c in ((l1, l2, l3), (l1, l3, l2), (l2, l3, l1)):
         plane = _pair_plane(a, b)
@@ -189,34 +210,36 @@ def coplanarity_audit(scene: Scene, family: LensFamily) -> AuditReport:
     if not family.certificate:
         raise DegenerateInput("audit requires a certified family")
     report = AuditReport()
-    lines = {lens: lens_line(*lens.base) for lens in family.members}
+    members = family.members
+    lines = [lens_line(*lens.base) for lens in members]
 
-    by_circle: dict[int, list] = {}
-    for lens in family.members:
+    by_circle: dict[int, list[int]] = {}
+    for i, lens in enumerate(members):
         for cid in lens.circles:
-            by_circle.setdefault(cid, []).append(lens)
+            by_circle.setdefault(cid, []).append(i)
 
-    for cid, lenses in sorted(by_circle.items()):
-        if len(lenses) < 3:
+    for cid, ids in sorted(by_circle.items()):
+        if len(ids) < 3:
             continue
-        for trio in combinations(lenses, 3):
-            if lines_coplanar(*(lines[t] for t in trio)):
-                report.coplanar_triples.append((cid, trio))
+        for trio in combinations(ids, 3):
+            if lines_coplanar(*(lines[i] for i in trio)):
+                report.coplanar_triples.append(
+                    (cid, tuple(members[i] for i in trio)))
 
-    lifted = {cid: lift_circle(c) for cid, c in enumerate(scene.circles)}
-    members = list(family.members)
-    for i, li in enumerate(members):
-        for lj in members[i + 1:]:
-            plane = _pair_plane(lines[li], lines[lj])
-            if plane is None:
-                continue
-            in_plane_circles = {cid for cid, pt in lifted.items()
-                                if _plane_contains_point(plane, (pt.x, pt.y, pt.z))}
-            in_plane_lenses = [lens for lens in members
-                               if _plane_contains_line(plane, lines[lens])]
-            incidences = sum(1 for lens in in_plane_lenses
-                             for cid in lens.circles if cid in in_plane_circles)
-            if incidences > 2 * len(in_plane_circles):
-                report.plane_violations.append(
-                    ((li, lj), incidences, len(in_plane_circles)))
+    # lift_circle(c) = (X*L, Y*L, R - X^2 - Y^2)/L^2 in the scene frame
+    scale, scaled = scene_frame(scene)
+    weight = scale * scale
+    lifted = [(x * scale, y * scale, -power) for x, y, _, power in scaled]
+    for i, j in combinations(range(len(members)), 2):
+        plane = _pair_plane(lines[i], lines[j])
+        if plane is None:
+            continue
+        in_plane_circles = {cid for cid, pt in enumerate(lifted)
+                            if _plane_contains_point(plane, pt, weight)}
+        incidences = sum(1 for lens, line in zip(members, lines)
+                         if _plane_contains_line(plane, line)
+                         for cid in lens.circles if cid in in_plane_circles)
+        if incidences > 2 * len(in_plane_circles):
+            report.plane_violations.append(
+                ((members[i], members[j]), incidences, len(in_plane_circles)))
     return report

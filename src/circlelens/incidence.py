@@ -13,6 +13,11 @@ away from graph vertices.  The edges of a drawn circle cover all of it, so
 every point where two drawn circles cross lies on an edge of each, and
 crossings = sum over pairs of drawn circles that meet twice of
 (2 - number of marked points on both).
+
+Incidences are found on integers: the marked points and the scene frame
+(pencils.scene_frame) are scaled by one common denominator, and a point is
+on a circle iff its scaled power is 0.  Whether two circles meet twice is
+decided on the frame's integer circles.
 """
 
 from __future__ import annotations
@@ -20,18 +25,42 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from .errors import DegenerateInput, InvalidRichness
 from .families import select_family
-from .geometry import centered, cyclic_key, lens_arc_forward, power_of_point
-from .pencils import Lens, Scene
+from .geometry import centered, cyclic_key, lens_arc_forward
+from .pencils import Lens, Scene, scene_frame
 from .quadfield import QuadNum, frac
 
 
+def _on_sets(points, scene: Scene) -> list[frozenset[int]]:
+    """Per circle, the indices of the rational points on it.
+
+    The points and the scene frame (pencils.scene_frame) are scaled by M,
+    the lcm of L and the points' denominators, so with g = M/L the power of
+    a point times M^2 is the integer
+    Px^2 + Py^2 - 2*g*(Px*X + Py*Y) + g^2*(X^2 + Y^2 - R).
+    """
+    points = [(frac(x), frac(y)) for x, y in points]
+    scale, scaled = scene_frame(scene)
+    m = lcm(scale, *(v.denominator for p in points for v in p))
+    g = m // scale
+    ints = []
+    for x, y in points:
+        x, y = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
+        ints.append((x, y, x * x + y * y))
+    on = []
+    for cx, cy, _, power in scaled:
+        ax, ay, k = 2 * g * cx, 2 * g * cy, g * g * power
+        on.append(frozenset(i for i, (x, y, sq) in enumerate(ints)
+                            if sq + k == ax * x + ay * y))
+    return on
+
+
 def count_incidences(points, scene: Scene) -> int:
-    """Exact number of (point, circle) containments, by direct double loop."""
-    return sum(1 for p in points for c in scene.circles
-               if power_of_point(p, c) == 0)
+    """Exact number of (point, circle) containments."""
+    return sum(map(len, _on_sets(points, scene)))
 
 
 @dataclass(frozen=True)
@@ -70,9 +99,11 @@ def _circle_edges(scene: Scene, points, on) -> list[GraphEdge]:
 
 
 def _meet_twice(c1, c2) -> bool:
-    """|r1 - r2| < |center distance| < r1 + r2, in squared rational form."""
-    d2 = (c1.cx - c2.cx) ** 2 + (c1.cy - c2.cy) ** 2
-    return (d2 - c1.r2 - c2.r2) ** 2 < 4 * c1.r2 * c2.r2
+    """|r1 - r2| < |center distance| < r1 + r2, in squared form, for circles
+    (X, Y, R, ...) of one scene frame; the test is homogeneous, so the
+    frame's scale drops out."""
+    d2 = (c1[0] - c2[0]) ** 2 + (c1[1] - c2[1]) ** 2
+    return (d2 - c1[2] - c2[2]) ** 2 < 4 * c1[2] * c2[2]
 
 
 def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
@@ -84,8 +115,7 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     if repeated is not None:
         raise DegenerateInput(
             f"marked point ({repeated[0]}, {repeated[1]}) is repeated")
-    on = [frozenset(i for i, p in enumerate(points) if power_of_point(p, c) == 0)
-          for c in scene.circles]
+    on = _on_sets(points, scene)
     edges = _circle_edges(scene, points, on)
 
     # every circle through both points of a marked pair is in its lens
@@ -110,8 +140,9 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     max_mult = max(multiplicity.values(), default=0)
 
     drawn = [cid for cid, ids in enumerate(on) if len(ids) >= 2]
+    scaled = scene_frame(scene)[1]
     crossings = sum(2 - len(on[i] & on[j]) for i, j in combinations(drawn, 2)
-                    if _meet_twice(scene.circles[i], scene.circles[j]))
+                    if _meet_twice(scaled[i], scaled[j]))
 
     return SzekelyStats(m=len(points), n=len(scene), incidences=sum(map(len, on)),
                         edges=len(edges), g0=len(edges) - g1, g1=g1,

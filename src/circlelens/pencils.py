@@ -1,14 +1,17 @@
 """Lens enumeration: find every pair of points shared by two or more circles.
 
 Lenses are always merged by base pair, so one enumeration never contains two
-lenses with the same endpoints.  The fast path works on integers: the scene
-is scaled once by L, the lcm of the denominators of every cx, cy and r^2, so
-each circle is (X, Y, R) = (L*cx, L*cy, L^2*r^2) with its power constant
+lenses with the same endpoints.  The fast path works on integers, in the
+scene frame (scene_frame, which later stages share): the scene is scaled
+once by L, the lcm of the denominators of every cx, cy and r^2, so each
+circle is (X, Y, R) = (L*cx, L*cy, L^2*r^2) with its power constant
 X^2 + Y^2 - R.  Circle pairs are bucketed by their radical axis, a canonical
 integer triple, and each bucket is grouped by an integer chord key (the
 chord's midpoint and squared half chord, both times a^2 + b^2).  Points are
 built only for groups of two or more circles, in the original coordinates,
-and a rational point shared by lenses is one object.  Lenses are sorted by
+and a rational point shared by lenses is one object.  A lens's base order
+follows from the sign of its axis coefficient b, so these lenses skip the
+checks of the public Lens constructor.  Lenses are sorted by
 lens_keys, which compares an exact integer prefix floor(2^K * v) of each
 coordinate first and the exact value only on a tie.  The fast path runs once
 per Scene, whose lenses every later stage shares.  The brute-force oracle
@@ -71,6 +74,15 @@ class Lens:
             raise DegenerateInput("repeated circle in lens")
         object.__setattr__(self, "base", (p, q))
         object.__setattr__(self, "circles", circles)
+
+    @classmethod
+    def _trusted(cls, base: tuple[QuadPoint, QuadPoint], circles: tuple) -> "Lens":
+        """A lens from parts already in canonical form: distinct base points
+        in increasing order and at least two sorted, distinct circle ids."""
+        lens = object.__new__(cls)
+        object.__setattr__(lens, "base", base)
+        object.__setattr__(lens, "circles", circles)
+        return lens
 
     def __setattr__(self, name, value):
         raise AttributeError("Lens is immutable")
@@ -157,17 +169,32 @@ def _scaled_axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
     return a // g, b // g, c // g
 
 
+def scene_frame(scene: Scene) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The scene cleared of denominators: (L, per circle (X, Y, R, X^2 + Y^2 - R)).
+
+    L is the lcm of the denominators of every cx, cy and r^2, and
+    (X, Y, R) = (L*cx, L*cy, L^2*r^2).  Built once and kept on the Scene,
+    like its lenses.
+    """
+    frame = vars(scene).get("_frame")
+    if frame is None:
+        circles = scene.circles
+        scale = lcm(*(q.denominator for c in circles for q in (c.cx, c.cy, c.r2)))
+        scaled = []
+        for c in circles:
+            x = c.cx.numerator * (scale // c.cx.denominator)
+            y = c.cy.numerator * (scale // c.cy.denominator)
+            r = c.r2.numerator * (scale * scale // c.r2.denominator)
+            scaled.append((x, y, r, x * x + y * y - r))
+        frame = (scale, tuple(scaled))
+        object.__setattr__(scene, "_frame", frame)
+    return frame
+
+
 def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
-    circles = scene.circles
-    scale = lcm(*(q.denominator for c in circles for q in (c.cx, c.cy, c.r2)))
-    scaled = []
-    for c in circles:
-        x = c.cx.numerator * (scale // c.cx.denominator)
-        y = c.cy.numerator * (scale // c.cy.denominator)
-        r = c.r2.numerator * (scale * scale // c.r2.denominator)
-        scaled.append((x, y, r, x * x + y * y - r))
+    scale, scaled = scene_frame(scene)
     buckets: dict = defaultdict(set)
-    for i, j in combinations(range(len(circles)), 2):
+    for i, j in combinations(range(len(scaled)), 2):
         axis = _scaled_axis(scaled[i], scaled[j])
         if axis is not None:
             buckets[axis].update((i, j))
@@ -203,7 +230,11 @@ def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
                 # two rational lines meet in a rational point, so only
                 # rational points can be shared by lenses
                 base = tuple(shared.setdefault((p.x.a, p.y.a), p) for p in base)
-            lenses.append(Lens(base, members))
+            # chord_points steps from the first point to the second along
+            # (b, -a) with a >= 0: x grows when b > 0; when b == 0, x stays
+            # and y falls
+            lenses.append(Lens._trusted(base if b > 0 else base[::-1],
+                                        tuple(members)))
     keys = lens_keys(lenses)
     return tuple(lenses[i] for i in sorted(range(len(lenses)),
                                            key=keys.__getitem__))

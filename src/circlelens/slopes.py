@@ -5,18 +5,29 @@ For a circle with center (cx, cy), the slope of the tangent at a point
 non-vertical branch.  Within a lens, sorting the participating circles by
 slope at one base point exactly reverses the order obtained at the other,
 provided slopes are measured in the frame whose vertical axis is the base
-chord (see _chord_frame_slope).
+chord d = q - p.  With u = point - center, that slope is -(u x d)/(u . d):
+the tangent direction at the point is u turned a quarter, and the slope is
+its component along d over its component across d.
+
+The check runs on integers.  Per lens, the base points and the lens's
+circles are scaled by one common denominator (the scene's, see
+pencils.scene_frame, times that of the points), so every quantity lies in
+Z[sqrt(delta)] for the one radicand delta of the base pair.  A slope is kept
+as A/n with A in Z[sqrt(delta)] and an integer n > 0, and two slopes are
+compared with one sign_q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
+from math import isqrt, lcm
 
 from .errors import DegenerateInput, Inconclusive, VerticalTangent
 from .geometry import Circle, point_on_circle
-from .pencils import Lens, Scene
-from .quadfield import QuadNum, QuadPoint
+from .pencils import Lens, Scene, scene_frame
+from .quadfield import QuadNum, QuadPoint, sign_q
 
 
 @dataclass(frozen=True)
@@ -29,17 +40,12 @@ class GammaPoint:
     circle_id: int | None = None
 
 
-def _check_lift_point(c: Circle, p: QuadPoint) -> None:
-    """Raise unless p is on c with a non-vertical tangent there."""
+def gamma_point(c: Circle, p, circle_id=None) -> GammaPoint:
+    p = QuadPoint.of(p)
     if not point_on_circle(p, c):
         raise DegenerateInput("point not on circle")
     if p.y == c.cy:
         raise VerticalTangent("tangent is vertical at this point")
-
-
-def gamma_point(c: Circle, p, circle_id=None) -> GammaPoint:
-    p = QuadPoint.of(p)
-    _check_lift_point(c, p)
     z = -(p.x - c.cx) / (p.y - c.cy)
     return GammaPoint(x=p.x, y=p.y, z=z, circle_id=circle_id)
 
@@ -52,49 +58,88 @@ class OrderReversal:
     excluded: tuple[int, ...]
 
 
-def _chord_frame_slope(c: Circle, p: QuadPoint, d) -> QuadNum:
-    """Tangent slope at p measured in the frame whose y-axis is the chord
-    direction d.
+def _base_parts(p: QuadPoint, q: QuadPoint) -> tuple[int, tuple[Fraction, ...]]:
+    """(delta, (pxa, pxb, pya, pyb, qxa, qxb, qya, qyb)) with both points
+    written over the one radicand delta; raises DegenerateInput for a pair in
+    two quadratic fields."""
+    delta, dq = p.delta, q.delta
+    qxb, qyb = q.x.b, q.y.b
+    if not delta:
+        delta = dq
+    elif dq and dq != delta:
+        # sqrt(dq) = sqrt(delta*dq)/delta * sqrt(delta), as QuadNum._join
+        r = isqrt(delta * dq)
+        if r * r != delta * dq:
+            raise DegenerateInput("lens base points lie in two quadratic fields")
+        qxb, qyb = qxb * Fraction(r, delta), qyb * Fraction(r, delta)
+    return delta, (p.x.a, p.x.b, p.y.a, p.y.b, q.x.a, qxb, q.y.a, qyb)
 
-    Linear order reversal between the two base points holds only in this
-    frame: for a generic chord the two global slopes are related by a Mobius
-    map whose pole can break the linear order even though the cyclic order
-    always reverses.  With the chord "vertical" the relation is an exact
-    negation, and no circle through both base points is ever frame-vertical
-    (that would need its center on a line parallel to, but off, the
-    perpendicular bisector).
-    """
-    tx, ty = -(p.y - c.cy), p.x - c.cx  # tangent direction at p
-    return (tx * d[0] + ty * d[1]) / (tx * d[1] - ty * d[0])
+
+def _slope(ua, ub, wa, wb, d, delta: int) -> tuple[int, int, int]:
+    """The chord-frame slope -(u x d)/(u . d) at a point with
+    u = (ua + ub*sqrt(delta), wa + wb*sqrt(delta)), as (A0, A1, n) for
+    (A0 + A1*sqrt(delta))/n with n > 0.  On a circle through both base
+    points u . d = -|d|^2/2, so the zero and negative norm cases need a point
+    that is not on the circle."""
+    dxa, dxb, dya, dyb = d
+    na = ua * dya + ub * dyb * delta - wa * dxa - wb * dxb * delta
+    nb = ua * dyb + ub * dya - wa * dxb - wb * dxa
+    ea = ua * dxa + ub * dxb * delta + wa * dya + wb * dyb * delta
+    eb = ua * dxb + ub * dxa + wa * dyb + wb * dya
+    norm = ea * ea - eb * eb * delta  # zero iff u . d is, as delta is no square
+    if norm == 0:
+        raise ZeroDivisionError("QuadNum division by zero")
+    # -N/E = -N*conj(E)/norm(E)
+    a0, a1 = nb * eb * delta - na * ea, na * eb - nb * ea
+    return (a0, a1, norm) if norm > 0 else (-a0, -a1, -norm)
 
 
 def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
     """Sort lens circles by chord-frame slope at each base point and compare.
 
-    Circles with a vertical tangent at either base point are excluded (at
-    most two such circles can contain the pair).  Raises Inconclusive when
-    fewer than two circles remain.
+    Every circle must pass through both base points (DegenerateInput
+    otherwise).  Circles with a vertical tangent at either base point are
+    excluded (at most two such circles can contain the pair).  Raises
+    Inconclusive when fewer than two circles remain, and DegenerateInput for
+    base points in two quadratic fields.
     """
-    p, q = lens.base
-    d = (q.x - p.x, q.y - p.y)
+    delta, parts = _base_parts(*lens.base)
+    scale, scaled = scene_frame(scene)
+    den = lcm(scale, *(v.denominator for v in parts))
+    pts = [v.numerator * (den // v.denominator) for v in parts]
+    p, q = pts[:4], pts[4:]
+    d = [b - a for a, b in zip(p, q)]
+    g = den // scale
     slopes = {}
     excluded = []
     for cid in lens.circles:
-        c = scene.circles[cid]
-        try:
-            _check_lift_point(c, p)
-            _check_lift_point(c, q)
-        except VerticalTangent:
+        x, y, r, _ = scaled[cid]
+        cx, cy, r = x * g, y * g, r * g * g
+        radii = []
+        for xa, xb, ya, yb in (p, q):
+            ua, wa = xa - cx, ya - cy
+            if ua * xb + wa * yb or \
+                    ua * ua + wa * wa - r + (xb * xb + yb * yb) * delta:
+                raise DegenerateInput("point not on circle")
+            if not wa and not yb:  # a vertical tangent
+                break
+            radii.append((ua, xb, wa, yb))
+        if len(radii) < 2:
             excluded.append(cid)
-            continue
-        slopes[cid] = (_chord_frame_slope(c, p, d),
-                       _chord_frame_slope(c, q, d))
+        else:
+            slopes[cid] = tuple(_slope(*u, d, delta) for u in radii)
     if len(slopes) < 2:
         raise Inconclusive("fewer than two circles with finite slopes")
-    by_p = sorted(slopes, key=cmp_to_key(
-        lambda a, b: slopes[a][0].compare(slopes[b][0])))
-    by_q = sorted(slopes, key=cmp_to_key(
-        lambda a, b: slopes[a][1].compare(slopes[b][1])))
+
+    def at(i):
+        def cmp(a, b):
+            a0, a1, m = slopes[a][i]
+            b0, b1, n = slopes[b][i]
+            return sign_q(a0 * n - b0 * m, a1 * n - b1 * m, delta)
+        return cmp_to_key(cmp)
+
+    by_p = sorted(slopes, key=at(0))
+    by_q = sorted(slopes, key=at(1))
     return OrderReversal(reversed=by_q == list(reversed(by_p)),
                          order_at_p=tuple(by_p),
                          order_at_q=tuple(by_q),

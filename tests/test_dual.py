@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from circlelens.dual import (DualLine, coplanarity_audit, dual_plane,
-                             lens_line, lift_circle, lines_coplanar)
+from circlelens.dual import (AuditReport, DualLine, coplanarity_audit,
+                             dual_plane, lens_line, lift_circle, lines_coplanar)
 from circlelens.errors import DegenerateInput
 from circlelens.families import LensFamily, select_family
 from circlelens.geometry import Circle, power_of_point
@@ -257,3 +257,125 @@ def test_lines_coplanar_matches_planar_oracle(scene, verdicts):
             seen.add(coplanar)
             irrational += any(not lens.base[0].is_rational for lens in trio)
     assert seen == verdicts and irrational > 0
+
+
+# -- the Fraction reference audit ---------------------------------------------
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0]]
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _ref_pair_plane(l1, l2):
+    w = [b - a for a, b in zip(l1.anchor, l2.anchor)]
+    normal = _cross(l1.direction, l2.direction)
+    if _dot(normal, w):
+        return None
+    if not any(normal):
+        normal = _cross(l1.direction, w)
+        if not any(normal):
+            return None
+    return normal, _dot(normal, l1.anchor)
+
+
+def _ref_holds_line(plane, line):
+    normal, offset = plane
+    return not _dot(normal, line.direction) and _dot(normal, line.anchor) == offset
+
+
+def _ref_coplanar(l1, l2, l3):
+    for a, b in ((l1, l2), (l1, l3), (l2, l3)):
+        w = [y - x for x, y in zip(a.anchor, b.anchor)]
+        if _dot(_cross(a.direction, b.direction), w):
+            return False
+    for a, b, c in ((l1, l2, l3), (l1, l3, l2), (l2, l3, l1)):
+        plane = _ref_pair_plane(a, b)
+        if plane is not None:
+            return _ref_holds_line(plane, c)
+    return True
+
+
+def reference_audit(scene, family) -> AuditReport:
+    """coplanarity_audit over the lines' Fraction fields and lift_circle."""
+    report = AuditReport()
+    members = list(family.members)
+    lines = {lens: lens_line(*lens.base) for lens in members}
+    by_circle = {}
+    for lens in members:
+        for cid in lens.circles:
+            by_circle.setdefault(cid, []).append(lens)
+    for cid, lenses in sorted(by_circle.items()):
+        for trio in itertools.combinations(lenses, 3):
+            if _ref_coplanar(*(lines[t] for t in trio)):
+                report.coplanar_triples.append((cid, trio))
+    lifted = [lift_circle(c) for c in scene.circles]
+    for li, lj in itertools.combinations(members, 2):
+        plane = _ref_pair_plane(lines[li], lines[lj])
+        if plane is None:
+            continue
+        normal, offset = plane
+        on = {cid for cid, pt in enumerate(lifted)
+              if _dot(normal, (pt.x, pt.y, pt.z)) == offset}
+        incidences = sum(1 for lens in members if _ref_holds_line(plane, lines[lens])
+                         for cid in lens.circles if cid in on)
+        if incidences > 2 * len(on):
+            report.plane_violations.append(((li, lj), incidences, len(on)))
+    return report
+
+
+def _through_the_origin():
+    """Five circles through (0, 0) and a forged certified family of the
+    eight lenses based there: every lens line lies in the dual plane of the
+    origin, z = 0."""
+    scene = Scene(circles=tuple(Circle(F(x), F(y), F(x * x + y * y))
+                                for x, y in ((1, 0), (0, 1), (2, 3), (-1, 2), (3, -1))))
+    origin = QuadPoint(F(0), F(0))
+    members = tuple(l for l in enumerate_lenses(scene) if origin in l.base)
+    return scene, LensFamily(members=members, certificate=True,
+                             total_degree=sum(l.degree for l in members))
+
+
+def test_audit_reports_plane_violations():
+    scene, family = _through_the_origin()
+    assert len(family.members) == 8
+    report = coplanarity_audit(scene, family)
+    assert len(report.coplanar_triples) == 11
+    assert len(report.plane_violations) == 28
+    cid, trio = report.coplanar_triples[0]
+    assert cid == 0 and [l.base[1] for l in trio] == [
+        QuadPoint(F(2, 5), F(4, 5)), QuadPoint(F(1), F(1)),
+        QuadPoint(F(9, 5), F(-3, 5))]
+    (li, lj), incidences, circles = report.plane_violations[0]
+    assert (li.circles, lj.circles, incidences, circles) == ((2, 3), (1, 2), 17, 5)
+    assert li.base == (QuadPoint(F(-7, 5), F(21, 5)), QuadPoint(F(0), F(0)))
+    assert report == reference_audit(scene, family)
+
+
+def test_audit_matches_reference_on_forged_and_corpus_families(corpus):
+    scene = _concurrent_chord_scene()
+    for family in (LensFamily(members=tuple(enumerate_lenses(scene)),
+                              certificate=True, total_degree=0),
+                   select_family(rich_lenses(enumerate_lenses(scene), 2), scene,
+                                 mode="exact")):
+        assert coplanarity_audit(scene, family) == reference_audit(scene, family)
+    for name, scene in corpus[::4]:
+        lenses = enumerate_lenses(scene)
+        for family in (select_family(rich_lenses(lenses, 2), scene, mode="greedy"),
+                       LensFamily(members=tuple(lenses[:12]), certificate=True,
+                                  total_degree=0)):
+            assert coplanarity_audit(scene, family) == \
+                reference_audit(scene, family), name
+
+
+def test_dual_line_integer_form():
+    line = lens_line(QuadPoint(QuadNum(F(1, 3), 2, 7), QuadNum(F(-1, 5), 3, 7)),
+                     QuadPoint(QuadNum(F(1, 3), -2, 7), QuadNum(F(-1, 5), -3, 7)))
+    anchor, direction, s = line.scaled
+    assert s > 0 and all(isinstance(v, int) for v in anchor + direction)
+    assert [F(v, s) for v in anchor] == list(line.anchor)
+    assert [F(v, s) for v in direction] == list(line.direction)
+    assert line == DualLine.of(line.anchor, line.direction)

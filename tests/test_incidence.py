@@ -1,10 +1,14 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelens.errors import DegenerateInput, InvalidRichness
 from circlelens.families import select_family
-from circlelens.generators import pencil_bundle_construction
+from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
+                                   random_scene)
 from circlelens.geometry import Circle, power_of_point
 from circlelens.incidence import (count_incidences, lens_circle_incidences,
                                   szekely_stats)
@@ -97,3 +101,43 @@ def test_lens_circle_incidences():
     lenses = rich_lenses(enumerate_lenses(scene), 4)
     family = select_family(lenses, scene, mode="greedy")
     assert lens_circle_incidences(family, scene) == 20
+
+
+def _reference_counts(points, scene):
+    """Incidences, edges and crossings from power_of_point over Fraction."""
+    on = [frozenset(i for i, p in enumerate(points) if power_of_point(p, c) == 0)
+          for c in scene.circles]
+    drawn = [i for i, ids in enumerate(on) if len(ids) >= 2]
+
+    def meet_twice(c1, c2):
+        d2 = (c1.cx - c2.cx) ** 2 + (c1.cy - c2.cy) ** 2
+        return (d2 - c1.r2 - c2.r2) ** 2 < 4 * c1.r2 * c2.r2
+
+    return (sum(map(len, on)),
+            sum(2 if len(on[i]) == 2 else len(on[i]) for i in drawn),
+            sum(2 - len(on[i] & on[j]) for i, j in combinations(drawn, 2)
+                if meet_twice(scene.circles[i], scene.circles[j])))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from((3, 4)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=12, deadline=None)
+def test_szekely_counts_match_power_of_point(seed, g, rnd):
+    # lattice circles translated by a rational offset, so base points carry
+    # denominators the circles lack (5, 13, 17, ...) and some coordinates
+    # are negative, plus points on no circle
+    shift = (F(-7, 3), F(5, 2))
+    base = random_scene(GeneratorSpec(model="lattice-triples", n=16, seed=seed,
+                                      spread=F(g)))
+    scene = Scene(circles=tuple(Circle(c.cx + shift[0], c.cy + shift[1], c.r2)
+                                for c in base.circles))
+    points = {(p.x.a, p.y.a) for lens in enumerate_lenses(scene)
+              for p in lens.base if p.is_rational}
+    points = rnd.sample(sorted(points), min(len(points), 24))
+    points += [(F(-3, 7), F(5, 11)), (F(-10**9 - 1, 3), F(2, 10**9 + 7))]
+    incidences, edges, crossings = _reference_counts(points, scene)
+    assert count_incidences(points, scene) == incidences
+    stats = szekely_stats(points, scene, 3)
+    assert (stats.incidences, stats.edges, stats.crossings) == \
+        (incidences, edges, crossings)
+    assert stats.g0 + stats.g1 == stats.edges

@@ -46,3 +46,12 @@ def test_cut_output_is_byte_identical(name, k, capsys):
     assert main(["cut", str(DATA / f"{name}.scene"), "--k", str(k)]) == 0
     out, _ = capsys.readouterr()
     assert out == (DATA / f"{name}.cut-k{k}.csv").read_text()
+
+
+def test_incidence_output_is_byte_identical(capsys):
+    # written by the Szekely statistics that tested incidences and circle
+    # meetings over Fraction, before the integer scene frame
+    name = "lattice-n48-g4-s1"
+    assert main(["incidence", str(DATA / f"{name}.scene"), "--k", "3"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (DATA / f"{name}.incidence-k3.csv").read_text()

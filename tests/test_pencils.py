@@ -11,7 +11,7 @@ from circlelens.errors import (DegenerateInput, InvalidRichness,
                                OracleCapExceeded)
 from circlelens.families import lens_cutting, verify_cut
 from circlelens.generators import GeneratorSpec, random_scene
-from circlelens.geometry import Circle, radical_axis
+from circlelens.geometry import Circle, circle_line_points, radical_axis
 from circlelens.pencils import (Lens, Scene, brute_force_lenses,
                                 enumerate_lenses, rich_lenses)
 from circlelens.quadfield import QuadNum, QuadPoint
@@ -279,3 +279,36 @@ def test_lens_keys_sort_like_lens_compare():
         keys = pencils.lens_keys(mixed)
         by_keys = [mixed[i] for i in sorted(range(len(mixed)), key=keys.__getitem__)]
         assert by_keys == sorted(mixed, key=lens_compare)
+
+
+@pytest.mark.parametrize("centres", [
+    ((0, 0, 5), (1, 1, 5)),  # axis x + y - 1 = 0: b > 0
+    ((0, 0, 5), (1, -1, 5)),  # x - y - 1 = 0: b < 0
+    ((0, 0, 2), (2, 0, 2)),  # x = 1, a vertical chord: b = 0
+    ((0, 0, 3), (2, 0, 3)),  # x = 1 again, base points irrational
+    ((0, 0, 3), (0, 2, 3)),  # y = 1, a horizontal chord: a = 0, b > 0
+    ((F(1, 3), F(-2, 7), 4), (F(-5, 11), F(3, 13), 3)),
+])
+def test_chord_points_order_follows_the_sign_of_b(centres):
+    # the rule the enumeration orders base pairs by, without comparing them:
+    # chord_points gives the points in increasing order iff b > 0
+    c1, c2 = (_c(*c) for c in centres)
+    axis = radical_axis(c1, c2)
+    p, q = circle_line_points(c1, axis)
+    assert (p.compare(q) < 0) == (axis.b > 0)
+    (lens,) = enumerate_lenses(Scene(circles=(c1, c2)))
+    assert set(lens.base) == {p, q}
+    assert lens.base[0].compare(lens.base[1]) < 0
+
+
+@pytest.mark.parametrize("n,seed", [(48, 1), (64, 2)])
+def test_enumerated_base_points_increase(n, seed):
+    scene = random_scene(GeneratorSpec(model="lattice-triples", n=n, seed=seed,
+                                       spread=F(4)))
+    lenses = enumerate_lenses(scene)
+    for lens in lenses:
+        assert lens.base[0].compare(lens.base[1]) < 0, lens
+        # the checked constructor agrees on base and circles
+        checked = Lens(lens.base[::-1], reversed(lens.circles))
+        assert checked.base == lens.base and checked.circles == lens.circles
+    assert {l.base[0].is_rational for l in lenses} == {True, False}
