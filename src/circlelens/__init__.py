@@ -21,8 +21,7 @@ from .generators import (MODELS, BundleDescriptor, GeneratorSpec,
 from .geometry import (Circle, Line, arcs_overlap, circle_line_points,
                        cyclic_cmp, intersection_points, lens_arc,
                        point_on_circle, power_of_point, radical_axis)
-from .incidence import (GraphEdge, SzekelyStats, count_incidences,
-                        lens_circle_incidences, szekely_stats)
+from .incidence import SzekelyStats, count_incidences, szekely_stats
 from .pencils import (Lens, Scene, brute_force_lenses, enumerate_lenses,
                       rich_lenses)
 from .quadfield import QuadNum, QuadPoint
@@ -45,8 +44,7 @@ __all__ = [
     "Circle", "Line", "arcs_overlap", "circle_line_points", "cyclic_cmp",
     "intersection_points", "lens_arc", "point_on_circle", "power_of_point",
     "radical_axis",
-    "GraphEdge", "SzekelyStats", "count_incidences", "lens_circle_incidences",
-    "szekely_stats",
+    "SzekelyStats", "count_incidences", "szekely_stats",
     "Lens", "Scene", "brute_force_lenses", "enumerate_lenses", "rich_lenses",
     "QuadNum", "QuadPoint",
     "parse_scene", "serialize_scene",

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import random
 import sys
 from fractions import Fraction
@@ -25,14 +26,22 @@ from .sceneio import parse_scene, serialize_scene
 from .slopes import order_reversal_check
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+def _write(path, text: str) -> None:
+    """Write text to the file at path, or to stdout without a path.  Callers
+    finish their work first, so a failed command leaves the file as it was."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
-def _emit_rows(out, header, rows):
+def _csv(header, rows) -> str:
+    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+    return out.getvalue()
 
 
 def _load_scene(path):
@@ -47,10 +56,7 @@ def cmd_generate(args) -> int:
         scene = random_scene(GeneratorSpec(
             model=args.model, n=args.n, k=args.k or 0,
             seed=args.seed, spread=Fraction(args.spread)))
-    out = _open_out(args.out)
-    out.write(serialize_scene(scene))
-    if out is not sys.stdout:
-        out.close()
+    _write(args.out, serialize_scene(scene))
     return 0
 
 
@@ -63,10 +69,8 @@ def cmd_lenses(args) -> int:
              str(l.base[1].x), str(l.base[1].y), l.degree,
              ";".join(map(str, l.circles)))
             for i, l in enumerate(lenses)]
-    out = _open_out(args.out)
-    _emit_rows(out, ["index", "px", "py", "qx", "qy", "degree", "circles"], rows)
-    if out is not sys.stdout:
-        out.close()
+    _write(args.out, _csv(["index", "px", "py", "qx", "qy", "degree", "circles"],
+                          rows))
     return 0
 
 
@@ -78,11 +82,8 @@ def cmd_family(args) -> int:
     rows = [(len(scene), args.k, len(lenses), len(family.members),
              family.total_degree, args.mode, f"{bound:.6g}",
              f"{family.total_degree / bound:.6g}")]
-    out = _open_out(args.out)
-    _emit_rows(out, ["n", "k", "lenses", "family_size", "total_degree",
-                     "mode", "bound_thm1", "ratio"], rows)
-    if out is not sys.stdout:
-        out.close()
+    _write(args.out, _csv(["n", "k", "lenses", "family_size", "total_degree",
+                           "mode", "bound_thm1", "ratio"], rows))
     return 0 if family.certificate else 1
 
 
@@ -93,11 +94,8 @@ def cmd_cut(args) -> int:
     bound = bound_eval("thm1-degree", n=len(scene), k=args.k)
     rows = [(len(scene), args.k, result.cut_count, len(result.arcs),
              f"{bound:.6g}", f"{result.cut_count / bound:.6g}")]
-    out = _open_out(args.out)
-    _emit_rows(out, ["n", "k", "cut_count", "arcs", "bound_thm1_degree",
-                     "ratio"], rows)
-    if out is not sys.stdout:
-        out.close()
+    _write(args.out, _csv(["n", "k", "cut_count", "arcs", "bound_thm1_degree",
+                           "ratio"], rows))
     return 0 if ok else 1
 
 
@@ -161,37 +159,30 @@ def cmd_incidence(args) -> int:
     stats = szekely_stats(scene.points, scene, args.k)
     rows = [(stats.m, stats.n, args.k, stats.incidences, stats.edges,
              stats.g0, stats.g1, stats.max_multiplicity, stats.crossings)]
-    out = _open_out(args.out)
-    _emit_rows(out, ["m", "n", "k", "incidences", "edges", "g0", "g1",
-                     "max_multiplicity", "crossings"], rows)
-    if out is not sys.stdout:
-        out.close()
+    _write(args.out, _csv(["m", "n", "k", "incidences", "edges", "g0", "g1",
+                           "max_multiplicity", "crossings"], rows))
     return 0
 
 
 def cmd_bound(args) -> int:
-    out = _open_out(args.out)
+    code = 0
     if args.kind == "dyadic":
         total, ratio = dyadic_degree_sum(args.n, args.k, const=args.const)
-        _emit_rows(out, ["kind", "n", "k", "sum", "ratio"],
-                   [("dyadic", args.n, args.k, f"{total:.6g}", f"{ratio:.6g}")])
+        header = ["kind", "n", "k", "sum", "ratio"]
+        rows = [("dyadic", args.n, args.k, f"{total:.6g}", f"{ratio:.6g}")]
     elif args.kind == "recurrence":
         trace = recurrence_certify(args.n, args.k, a=args.const, a0=args.const0)
-        _emit_rows(out, ["kind", "n", "k", "z", "depth", "certificate", "passed"],
-                   [("recurrence", args.n, args.k, f"{trace.z:.6g}",
-                     trace.depth, f"{trace.certificate:.6g}", trace.passed)])
-        if not trace.passed:
-            if out is not sys.stdout:
-                out.close()
-            return 1
+        header = ["kind", "n", "k", "z", "depth", "certificate", "passed"]
+        rows = [("recurrence", args.n, args.k, f"{trace.z:.6g}",
+                 trace.depth, f"{trace.certificate:.6g}", trace.passed)]
+        code = 0 if trace.passed else 1
     else:
         value = bound_eval(args.kind, n=args.n, k=args.k, m=args.m,
                            const=args.const)
-        _emit_rows(out, ["kind", "n", "k", "m", "value"],
-                   [(args.kind, args.n, args.k, args.m, f"{value:.6g}")])
-    if out is not sys.stdout:
-        out.close()
-    return 0
+        header = ["kind", "n", "k", "m", "value"]
+        rows = [(args.kind, args.n, args.k, args.m, f"{value:.6g}")]
+    _write(args.out, _csv(header, rows))
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

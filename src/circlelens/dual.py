@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import DegenerateInput
 from .families import LensFamily
 from .pencils import Scene, scene_frame
-from .quadfield import QuadNum, QuadPoint, frac
+from .quadfield import QuadNum, QuadPoint, cleared, frac
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,8 @@ class DualLine:
     scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = lcm(*(v.denominator for v in self.anchor + self.direction))
-        object.__setattr__(self, "scaled", (
-            tuple(v.numerator * (s // v.denominator) for v in self.anchor),
-            tuple(v.numerator * (s // v.denominator) for v in self.direction),
-            s))
+        s, ints = cleared(self.anchor + self.direction)
+        object.__setattr__(self, "scaled", (tuple(ints[:3]), tuple(ints[3:]), s))
 
     @classmethod
     def of(cls, anchor, direction) -> "DualLine":

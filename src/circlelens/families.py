@@ -37,12 +37,32 @@ def _point_ids(lenses) -> list[tuple[int, int]]:
 
 
 class _ArcModel:
-    """dirs[cid] and keys[cid] are the base points on circle cid (directions
-    and cyclic keys) in order; arcs[i][cid] = (s, e): the lens arc of
-    lenses[i] runs CCW from vertex s to e.  If checked, as overlap requires,
-    base points must lie on their lens's circles."""
+    """The vertices of each circle in CCW order from angle 0, and lens arcs
+    as pairs of vertex indices.  on[cid] maps the ids of the vertices on
+    circle cid to their directions, and pairs[i] holds the ids of lenses[i]'s
+    base points in base order.  order[cid], dirs[cid] and keys[cid] are the
+    ids, directions and cyclic keys in order; arcs[i][cid] = (s, e): the
+    lens arc of lenses[i] runs CCW from vertex s to e.  Extra vertices leave
+    overlap unchanged, since they keep which arcs hold which starts."""
 
-    def __init__(self, scene: Scene, lenses, checked: bool = True):
+    def __init__(self, on: dict, lenses, pairs):
+        self.order, self.dirs, self.keys, index = {}, {}, {}, {}
+        for cid, dirs in on.items():
+            key = {pid: cyclic_key(d) for pid, d in dirs.items()}
+            order = self.order[cid] = sorted(key, key=key.get)
+            self.dirs[cid] = [dirs[pid] for pid in order]
+            self.keys[cid] = [key[pid] for pid in order]
+            index[cid] = {pid: i for i, pid in enumerate(order)}
+        self.arcs = [{cid: (index[cid][p], index[cid][q])
+                      if lens_arc_forward(on[cid][p], on[cid][q])
+                      else (index[cid][q], index[cid][p])
+                      for cid in lens.circles}
+                     for lens, (p, q) in zip(lenses, pairs)]
+
+    @classmethod
+    def of(cls, scene: Scene, lenses, checked: bool = True) -> "_ArcModel":
+        """The model whose vertices are the lenses' base points.  If checked,
+        as overlap requires, base points must lie on their lens's circles."""
         pairs = _point_ids(lenses)
         on: dict[int, dict] = defaultdict(dict)  # cid -> {point id: direction}
         for lens, pair in zip(lenses, pairs):
@@ -55,18 +75,7 @@ class _ArcModel:
                             raise DegenerateInput(
                                 f"base point {pt} is not on circle {cid}")
                         on[cid][pid] = centered(pt, scene.circles[cid])
-        self.dirs, self.keys, index = {}, {}, {}
-        for cid, dirs in on.items():
-            key = {pid: cyclic_key(d) for pid, d in dirs.items()}
-            order = sorted(key, key=key.get)
-            self.dirs[cid] = [dirs[pid] for pid in order]
-            self.keys[cid] = [key[pid] for pid in order]
-            index[cid] = {pid: i for i, pid in enumerate(order)}
-        self.arcs = [{cid: (index[cid][p], index[cid][q])
-                      if lens_arc_forward(on[cid][p], on[cid][q])
-                      else (index[cid][q], index[cid][p])
-                      for cid in lens.circles}
-                     for lens, (p, q) in zip(lenses, pairs)]
+        return cls(on, lenses, pairs)
 
     def overlap(self, i: int, j: int) -> bool:
         """Two closed CCW index intervals meet iff one holds the other's
@@ -82,7 +91,7 @@ class _ArcModel:
 def lenses_overlap(l1: Lens, l2: Lens, scene: Scene) -> bool:
     """True iff a shared circle's lens arcs for the two base pairs meet."""
     shared = set(l1.circles) & set(l2.circles)
-    return bool(shared) and _ArcModel(scene, (l1, l2)).overlap(0, 1)
+    return bool(shared) and _ArcModel.of(scene, (l1, l2)).overlap(0, 1)
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,16 @@ def _max_independent_set(adj: list[int], n: int) -> int:
     return best
 
 
+def _greedy(model: _ArcModel, lenses, keys) -> list[int]:
+    """The degree-descending scan (ties in lens order, by keys): each lens is
+    kept unless it overlaps one kept before it."""
+    kept: list[int] = []
+    for i in sorted(range(len(lenses)), key=lambda i: (-lenses[i].degree, keys[i])):
+        if not any(model.overlap(i, j) for j in kept):
+            kept.append(i)
+    return kept
+
+
 def select_family(lenses, scene: Scene, mode: str = "greedy",
                   exact_cap: int = 30) -> LensFamily:
     """Pick a pairwise non-overlapping subfamily.
@@ -130,13 +149,10 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and len(lenses) > exact_cap:
         raise CapExceeded(f"exact selection capped at {exact_cap} lenses")
-    model, n = _ArcModel(scene, lenses), len(lenses)
+    model, n = _ArcModel.of(scene, lenses), len(lenses)
     keys = lens_keys(lenses)
     if mode == "greedy":
-        kept: list[int] = []
-        for i in sorted(range(n), key=lambda i: (-lenses[i].degree, keys[i])):
-            if not any(model.overlap(i, j) for j in kept):
-                kept.append(i)
+        kept = _greedy(model, lenses, keys)
     else:
         mask = _max_independent_set(
             [sum(1 << j for j in range(n) if j != i and model.overlap(i, j))
@@ -191,7 +207,7 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
     covers, else at the other side's; a one-arc circle is cut at both.  A cut
     sits at a doubled index: 2i on vertex i, 2i + 1 in the gap after it."""
     targets = rich_lenses(enumerate_lenses(scene), k)  # InvalidRichness if k < 2
-    model = _ArcModel(scene, targets, checked=False)
+    model = _ArcModel.of(scene, targets, checked=False)
     cuts: dict[int, set] = defaultdict(set)  # cid -> cut directions
     at: dict[int, list] = defaultdict(list)  # cid -> their doubled indices
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import DegenerateInput, NoRadicalAxis
-from .quadfield import (QuadNum, QuadPoint, _quad, frac, one_radicand, sign_q,
-                        two_field_sign)
+from .quadfield import (QuadNum, QuadPoint, _quad, cleared, frac, one_radicand,
+                        sign_q, two_field_sign)
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,7 @@ def _coords(d: Dir) -> tuple:
     """(xa, xb, ya, yb, m): the direction (xa + xb*sqrt(m), ya + yb*sqrt(m))
     scaled by a positive integer so that xa, xb, ya, yb are integers."""
     x, y = one_radicand(*d)
-    parts = (x.a, x.b, y.a, y.b)
-    den = lcm(*(q.denominator for q in parts))
-    return (*(q.numerator * (den // q.denominator) for q in parts),
-            x.delta or y.delta)
+    return (*cleared((x.a, x.b, y.a, y.b))[1], x.delta or y.delta)
 
 
 def _bilinear_sign(u: Dir, v: Dir, cross: bool) -> int:

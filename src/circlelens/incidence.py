@@ -2,11 +2,13 @@
 
 The graph has the marked points as vertices; each circle through at least two
 of them contributes one cyclic run of consecutive-point edges, drawn along
-its arcs.  An edge is the triple (circle, u, v): its arc runs
-counterclockwise from marked point u to marked point v.  Edges that realize
-the lens arc (geometry.lens_arc) of a member of a greedy non-overlapping
-family of k-rich lenses are split off as G1, by comparing those triples; the
-lens pool is every marked pair with at least k circles through both points.
+its arcs.  The edges are read from the arc model of families (_ArcModel),
+built once with every drawn circle's marked points as its vertices: an edge
+is a pair of cyclically consecutive vertices of one circle.  The lens pool is
+every marked pair with at least k circles through both points; the model
+gives each pool lens its lens arcs (geometry.lens_arc) as vertex intervals,
+and the greedy scan of select_family runs on them.  An arc of a kept lens
+that joins consecutive vertices is an edge of G1.
 
 Crossings are counted in this drawing, between edges of distinct circles and
 away from graph vertices.  The edges of a drawn circle cover all of it, so
@@ -25,13 +27,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 
 from .errors import DegenerateInput, InvalidRichness
-from .families import select_family
-from .geometry import centered, cyclic_key, lens_arc_forward
-from .pencils import Lens, Scene, scene_frame
-from .quadfield import QuadNum, frac
+from .families import _ArcModel, _greedy
+from .geometry import centered
+from .pencils import Lens, Scene, lens_keys, scene_frame
+from .quadfield import QuadPoint, cleared, frac
 
 
 def _on_sets(points, scene: Scene) -> list[frozenset[int]]:
@@ -44,12 +45,9 @@ def _on_sets(points, scene: Scene) -> list[frozenset[int]]:
     """
     points = [(frac(x), frac(y)) for x, y in points]
     scale, scaled = scene_frame(scene)
-    m = lcm(scale, *(v.denominator for p in points for v in p))
+    m, coords = cleared([v for p in points for v in p], scale)
     g = m // scale
-    ints = []
-    for x, y in points:
-        x, y = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
-        ints.append((x, y, x * x + y * y))
+    ints = [(x, y, x * x + y * y) for x, y in zip(coords[::2], coords[1::2])]
     on = []
     for cx, cy, _, power in scaled:
         ax, ay, k = 2 * g * cx, 2 * g * cy, g * g * power
@@ -64,15 +62,6 @@ def count_incidences(points, scene: Scene) -> int:
 
 
 @dataclass(frozen=True)
-class GraphEdge:
-    """The arc of circle circle_id running CCW from marked point u to v."""
-
-    circle_id: int
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
 class SzekelyStats:
     m: int
     n: int
@@ -82,20 +71,6 @@ class SzekelyStats:
     g1: int
     max_multiplicity: int
     crossings: int
-
-
-def _circle_edges(scene: Scene, points, on) -> list[GraphEdge]:
-    edges = []
-    for cid, c in enumerate(scene.circles):
-        if len(on[cid]) < 2:
-            continue
-        dirs = {i: (QuadNum.of(points[i][0] - c.cx), QuadNum.of(points[i][1] - c.cy))
-                for i in on[cid]}
-        ids = sorted(dirs, key=lambda i: cyclic_key(dirs[i]))
-        # two points on a circle make two edges, u -> v and v -> u
-        edges += [GraphEdge(cid, u, ids[(i + 1) % len(ids)])
-                  for i, u in enumerate(ids)]
-    return edges
 
 
 def _meet_twice(c1, c2) -> bool:
@@ -110,45 +85,42 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     """Build the consecutive-point multigraph and its drawing statistics."""
     if k < 2:
         raise InvalidRichness("richness k must be at least 2")
-    points = [(frac(x), frac(y)) for x, y in points]
-    repeated = next((p for p, n in Counter(points).items() if n > 1), None)
+    # sorted, so a pair of marked-point ids in increasing order is a base
+    points = sorted((frac(x), frac(y)) for x, y in points)
+    repeated = next((p for p, q in zip(points, points[1:]) if p == q), None)
     if repeated is not None:
         raise DegenerateInput(
             f"marked point ({repeated[0]}, {repeated[1]}) is repeated")
     on = _on_sets(points, scene)
-    edges = _circle_edges(scene, points, on)
+    drawn = [cid for cid, ids in enumerate(on) if len(ids) >= 2]
+    marked = [QuadPoint(x, y) for x, y in points]
 
     # every circle through both points of a marked pair is in its lens
     through: dict[tuple[int, int], list[int]] = {}
-    for cid, ids in enumerate(on):
-        for u, v in combinations(sorted(ids), 2):
-            through.setdefault((u, v), []).append(cid)
-    pool = {Lens((points[u], points[v]), cids): (u, v)
-            for (u, v), cids in through.items() if len(cids) >= k}
-    family = select_family(pool, scene, mode="greedy")
-    lens_edges = set()
-    for lens in family.members:
-        u, v = sorted(pool[lens], key=points.__getitem__)  # as in lens.base
-        for cid in lens.circles:
-            c = scene.circles[cid]
-            forward = lens_arc_forward(centered(lens.base[0], c),
-                                       centered(lens.base[1], c))
-            lens_edges.add((cid, u, v) if forward else (cid, v, u))
-    g1 = sum(1 for e in edges if (e.circle_id, e.u, e.v) in lens_edges)
-
-    multiplicity = Counter(frozenset((e.u, e.v)) for e in edges)
+    for cid in drawn:
+        for pair in combinations(sorted(on[cid]), 2):
+            through.setdefault(pair, []).append(cid)
+    pairs = [pair for pair, cids in through.items() if len(cids) >= k]
+    pool = [Lens._trusted((marked[u], marked[v]), tuple(through[u, v]))
+            for u, v in pairs]
+    # the model's vertices are every drawn circle's marked points, so an
+    # edge is a pair of cyclically consecutive vertices
+    model = _ArcModel({cid: {i: centered(marked[i], scene.circles[cid])
+                             for i in on[cid]} for cid in drawn}, pool, pairs)
+    g1 = sum(e == (s + 1) % len(model.order[cid])
+             for i in _greedy(model, pool, lens_keys(pool))
+             for cid, (s, e) in model.arcs[i].items())
+    edges = sum(len(on[cid]) for cid in drawn)
+    # two points on a circle make two edges, u -> v and v -> u
+    multiplicity = Counter(frozenset((ids[j - 1], u))
+                           for ids in model.order.values()
+                           for j, u in enumerate(ids))
     max_mult = max(multiplicity.values(), default=0)
 
-    drawn = [cid for cid, ids in enumerate(on) if len(ids) >= 2]
     scaled = scene_frame(scene)[1]
     crossings = sum(2 - len(on[i] & on[j]) for i, j in combinations(drawn, 2)
                     if _meet_twice(scaled[i], scaled[j]))
 
     return SzekelyStats(m=len(points), n=len(scene), incidences=sum(map(len, on)),
-                        edges=len(edges), g0=len(edges) - g1, g1=g1,
+                        edges=edges, g0=edges - g1, g1=g1,
                         max_multiplicity=max_mult, crossings=crossings)
-
-
-def lens_circle_incidences(family, scene: Scene) -> int:
-    """Participation incidences between a family and the scene's circles."""
-    return sum(lens.degree for lens in family.members)

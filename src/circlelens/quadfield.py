@@ -17,13 +17,20 @@ sound when the two radicands turn out to name the same field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 
 _ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def cleared(values, base: int = 1) -> tuple[int, list[int]]:
+    """(D, [v*D for v in values]) for a sequence of rationals, with D the lcm
+    of base and their denominators, so every v*D is an integer."""
+    d = lcm(base, *(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def sign_q(a, b, d: int) -> int:

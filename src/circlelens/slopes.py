@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import DegenerateInput, Inconclusive, VerticalTangent
 from .geometry import Circle, point_on_circle
 from .pencils import Lens, Scene, scene_frame
-from .quadfield import QuadNum, QuadPoint, sign_q
+from .quadfield import QuadNum, QuadPoint, cleared, sign_q
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
     """
     delta, parts = _base_parts(*lens.base)
     scale, scaled = scene_frame(scene)
-    den = lcm(scale, *(v.denominator for v in parts))
-    pts = [v.numerator * (den // v.denominator) for v in parts]
+    den, pts = cleared(parts, scale)
     p, q = pts[:4], pts[4:]
     d = [b - a for a, b in zip(p, q)]
     g = den // scale

@@ -115,6 +115,20 @@ def test_bound_command(capsys):
     assert out.strip().endswith("True")
 
 
+def test_failed_command_keeps_the_out_file(tmp_path, capsys):
+    # k = 5 > 10^(1/3) is rejected; the rows are computed before --out opens
+    out_file = tmp_path / "f"
+    out_file.write_text("keep\n")
+    code, _, err = run_cli(["bound", "--kind", "dyadic", "--n", "10", "--k", "5",
+                            "--out", str(out_file)], capsys)
+    assert code == 2 and "error" in err
+    assert out_file.read_text() == "keep\n"
+    code, _, _ = run_cli(["bound", "--kind", "thm1-degree", "--n", "64",
+                          "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out_file.read_text().startswith("kind,n,k,m,value\nthm1-degree,64.0,")
+
+
 def test_malformed_scene_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.scene"
     bad.write_text("circle 0 0 1\ncircle nope 0 1\n")

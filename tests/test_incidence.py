@@ -10,8 +10,7 @@ from circlelens.families import select_family
 from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
                                    random_scene)
 from circlelens.geometry import Circle, power_of_point
-from circlelens.incidence import (count_incidences, lens_circle_incidences,
-                                  szekely_stats)
+from circlelens.incidence import count_incidences, szekely_stats
 from circlelens.pencils import Scene, enumerate_lenses, rich_lenses
 
 
@@ -100,7 +99,7 @@ def test_lens_circle_incidences():
     scene, _ = pencil_bundle_construction(20, 4)
     lenses = rich_lenses(enumerate_lenses(scene), 4)
     family = select_family(lenses, scene, mode="greedy")
-    assert lens_circle_incidences(family, scene) == 20
+    assert family.total_degree == 20
 
 
 def _reference_counts(points, scene):

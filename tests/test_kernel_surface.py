@@ -48,10 +48,22 @@ def test_cut_output_is_byte_identical(name, k, capsys):
     assert out == (DATA / f"{name}.cut-k{k}.csv").read_text()
 
 
-def test_incidence_output_is_byte_identical(capsys):
-    # written by the Szekely statistics that tested incidences and circle
-    # meetings over Fraction, before the integer scene frame
+@pytest.mark.parametrize("k", [3, 4])
+def test_incidence_output_is_byte_identical(k, capsys):
+    # incidence-k3 was written by the Szekely statistics that tested
+    # incidences and circle meetings over Fraction, before the integer scene
+    # frame; incidence-k4 (g1 = 8, against 17 at k = 3) by the statistics
+    # that matched lens edges apart from the arc model of families
     name = "lattice-n48-g4-s1"
-    assert main(["incidence", str(DATA / f"{name}.scene"), "--k", "3"]) == 0
+    assert main(["incidence", str(DATA / f"{name}.scene"), "--k", str(k)]) == 0
     out, _ = capsys.readouterr()
-    assert out == (DATA / f"{name}.incidence-k3.csv").read_text()
+    assert out == (DATA / f"{name}.incidence-k{k}.csv").read_text()
+
+
+def test_family_output_is_byte_identical(capsys):
+    # written by select_family before its greedy scan was shared with the
+    # Szekely statistics
+    name = "lattice-n48-g4-s1"
+    assert main(["family", str(DATA / f"{name}.scene"), "--k", "3"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (DATA / f"{name}.family-k3.csv").read_text()
