@@ -15,11 +15,10 @@ from .errors import (CapExceeded, CircleLensError, DegenerateInput,
                      NoRadicalAxis, OracleCapExceeded, OutOfDomain,
                      SceneFormatError, VerticalTangent)
 from .families import (CircleArc, CutResult, LensFamily, lens_cutting,
-                       lenses_overlap, select_family, verify_cut)
+                       select_family, verify_cut)
 from .generators import (MODELS, BundleDescriptor, GeneratorSpec,
                          pencil_bundle_construction, random_scene)
-from .geometry import (Circle, Line, arcs_overlap, circle_line_points,
-                       cyclic_cmp, intersection_points, lens_arc,
+from .geometry import (Circle, Line, circle_line_points, intersection_points,
                        point_on_circle, power_of_point, radical_axis)
 from .incidence import SzekelyStats, count_incidences, szekely_stats
 from .pencils import (Lens, Scene, brute_force_lenses, enumerate_lenses,
@@ -37,13 +36,12 @@ __all__ = [
     "CapExceeded", "CircleLensError", "DegenerateInput", "Inconclusive",
     "InvalidInput", "InvalidRichness", "NoRadicalAxis", "OracleCapExceeded",
     "OutOfDomain", "SceneFormatError", "VerticalTangent",
-    "CircleArc", "CutResult", "LensFamily", "lens_cutting", "lenses_overlap",
-    "select_family", "verify_cut",
+    "CircleArc", "CutResult", "LensFamily", "lens_cutting", "select_family",
+    "verify_cut",
     "MODELS", "BundleDescriptor", "GeneratorSpec",
     "pencil_bundle_construction", "random_scene",
-    "Circle", "Line", "arcs_overlap", "circle_line_points", "cyclic_cmp",
-    "intersection_points", "lens_arc", "point_on_circle", "power_of_point",
-    "radical_axis",
+    "Circle", "Line", "circle_line_points", "intersection_points",
+    "point_on_circle", "power_of_point", "radical_axis",
     "SzekelyStats", "count_incidences", "szekely_stats",
     "Lens", "Scene", "brute_force_lenses", "enumerate_lenses", "rich_lenses",
     "QuadNum", "QuadPoint",

@@ -45,7 +45,7 @@ def _csv(header, rows) -> str:
 
 
 def _load_scene(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_scene(fh.read())
 
 
@@ -255,10 +255,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CircleLensError as exc:
+    except (CircleLensError, OSError, UnicodeDecodeError) as exc:
+        # a file that cannot be opened, read or decoded is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,18 @@
 """Non-overlapping lens families and lens cutting, on one arc model.
 
-The model sorts the base points on each circle once (geometry.cyclic_key),
-so a lens arc (geometry.lens_arc) is a pair of vertex indices, and overlap
-and covering tests compare integers.  Family selection is greedy (degree-
-descending scan) or exact (branch-and-bound maximum independent set in the
-overlap graph).  Lens cutting cuts circles until no k-rich lens of the
-scene's one enumeration lies on k arcs; verify_cut re-reads the arcs alone.
+Each lens's base points are vertices of its circles, built once per lens and
+kept on the Scene for the scene's own lenses: integer directions from the
+circle's center in the scene frame (pencils.scene_frame), with their integer
+cyclic keys (geometry.cyclic_key).  A base point is checked on its circles
+on integers there.  The model sorts the vertices on each circle once, so a
+lens arc is a pair of vertex indices, and angular order, overlap and
+covering tests are all integer.  A lens arc is the shorter arc between the
+base points p < q, or for a diameter the CCW half from p; the direction
+predicates over QuadNum directions that state this rule directly
+(lens_arc, arcs_overlap) are the tests' oracle, tests/dir_oracle.py.  Family selection is greedy (degree-descending scan) or
+exact (branch-and-bound maximum independent set in the overlap graph).  Lens
+cutting cuts circles until no k-rich lens of the scene's one enumeration
+lies on k arcs; verify_cut re-reads the arcs alone.
 """
 
 from __future__ import annotations
@@ -13,85 +20,125 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import eq
+from operator import eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
-from .geometry import (Dir, canonical_dir, centered, cyclic_key,
-                       lens_arc_forward, point_on_circle)
-from .pencils import Lens, Scene, enumerate_lenses, lens_keys, rich_lenses
+from .geometry import (Dir, IntDir, canonical_dir, cross_sign, cyclic_key,
+                       int_dir)
+from .pencils import (Lens, Scene, enumerate_lenses, lens_keys, rich_lenses,
+                      scene_frame)
+from .quadfield import cleared
 
 
-def _position(keys, d: Dir) -> int:
-    """Doubled index of direction d among sorted cyclic keys: 2i at key i,
+def _position(keys, key) -> int:
+    """Doubled index of a cyclic key among sorted cyclic keys: 2i at key i,
     2i + 1 strictly between keys i and i + 1 (cyclically)."""
-    key = cyclic_key(d)
     i = bisect_left(keys, key)
     return 2 * i if i < len(keys) and keys[i] == key else (2 * i - 1) % (2 * len(keys))
 
 
-def _point_ids(lenses) -> list[tuple[int, int]]:
-    """Base pairs as ids, equal points sharing one (one hash per point)."""
-    ids: dict = {}
-    return [(ids.setdefault(p, len(ids)), ids.setdefault(q, len(ids)))
-            for p, q in (lens.base for lens in lenses)]
+def _forward(vp: IntDir, vq: IntDir) -> bool:
+    """Does the lens arc run CCW from p to q?  vp and vq are the directions
+    of a lens's base points p < q (lexicographically) from a circle's center.
+    """
+    return cross_sign(vp, vq) >= 0
+
+
+def _build_vertices(scene: Scene, lens: Lens) -> tuple:
+    scale, frame = scene_frame(scene)
+    p, q = lens.base
+    # both points times D, the lcm of L and their denominators; the centers
+    # times D are g*(X, Y), and r^2 times D^2 is g^2*R
+    d, parts = cleared((p.x.a, p.x.b, p.y.a, p.y.b, q.x.a, q.x.b, q.y.a, q.y.b),
+                       scale)
+    g = d // scale
+    # a conjugate q shares p's u and w, and is on a circle iff p is
+    conjugate = parts[4:] == [parts[0], -parts[1], parts[2], -parts[3]]
+    out = []
+    for cid in lens.circles:
+        x, y, r, _ = frame[cid]
+        dirs = []
+        for pt, (xa, xb, ya, yb) in ((p, parts[:4]), (q, parts[4:])):
+            if not (dirs and conjugate):
+                u, w = xa - g * x, ya - g * y
+                # the power of pt times D^2 is (u^2 + w^2 + (xb^2 + yb^2)*delta
+                # - g^2*R) + 2*(u*xb + w*yb)*sqrt(delta), zero iff both parts are
+                if u * xb + w * yb or \
+                        u * u + w * w + (xb * xb + yb * yb) * pt.delta != g * g * r:
+                    raise DegenerateInput(f"base point {pt} is not on circle {cid}")
+            dirs.append((u, xb, w, yb, pt.delta))
+        out.append((cyclic_key(dirs[0]), cyclic_key(dirs[1]), _forward(*dirs)))
+    return tuple(out)
+
+
+def _vertices(scene: Scene, lens: Lens, keep: bool = True) -> tuple:
+    """Per circle of the lens, in the order of lens.circles, (key of p, key
+    of q, forward): the cyclic keys of p - center and q - center for its
+    base points p < q, both scaled by one positive integer, and whether the
+    lens arc runs CCW from p to q.  Built once per lens and, if keep, kept
+    on the Scene, which then holds on to the lens; a base point off one of
+    the circles raises DegenerateInput.
+    """
+    store = vars(scene).get("_vertices")
+    if store is None:
+        store = {}
+        object.__setattr__(scene, "_vertices", store)
+    entry = store.get(id(lens))
+    if entry is None:
+        entry = (lens, _build_vertices(scene, lens))
+        if keep:
+            store[id(lens)] = entry
+    return entry[1]
 
 
 class _ArcModel:
     """The vertices of each circle in CCW order from angle 0, and lens arcs
     as pairs of vertex indices.  on[cid] maps the ids of the vertices on
-    circle cid to their directions, and pairs[i] holds the ids of lenses[i]'s
-    base points in base order.  order[cid], dirs[cid] and keys[cid] are the
-    ids, directions and cyclic keys in order; arcs[i][cid] = (s, e): the
-    lens arc of lenses[i] runs CCW from vertex s to e.  Extra vertices leave
-    overlap unchanged, since they keep which arcs hold which starts."""
+    circle cid to their cyclic keys, and ends[i] maps each circle of lens i
+    to the ids (s, e) of its lens arc's start and end.  order[cid] and
+    keys[cid] are the ids and keys in order, one per ray, so ids with equal
+    keys share a vertex; arcs[i][cid] = (s, e): the lens arc of lens i runs
+    CCW from vertex s to e.  Extra vertices leave overlap unchanged, since
+    they keep which arcs hold which starts."""
 
-    def __init__(self, on: dict, lenses, pairs):
-        self.order, self.dirs, self.keys, index = {}, {}, {}, {}
-        for cid, dirs in on.items():
-            key = {pid: cyclic_key(d) for pid, d in dirs.items()}
-            order = self.order[cid] = sorted(key, key=key.get)
-            self.dirs[cid] = [dirs[pid] for pid in order]
-            self.keys[cid] = [key[pid] for pid in order]
-            index[cid] = {pid: i for i, pid in enumerate(order)}
-        self.arcs = [{cid: (index[cid][p], index[cid][q])
-                      if lens_arc_forward(on[cid][p], on[cid][q])
-                      else (index[cid][q], index[cid][p])
-                      for cid in lens.circles}
-                     for lens, (p, q) in zip(lenses, pairs)]
+    def __init__(self, on: dict, ends):
+        self.order, self.keys, index = {}, {}, {}
+        for cid, keys in on.items():
+            order, ordered, at = [], [], {}
+            for pid in sorted(keys, key=keys.get):
+                if not ordered or ordered[-1] != keys[pid]:
+                    order.append(pid)
+                    ordered.append(keys[pid])
+                at[pid] = len(order) - 1
+            self.order[cid], self.keys[cid], index[cid] = order, ordered, at
+        self.arcs = [{cid: (index[cid][s], index[cid][e])
+                      for cid, (s, e) in arcs.items()} for arcs in ends]
 
     @classmethod
-    def of(cls, scene: Scene, lenses, checked: bool = True) -> "_ArcModel":
-        """The model whose vertices are the lenses' base points.  If checked,
-        as overlap requires, base points must lie on their lens's circles."""
-        pairs = _point_ids(lenses)
-        on: dict[int, dict] = defaultdict(dict)  # cid -> {point id: direction}
-        for lens, pair in zip(lenses, pairs):
-            if pair[0] == pair[1]:
-                raise DegenerateInput("coincident points in a pair")
-            for cid in lens.circles:
-                for pid, pt in zip(pair, lens.base):
-                    if pid not in on[cid]:
-                        if checked and not point_on_circle(pt, scene.circles[cid]):
-                            raise DegenerateInput(
-                                f"base point {pt} is not on circle {cid}")
-                        on[cid][pid] = centered(pt, scene.circles[cid])
-        return cls(on, lenses, pairs)
+    def of(cls, scene: Scene, lenses, keep: bool = True) -> "_ArcModel":
+        """The model whose vertices are the lenses' base points, with the ids
+        of the point objects as vertex ids; keep as for _vertices."""
+        on: dict[int, dict] = defaultdict(dict)  # cid -> {point id: key}
+        ends = []
+        for lens in lenses:
+            p, q = map(id, lens.base)
+            arcs = {}
+            for cid, (kp, kq, forward) in zip(lens.circles,
+                                              _vertices(scene, lens, keep)):
+                on[cid][p], on[cid][q] = kp, kq
+                arcs[cid] = (p, q) if forward else (q, p)
+            ends.append(arcs)
+        return cls(on, ends)
 
     def overlap(self, i: int, j: int) -> bool:
         """Two closed CCW index intervals meet iff one holds the other's
         start; lenses overlap iff their lens arcs meet on a shared circle."""
         for cid, (s, e) in self.arcs[i].items():
             if cid in self.arcs[j]:
-                m, (s2, e2) = len(self.dirs[cid]), self.arcs[j][cid]
+                m, (s2, e2) = len(self.order[cid]), self.arcs[j][cid]
                 if (s2 - s) % m <= (e - s) % m or (s - s2) % m <= (e2 - s2) % m:
                     return True
         return False
-
-
-def lenses_overlap(l1: Lens, l2: Lens, scene: Scene) -> bool:
-    """True iff a shared circle's lens arcs for the two base pairs meet."""
-    shared = set(l1.circles) & set(l2.circles)
-    return bool(shared) and _ArcModel.of(scene, (l1, l2)).overlap(0, 1)
 
 
 @dataclass(frozen=True)
@@ -149,7 +196,11 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and len(lenses) > exact_cap:
         raise CapExceeded(f"exact selection capped at {exact_cap} lenses")
-    model, n = _ArcModel.of(scene, lenses), len(lenses)
+    # the scene keeps the vertices of its own lenses only: a subsequence of
+    # its enumeration, so lenses built elsewhere do not pile up on it
+    own = iter(vars(scene).get("_lenses", ()))
+    keep = all(any(lens is other for other in own) for lens in lenses)
+    model, n = _ArcModel.of(scene, lenses, keep), len(lenses)
     keys = lens_keys(lenses)
     if mode == "greedy":
         kept = _greedy(model, lenses, keys)
@@ -190,13 +241,16 @@ class CutResult:
     k: int
 
 
-def _midpoints(s: Dir, e: Dir) -> tuple[Dir, Dir]:
-    """Midpoint directions of the lens arc CCW from s to e and of the rest of
-    the circle.  Only a diameter's lens arc is a half circle; it starts at s."""
-    m = (s[0] + e[0], s[1] + e[1])
-    if not (m[0].sign() or m[1].sign()):
-        m = (-s[1], s[0])
-    return canonical_dir(m), canonical_dir((-m[0], -m[1]))
+def _midpoints(kp, kq, forward: bool) -> tuple[tuple, tuple]:
+    """Cyclic keys of the midpoint directions of a lens arc and of the rest
+    of the circle, from _vertices.  The base points' directions share one
+    scale and one radicand, so their sum bisects the lens arc; only a
+    diameter's lens arc is a half circle, and it starts at s."""
+    s, e = (kp[2].v, kq[2].v) if forward else (kq[2].v, kp[2].v)
+    m = [a + b for a, b in zip(s[:4], e[:4])]
+    if not any(m):
+        m = [-s[2], -s[3], s[0], s[1]]
+    return cyclic_key((*m, s[4])), cyclic_key((*(-a for a in m), s[4]))
 
 
 def lens_cutting(scene: Scene, k: int) -> CutResult:
@@ -207,8 +261,8 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
     covers, else at the other side's; a one-arc circle is cut at both.  A cut
     sits at a doubled index: 2i on vertex i, 2i + 1 in the gap after it."""
     targets = rich_lenses(enumerate_lenses(scene), k)  # InvalidRichness if k < 2
-    model = _ArcModel.of(scene, targets, checked=False)
-    cuts: dict[int, set] = defaultdict(set)  # cid -> cut directions
+    model = _ArcModel.of(scene, targets)
+    cuts: dict[int, list] = defaultdict(list)  # cid -> cut keys, sorted
     at: dict[int, list] = defaultdict(list)  # cid -> their doubled indices
 
     def covering(i) -> list:
@@ -227,20 +281,22 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
                     out.append((cid, side))
         return out
 
-    def cut(cid, d) -> bool:
-        if d in cuts[cid]:
+    def cut(cid, key) -> bool:
+        keys = cuts[cid]
+        j = bisect_left(keys, key)
+        if j < len(keys) and keys[j] == key:
             return False
-        cuts[cid].add(d)
-        insort(at[cid], _position(model.keys[cid], d))
+        keys.insert(j, key)
+        insort(at[cid], _position(model.keys[cid], key))
         return True
 
     changed = True
     while changed:
         changed = False
-        for i in range(len(targets)):
+        for i, lens in enumerate(targets):
             cov = covering(i)
             for cid, side in cov[k - 1:] if len(cov) >= k else ():
-                mids = _midpoints(*(model.dirs[cid][v] for v in model.arcs[i][cid]))
+                mids = _midpoints(*_vertices(scene, lens)[lens.circles.index(cid)])
                 if side is None:
                     changed |= cut(cid, mids[0]) | cut(cid, mids[1])
                 else:
@@ -249,7 +305,7 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
         raise DegenerateInput("lens cutting failed to reach a fixpoint")
     arcs = []
     for cid in range(len(scene)):
-        ordered = sorted(cuts.get(cid, ()), key=cyclic_key)
+        ordered = [canonical_dir(key[2].v) for key in cuts.get(cid, ())]
         arcs += [CircleArc(cid, d, ordered[(j + 1) % len(ordered)])
                  for j, d in enumerate(ordered)] or [CircleArc(cid, None, None)]
     return CutResult(tuple(arcs), sum(map(len, cuts.values())), k)
@@ -271,25 +327,26 @@ def _covering_counts(scene: Scene, result: CutResult) -> list[int] | None:
             continue
         if not arcs or any(arc.is_full for arc in arcs):
             return None
-        arcs.sort(key=lambda arc: cyclic_key(arc.start))
-        keys = [cyclic_key(arc.start) for arc in arcs]
-        if ([cyclic_key(arc.end) for arc in arcs] != keys[1:] + keys[:1]
+        ends = sorted(((cyclic_key(int_dir(arc.start)), cyclic_key(int_dir(arc.end)))
+                       for arc in arcs), key=itemgetter(0))
+        keys = [start for start, _ in ends]
+        if ([end for _, end in ends] != keys[1:] + keys[:1]
                 or any(map(eq, keys, keys[1:]))):
             return None
         cut_keys.append(keys)
-    rich = rich_lenses(enumerate_lenses(scene), result.k)
-    held: dict = {}  # (cid, point id) -> the arcs holding the point
     counts = []
-    for lens, pair in zip(rich, _point_ids(rich)):
+    for lens in rich_lenses(enumerate_lenses(scene), result.k):
         count = 0
-        for cid in lens.circles:
+        for cid, (kp, kq, _) in zip(lens.circles, _vertices(scene, lens)):
             t = len(cut_keys[cid])
-            for pid, pt in zip(pair, lens.base):
-                if t > 1 and (cid, pid) not in held:
-                    j, odd = divmod(_position(
-                        cut_keys[cid], centered(pt, scene.circles[cid])), 2)
-                    held[cid, pid] = {j} if odd else {j, (j - 1) % t}
-            count += 1 if t <= 1 else len(held[cid, pair[0]] & held[cid, pair[1]])
+            if t <= 1:
+                count += 1
+                continue
+            held = []  # per base point, the arcs holding it
+            for key in (kp, kq):
+                j, odd = divmod(_position(cut_keys[cid], key), 2)
+                held.append({j} if odd else {j, (j - 1) % t})
+            count += len(held[0] & held[1])
         counts.append(count)
     return counts
 

@@ -3,21 +3,24 @@
 Circles carry rational centers and rational *squared* radii, so pencils such
 as r = sqrt(2) stay expressible with rational input data.  Intersection points
 live in a quadratic field with one radicand shared per circle/line pair.
-Angular reasoning never touches floating point: directions are compared by
-quadrant and exact cross-product signs.
+Angular order is integer and never touches floating point.  A direction is
+an IntDir (xa, xb, ya, yb, d), the vector (xa + xb*sqrt(d), ya + yb*sqrt(d))
+with integer parts, so it is scaled once and not at every comparison.
+cyclic_key orders directions by quadrant and an integer slope prefix, with an
+exact cross sign only on ties.  The predicates on QuadNum directions that
+this order replaced (cyclic_cmp, arcs_overlap, lens_arc and the rest) are
+kept as a test oracle, tests/dir_oracle.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
 from math import gcd, isqrt
 
 from .errors import DegenerateInput, NoRadicalAxis
-from .quadfield import (QuadNum, QuadPoint, _quad, cleared, frac, one_radicand,
-                        sign_q, two_field_sign)
+from .quadfield import (QuadNum, QuadPoint, _quad, cleared, floor_root, frac,
+                        one_radicand, sign_q, two_field_sign)
 
 
 @dataclass(frozen=True)
@@ -144,58 +147,28 @@ def point_on_circle(p: QuadPoint, c: Circle) -> bool:
             and u * u + w * w - c.r2 + (x.b * x.b + y.b * y.b) * d == 0)
 
 
-# -- exact angular order ------------------------------------------------------
+# -- exact angular order, on integers -----------------------------------------
 
 Dir = tuple[QuadNum, QuadNum]
+# (xa, xb, ya, yb, d): the direction (xa + xb*sqrt(d), ya + yb*sqrt(d)), all
+# integers, d a non-square or 0; a positive multiple is the same direction
+IntDir = tuple[int, int, int, int, int]
+
+# bits of the integer slope prefix floor(2^K * y/x) that cyclic_key compares first
+_SLOPE_BITS = 32
 
 
-def centered(p: QuadPoint, c: Circle) -> Dir:
-    """The direction p - center, over p's radicand."""
-    x, y = p.x, p.y
-    return (_quad(x.a - c.cx, x.b, x.delta), _quad(y.a - c.cy, y.b, y.delta))
-
-
-def _coords(d: Dir) -> tuple:
-    """(xa, xb, ya, yb, m): the direction (xa + xb*sqrt(m), ya + yb*sqrt(m))
-    scaled by a positive integer so that xa, xb, ya, yb are integers."""
+def int_dir(d: Dir) -> IntDir:
+    """The direction d = (x, y) over one radicand, scaled by a positive
+    integer so that every part is an integer."""
     x, y = one_radicand(*d)
     return (*cleared((x.a, x.b, y.a, y.b))[1], x.delta or y.delta)
 
 
-def _bilinear_sign(u: Dir, v: Dir, cross: bool) -> int:
-    """Sign of u.x*v.y - u.y*v.x (cross) or u.x*v.x + u.y*v.y (dot).
-
-    Both signs are unchanged when u and v are scaled by positive integers, so
-    the work is over integers.  With u over sqrt(al) and v over sqrt(be) the
-    value is r0 + r1*sqrt(al) + (r2 + r3*sqrt(al))*sqrt(be); two different
-    radicands go through two_field_sign."""
-    uxa, uxb, uya, uyb, al = _coords(u)
-    vxa, vxb, vya, vyb, be = _coords(v)
-    if cross:
-        vxa, vxb, vya, vyb = vya, vyb, -vxa, -vxb
-    r0 = uxa * vxa + uya * vya
-    r1 = uxb * vxa + uyb * vya
-    r2 = uxa * vxb + uya * vyb
-    r3 = uxb * vxb + uyb * vyb
-    if not al:
-        return sign_q(r0, r2, be)
-    if not be or al == be:
-        return sign_q(r0 + r3 * al, r1 + r2, al)
-    return two_field_sign(r0, r1, r2, r3, al, be)
-
-
-def cross_sign(u: Dir, v: Dir) -> int:
-    """Sign of u.x*v.y - u.y*v.x; exact across different radicands."""
-    return _bilinear_sign(u, v, cross=True)
-
-
-def dot_sign(u: Dir, v: Dir) -> int:
-    return _bilinear_sign(u, v, cross=False)
-
-
-def quadrant(d: Dir) -> int:
-    """Index of the direction in counterclockwise order from the +x axis."""
-    sx, sy = d[0].sign(), d[1].sign()
+def quadrant(v: IntDir) -> int:
+    """Index of the direction in counterclockwise order from the +x axis:
+    even on an axis, odd inside a quadrant."""
+    sx, sy = sign_q(v[0], v[1], v[4]), sign_q(v[2], v[3], v[4])
     if sx == 0 and sy == 0:
         raise DegenerateInput("zero direction")
     if sy == 0:
@@ -207,109 +180,68 @@ def quadrant(d: Dir) -> int:
     return 3 if sy > 0 else 5
 
 
-def cyclic_cmp(u: Dir, v: Dir) -> int:
-    """Three-way comparison in the cyclic order anchored at angle 0."""
-    qu, qv = quadrant(u), quadrant(v)
-    if qu != qv:
-        return -1 if qu < qv else 1
-    s = cross_sign(u, v)
-    return -s
+def cross_sign(u: IntDir, v: IntDir) -> int:
+    """Sign of u.x*v.y - u.y*v.x.  With u over sqrt(al) and v over sqrt(be)
+    the value is r0 + r1*sqrt(al) + (r2 + r3*sqrt(al))*sqrt(be); two
+    different radicands go through two_field_sign."""
+    uxa, uxb, uya, uyb, al = u
+    vxa, vxb, vya, vyb, be = v
+    r0 = uxa * vya - uya * vxa
+    r1 = uxb * vya - uyb * vxa
+    r2 = uxa * vyb - uya * vxb
+    r3 = uxb * vyb - uyb * vxb
+    if not al:
+        return sign_q(r0, r2, be)
+    if not be or al == be:
+        return sign_q(r0 + r3 * al, r1 + r2, al)
+    return two_field_sign(r0, r1, r2, r3, al, be)
 
 
-def _quadrant_cmp(a, b) -> int:
-    return (a[0] > b[0]) - (a[0] < b[0]) or cross_sign(b[1], a[1])
+def _slope(v: IntDir) -> tuple[int, int, int]:
+    """(P, Q, N) with N > 0 and y/x = (P + Q*sqrt(d))/N; x must be nonzero."""
+    xa, xb, ya, yb, d = v
+    n = xa * xa - xb * xb * d
+    p, q = ya * xa - yb * xb * d, yb * xa - ya * xb
+    return (p, q, n) if n > 0 else (-p, -q, -n)
 
 
-_quadrant_key = cmp_to_key(_quadrant_cmp)
+class _Ray:
+    """The last part of a cyclic key: a direction compared by exact cross
+    sign, which only keys tied on quadrant and slope prefix reach."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: IntDir):
+        self.v = v
+
+    def __eq__(self, other):
+        return cross_sign(self.v, other.v) == 0
+
+    def __lt__(self, other):
+        return cross_sign(self.v, other.v) > 0
+
+    __hash__ = None
 
 
-def cyclic_key(d: Dir):
-    """Sort key for the order of cyclic_cmp.  The quadrant of d is found once,
-    and a cross sign is taken only against directions in the same quadrant."""
-    return _quadrant_key((quadrant(d), d))
+def cyclic_key(v: IntDir) -> tuple:
+    """Sort key for the counterclockwise order from angle 0, equal for equal
+    rays: (quadrant, floor(2^K * y/x), ray).  Inside each open quadrant the
+    slope y/x grows with the angle; its prefix comes from one isqrt, and the
+    exact cross sign is taken only when two prefixes tie (Fortune and Van
+    Wyk 1996, Shewchuk 1997).  An axis quadrant holds one ray."""
+    q = quadrant(v)
+    prefix = 0
+    if q & 1:
+        p, s, n = _slope(v)
+        prefix = floor_root(p, s, v[4], n, _SLOPE_BITS)
+    return (q, prefix, _Ray(v))
 
 
-def same_direction(u: Dir, v: Dir) -> bool:
-    return cross_sign(u, v) == 0 and dot_sign(u, v) > 0
-
-
-def opposite_direction(u: Dir, v: Dir) -> bool:
-    return cross_sign(u, v) == 0 and dot_sign(u, v) < 0
-
-
-def canonical_dir(d: Dir) -> Dir:
-    """Scale a direction so equal rays become structurally equal (hashable)."""
-    x, y = d
-    sx = x.sign()
-    if sx != 0:
-        inv = x.inverse() if sx > 0 else -(x.inverse())
-        return (QuadNum.of(1 if sx > 0 else -1), y * inv)
-    sy = y.sign()
-    if sy == 0:
-        raise DegenerateInput("zero direction")
-    return (QuadNum.of(0), QuadNum.of(1 if sy > 0 else -1))
-
-
-def dir_in_ccw_arc(v: Dir, s: Dir, e: Dir) -> bool:
-    """True iff direction v lies on the closed arc running CCW from s to e.
-
-    Handles arcs of any measure in (0, 2*pi); s == e is rejected."""
-    if same_direction(s, e):
-        raise DegenerateInput("empty arc")
-    cse = cross_sign(s, e)
-    if cse > 0:  # arc shorter than pi
-        return cross_sign(s, v) >= 0 and cross_sign(v, e) >= 0
-    if cse < 0:  # arc longer than pi: complement of the open CCW arc e -> s
-        return not (cross_sign(e, v) > 0 and cross_sign(v, s) > 0)
-    # antipodal endpoints: exactly half the circle
-    return cross_sign(s, v) >= 0 or same_direction(v, e)
-
-
-def lens_arc_forward(dp: Dir, dq: Dir) -> bool:
-    """Does the lens arc run CCW from p to q?  dp and dq are the directions
-    of a lens's base points p < q (lexicographically) from a circle's center.
-    """
-    return cross_sign(dp, dq) >= 0
-
-
-def lens_arc(c: Circle, p, q) -> tuple[Dir, Dir]:
-    """The closed CCW arc (start, end) that a lens with base {p, q} uses on c.
-
-    This is the shorter arc between p and q; for a diameter it is the CCW
-    half from the lexicographically smaller base point.
-    """
-    p, q = QuadPoint.of(p), QuadPoint.of(q)
-    if p.compare(q) > 0:
-        p, q = q, p
-    dp, dq = centered(p, c), centered(q, c)
-    return (dp, dq) if lens_arc_forward(dp, dq) else (dq, dp)
-
-
-def arcs_overlap(c: Circle, pair1, pair2) -> bool:
-    """Do the lens arcs of c (see lens_arc) for two point pairs intersect?
-
-    Arcs are closed, so arcs sharing only an endpoint count as overlapping.
-    Two closed arcs meet iff one of them contains the other's start.
-    """
-    p1, q1 = (QuadPoint.of(p) for p in pair1)
-    p2, q2 = (QuadPoint.of(p) for p in pair2)
-    for p in (p1, q1, p2, q2):
-        if not point_on_circle(p, c):
-            raise DegenerateInput("arc endpoint not on the circle")
-    if p1 == q1 or p2 == q2:
-        raise DegenerateInput("coincident points in a pair")
-    s1, e1 = lens_arc(c, p1, q1)
-    s2, e2 = lens_arc(c, p2, q2)
-    return dir_in_ccw_arc(s2, s1, e1) or dir_in_ccw_arc(s1, s2, e2)
-
-
-def circular_order_consistent(c: Circle, points) -> bool:
-    """Check transitivity of the exact cyclic order over a point sample."""
-    dirs = [centered(QuadPoint.of(p), c) for p in points]
-    for u, v, w in combinations(dirs, 3):
-        a, b, d = cyclic_cmp(u, v), cyclic_cmp(v, w), cyclic_cmp(u, w)
-        if a < 0 and b < 0 and d >= 0:
-            return False
-        if a > 0 and b > 0 and d <= 0:
-            return False
-    return True
+def canonical_dir(v: IntDir) -> Dir:
+    """The ray of v as QuadNums, (+-1, y/|x|) or (0, +-1), so equal rays are
+    structurally equal (hashable)."""
+    sx = sign_q(v[0], v[1], v[4])
+    if not sx:
+        return (QuadNum.of(0), QuadNum.of(sign_q(v[2], v[3], v[4])))
+    p, q, n = _slope(v)
+    return (QuadNum.of(sx), _quad(Fraction(sx * p, n), Fraction(sx * q, n), v[4]))

@@ -6,9 +6,9 @@ its arcs.  The edges are read from the arc model of families (_ArcModel),
 built once with every drawn circle's marked points as its vertices: an edge
 is a pair of cyclically consecutive vertices of one circle.  The lens pool is
 every marked pair with at least k circles through both points; the model
-gives each pool lens its lens arcs (geometry.lens_arc) as vertex intervals,
-and the greedy scan of select_family runs on them.  An arc of a kept lens
-that joins consecutive vertices is an edge of G1.
+gives each pool lens its lens arcs (the rule of families) as vertex
+intervals, and the greedy scan of select_family runs on them.  An arc of a
+kept lens that joins consecutive vertices is an edge of G1.
 
 Crossings are counted in this drawing, between edges of distinct circles and
 away from graph vertices.  The edges of a drawn circle cover all of it, so
@@ -18,8 +18,10 @@ crossings = sum over pairs of drawn circles that meet twice of
 
 Incidences are found on integers: the marked points and the scene frame
 (pencils.scene_frame) are scaled by one common denominator, and a point is
-on a circle iff its scaled power is 0.  Whether two circles meet twice is
-decided on the frame's integer circles.
+on a circle iff its scaled power is 0.  The same scaled points give each
+vertex's integer direction from a drawn circle's center, which the model
+orders by geometry.cyclic_key.  Whether two circles meet twice is decided on
+the frame's integer circles.
 """
 
 from __future__ import annotations
@@ -29,27 +31,28 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DegenerateInput, InvalidRichness
-from .families import _ArcModel, _greedy
-from .geometry import centered
+from .families import _ArcModel, _forward, _greedy
+from .geometry import cyclic_key
 from .pencils import Lens, Scene, lens_keys, scene_frame
 from .quadfield import QuadPoint, cleared, frac
 
 
-def _on_sets(points, scene: Scene) -> list[frozenset[int]]:
-    """Per circle, the indices of the rational points on it.
+def _scaled(points, scene: Scene) -> tuple[int, list[tuple[int, int]]]:
+    """(g, [(Px, Py)]): the rational points scaled by M, the lcm of the scene
+    frame's L (pencils.scene_frame) and the points' denominators, and
+    g = M/L, so that g*(X, Y) is a circle's center times M."""
+    scale = scene_frame(scene)[0]
+    m, coords = cleared([frac(v) for p in points for v in p], scale)
+    return m // scale, list(zip(coords[::2], coords[1::2]))
 
-    The points and the scene frame (pencils.scene_frame) are scaled by M,
-    the lcm of L and the points' denominators, so with g = M/L the power of
-    a point times M^2 is the integer
-    Px^2 + Py^2 - 2*g*(Px*X + Py*Y) + g^2*(X^2 + Y^2 - R).
-    """
-    points = [(frac(x), frac(y)) for x, y in points]
-    scale, scaled = scene_frame(scene)
-    m, coords = cleared([v for p in points for v in p], scale)
-    g = m // scale
-    ints = [(x, y, x * x + y * y) for x, y in zip(coords[::2], coords[1::2])]
+
+def _on_sets(scene: Scene, g: int, coords) -> list[frozenset[int]]:
+    """Per circle, the indices of the points on it, for points scaled as
+    _scaled gives them: the power of a point times M^2 is the integer
+    Px^2 + Py^2 - 2*g*(Px*X + Py*Y) + g^2*(X^2 + Y^2 - R)."""
+    ints = [(x, y, x * x + y * y) for x, y in coords]
     on = []
-    for cx, cy, _, power in scaled:
+    for cx, cy, _, power in scene_frame(scene)[1]:
         ax, ay, k = 2 * g * cx, 2 * g * cy, g * g * power
         on.append(frozenset(i for i, (x, y, sq) in enumerate(ints)
                             if sq + k == ax * x + ay * y))
@@ -58,7 +61,7 @@ def _on_sets(points, scene: Scene) -> list[frozenset[int]]:
 
 def count_incidences(points, scene: Scene) -> int:
     """Exact number of (point, circle) containments."""
-    return sum(map(len, _on_sets(points, scene)))
+    return sum(map(len, _on_sets(scene, *_scaled(points, scene))))
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,15 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     if repeated is not None:
         raise DegenerateInput(
             f"marked point ({repeated[0]}, {repeated[1]}) is repeated")
-    on = _on_sets(points, scene)
+    g, coords = _scaled(points, scene)
+    on = _on_sets(scene, g, coords)
     drawn = [cid for cid, ids in enumerate(on) if len(ids) >= 2]
     marked = [QuadPoint(x, y) for x, y in points]
+    scaled = scene_frame(scene)[1]
+    # each marked point's direction from each drawn circle through it
+    dirs = {cid: {i: (coords[i][0] - g * scaled[cid][0], 0,
+                      coords[i][1] - g * scaled[cid][1], 0, 0) for i in on[cid]}
+            for cid in drawn}
 
     # every circle through both points of a marked pair is in its lens
     through: dict[tuple[int, int], list[int]] = {}
@@ -105,8 +114,10 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
             for u, v in pairs]
     # the model's vertices are every drawn circle's marked points, so an
     # edge is a pair of cyclically consecutive vertices
-    model = _ArcModel({cid: {i: centered(marked[i], scene.circles[cid])
-                             for i in on[cid]} for cid in drawn}, pool, pairs)
+    model = _ArcModel(
+        {cid: {i: cyclic_key(v) for i, v in dirs[cid].items()} for cid in drawn},
+        [{cid: (u, v) if _forward(dirs[cid][u], dirs[cid][v]) else (v, u)
+          for cid in through[u, v]} for u, v in pairs])
     g1 = sum(e == (s + 1) % len(model.order[cid])
              for i in _greedy(model, pool, lens_keys(pool))
              for cid, (s, e) in model.arcs[i].items())
@@ -117,7 +128,6 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
                            for j, u in enumerate(ids))
     max_mult = max(multiplicity.values(), default=0)
 
-    scaled = scene_frame(scene)[1]
     crossings = sum(2 - len(on[i] & on[j]) for i, j in combinations(drawn, 2)
                     if _meet_twice(scaled[i], scaled[j]))
 

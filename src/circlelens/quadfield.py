@@ -266,20 +266,23 @@ class QuadNum:
         return f"{head}{sgn}{b}*sqrt({m})"
 
 
-def scaled_floor(x: QuadNum, k: int) -> int:
-    """The integer floor(2^k * x), from one isqrt.
+def floor_root(p: int, q: int, d: int, n: int, k: int) -> int:
+    """The integer floor(2^k * (p + q*sqrt(d))/n) for integers p, q, d >= 0
+    and n > 0, from one isqrt: with s = isqrt(q^2*d*4^k) it is
+    floor((2^k*p + s)/n) for q >= 0 and floor((2^k*p - s - 1)/n) for q < 0,
+    since q^2*d is a square only when it is 0 (d is 0 or not a square)."""
+    s = isqrt((q << k) ** 2 * d)
+    p <<= k
+    return (p + s) // n if q >= 0 else (p - s - 1) // n
 
-    With x = (P +- sqrt(Q))/D for integers P, Q >= 0 and D > 0, this is
-    floor((P + isqrt(Q))/D) for the plus sign and floor((P - isqrt(Q) - 1)/D)
-    for the minus sign, since Q is a square only when it is 0.
-    """
+
+def scaled_floor(x: QuadNum, k: int) -> int:
+    """The integer floor(2^k * x)."""
     a, b = x.a, x.b
     if not b:
         return (a.numerator << k) // a.denominator
-    den = a.denominator * b.denominator
-    p = (a.numerator * b.denominator) << k
-    s = isqrt(((b.numerator * a.denominator) << k) ** 2 * x.delta)
-    return (p + s) // den if b > 0 else (p - s - 1) // den
+    return floor_root(a.numerator * b.denominator, b.numerator * a.denominator,
+                      x.delta, a.denominator * b.denominator, k)
 
 
 ZERO = QuadNum(0)

@@ -1,8 +1,8 @@
 """Differential checks of the arc model of vertex indices (families) against
-the direction predicates it replaced, on uniform-random and lattice-triple
-scenes:
+the direction predicates it replaced (dir_oracle), on uniform-random and
+lattice-triple scenes:
 
-- lens overlap and greedy families against geometry.arcs_overlap;
+- lens overlap and greedy families against arcs_overlap;
 - lens cutting against the direction-based greedy cutting, and covering
   counts against dir_in_ccw_arc over the sorted cut arcs;
 - Szekely edges, G1 and edge multiplicity against edges between
@@ -17,18 +17,16 @@ from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelens.families import (_covering_counts, lens_cutting,
-                                 lenses_overlap, select_family)
+from circlelens.families import (_ArcModel, _covering_counts, lens_cutting,
+                                 select_family)
 from circlelens.generators import GeneratorSpec, random_scene
-from circlelens.geometry import (arcs_overlap, canonical_dir, centered,
-                                 cyclic_cmp, dir_in_ccw_arc, lens_arc,
-                                 opposite_direction, power_of_point,
-                                 same_direction)
+from circlelens.geometry import power_of_point
 from circlelens.incidence import szekely_stats
 from circlelens.pencils import Lens, enumerate_lenses, rich_lenses
 from circlelens.quadfield import QuadPoint
-
-_dir_key = cmp_to_key(cyclic_cmp)
+from dir_oracle import (canonical_dir, centered, cyclic_key, dir_in_ccw_arc,
+                        lens_arc, lenses_overlap, opposite_direction,
+                        same_direction)
 
 
 def lattice(n, seed, g):
@@ -50,19 +48,11 @@ scenes = st.one_of(uniform_scenes, lattice_scenes)
 
 # -- oracles ------------------------------------------------------------------
 
-def overlap_oracle(l1, l2, scene) -> bool:
-    shared = set(l1.circles) & set(l2.circles)
-    if l1.base == l2.base and shared:
-        return True
-    return any(arcs_overlap(scene.circles[cid], l1.base, l2.base)
-               for cid in shared)
-
-
 def greedy_oracle(lenses, scene) -> list:
     kept = []
     for lens in sorted(lenses, key=cmp_to_key(
             lambda a, b: (b.degree - a.degree) or a.compare(b))):
-        if not any(overlap_oracle(lens, other, scene) for other in kept):
+        if not any(lenses_overlap(lens, other, scene) for other in kept):
             kept.append(lens)
     return kept
 
@@ -70,7 +60,7 @@ def greedy_oracle(lenses, scene) -> list:
 def cut_arcs(cuts) -> list:
     """Arcs between cyclically consecutive cuts: None if uncut, (c, c) for
     one cut."""
-    ordered = sorted(cuts, key=_dir_key)
+    ordered = sorted(cuts, key=cyclic_key)
     if not ordered:
         return [None]
     return [(d, ordered[(j + 1) % len(ordered)]) for j, d in enumerate(ordered)]
@@ -155,7 +145,7 @@ def szekely_oracle(points, scene, k) -> tuple[int, int, int]:
         if len(ids) >= 2:
             dirs = {i: centered(QuadPoint(*points[i]), scene.circles[cid])
                     for i in ids}
-            ids = sorted(ids, key=lambda i: _dir_key(dirs[i]))
+            ids = sorted(ids, key=lambda i: cyclic_key(dirs[i]))
             edges += [(cid, u, v, (dirs[u], dirs[v]))
                       for u, v in zip(ids, ids[1:] + ids[:1])]
     through = defaultdict(list)
@@ -190,7 +180,8 @@ def test_overlap_and_greedy_family_match_arcs_overlap(scene, rnd):
     pairs = [(a, b) for a, b in combinations(lenses, 2)
              if set(a.circles) & set(b.circles)]
     for a, b in rnd.sample(pairs, min(len(pairs), 100)):
-        assert lenses_overlap(a, b, scene) == overlap_oracle(a, b, scene)
+        assert _ArcModel.of(scene, (a, b)).overlap(0, 1) == \
+            lenses_overlap(a, b, scene)
     for k in (2, 3):
         rich = rich_lenses(lenses, k)
         family = select_family(rich, scene)

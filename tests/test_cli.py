@@ -141,3 +141,15 @@ def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["lenses", str(tmp_path / "absent.scene")], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_unreadable_inputs_and_outputs_are_input_errors(tmp_path, capsys):
+    binary = tmp_path / "binary.scene"
+    binary.write_bytes(b"circle 0 0 1\n\xff\xfe\n")
+    scene = tmp_path / "s.scene"
+    scene.write_text("circle 0 0 1\ncircle 1 0 1\n")
+    for argv in (["lenses", str(tmp_path)],  # a directory
+                 ["lenses", str(binary)],  # not UTF-8
+                 ["cut", str(scene), "--out", str(tmp_path)]):  # --out a directory
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and err.startswith("error: "), argv

@@ -13,8 +13,8 @@ from math import isqrt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelens.geometry import cross_sign, dot_sign
 from circlelens.quadfield import QuadNum
+from dir_oracle import cross_sign, dot_sign
 
 P31 = (2147483647, 2147483629, 2147483587)
 P30 = (1000000007, 1000000009, 998244353)

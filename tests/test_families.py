@@ -5,12 +5,13 @@ import pytest
 from circlelens.dual import coplanarity_audit
 from circlelens.errors import CapExceeded, DegenerateInput, InvalidRichness
 from circlelens.families import (CircleArc, CutResult, lens_cutting,
-                                 lenses_overlap, select_family, verify_cut)
+                                 select_family, verify_cut)
 from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
                                    random_scene)
-from circlelens.geometry import Circle
-from circlelens.pencils import Scene, enumerate_lenses, rich_lenses
-from circlelens.quadfield import QuadNum
+from circlelens.geometry import Circle, Line, circle_line_points
+from circlelens.pencils import Lens, Scene, enumerate_lenses, rich_lenses
+from circlelens.quadfield import QuadNum, QuadPoint
+from dir_oracle import lenses_overlap
 
 
 def _lenses(scene):
@@ -85,6 +86,46 @@ def test_greedy_family_certified(corpus):
             assert a.compare(b) < 0, name  # canonical member order
         for m in family.members:
             assert m in lenses
+
+
+def test_select_family_rejects_a_base_point_off_its_circles():
+    unit = Circle(F(0), F(0), F(1))
+    scene = Scene(circles=(unit, Circle(F(1), F(1), F(1))))
+    east = QuadPoint(1, 0)
+    assert select_family([Lens((east, QuadPoint(0, 1)), (0, 1))], scene).certificate
+    # rational: (3/5, 4/5) is on the unit circle, not on circle 1
+    with pytest.raises(DegenerateInput, match="is not on circle 1$"):
+        select_family([Lens((QuadPoint(F(3, 5), F(4, 5)), east), (0, 1))], scene)
+    # irrational: p on the chord x + y = 1/2 of the unit circle, moved so that
+    # only one of the two integer parts of its power vanishes
+    p = circle_line_points(unit, Line.of(2, 2, -1))[0]
+    x, y = p.x, p.y
+    for moved in (QuadPoint(x - 2 * x.a, y),  # only the sqrt(d) part is left
+                  QuadPoint(x + y.b / 3, y - x.b / 3)):  # only the rational part
+        power = moved.x * moved.x + moved.y * moved.y - 1
+        assert (power.a == 0) != (power.b == 0)
+        with pytest.raises(DegenerateInput, match="is not on circle 0$"):
+            select_family([Lens((moved, east), (0, 1))], scene)
+
+
+def test_one_point_given_as_two_objects_is_one_vertex():
+    # lenses built apart share the point (0, 1) by value only; their closed
+    # lens arcs on the unit circle meet there
+    scene = Scene(circles=(Circle(F(0), F(0), F(1)), Circle(F(1), F(1), F(1)),
+                           Circle(F(-1), F(1), F(1))))
+    a = Lens((QuadPoint(1, 0), QuadPoint(0, 1)), (0, 1))
+    b = Lens((QuadPoint(0, 1), QuadPoint(-1, 0)), (0, 2))
+    assert lenses_overlap(a, b, scene)
+    assert len(select_family([a, b], scene)) == 1
+
+
+def test_scene_keeps_vertices_of_its_own_lenses_only():
+    scene = Scene(circles=(Circle(F(0), F(0), F(1)), Circle(F(1), F(1), F(1))))
+    for _ in range(3):
+        select_family([Lens((QuadPoint(1, 0), QuadPoint(0, 1)), (0, 1))], scene)
+    assert not vars(scene).get("_vertices")
+    select_family(_lenses(scene), scene)
+    assert len(vars(scene)["_vertices"]) == 1
 
 
 def test_exact_at_least_greedy(corpus):

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from circlelens import geometry
 from circlelens.errors import DegenerateInput, NoRadicalAxis
-from circlelens.geometry import (Circle, Line, arcs_overlap, canonical_dir,
-                                 centered, chord_points, circle_line_points,
-                                 circular_order_consistent, cross_sign,
-                                 cyclic_cmp, dir_in_ccw_arc,
-                                 intersection_points, lens_arc,
-                                 opposite_direction, point_on_circle,
-                                 power_of_point, radical_axis, same_direction)
+from circlelens.geometry import (Circle, Line, chord_points, circle_line_points,
+                                 intersection_points, point_on_circle,
+                                 power_of_point, radical_axis)
 from circlelens.quadfield import QuadNum, QuadPoint
+from dir_oracle import (arcs_overlap, canonical_dir, centered,
+                        circular_order_consistent, cross_sign, cyclic_cmp,
+                        dir_in_ccw_arc, lens_arc, opposite_direction,
+                        same_direction)
 
 UNIT = Circle(F(0), F(0), F(1))
 
@@ -161,6 +162,94 @@ def test_dir_in_ccw_arc_all_measures():
     assert not dir_in_ccw_arc(s, e1, w)
     with pytest.raises(DegenerateInput):
         dir_in_ccw_arc(n, e1, _qd((F(2), F(0))))
+
+
+# -- the integer cyclic key against cyclic_cmp ---------------------------------
+
+def _quad_dir(v):
+    xa, xb, ya, yb, d = v
+    return (QuadNum(xa, xb, d), QuadNum(ya, yb, d))
+
+
+def _assert_key_order(dirs):
+    """geometry.cyclic_key orders and identifies integer directions as the
+    oracle's cyclic_cmp does their QuadNum forms, and geometry.canonical_dir
+    gives the oracle's canonical_dir."""
+    keys = [geometry.cyclic_key(v) for v in dirs]
+    quads = [_quad_dir(v) for v in dirs]
+    for v, q in zip(dirs, quads):
+        assert repr(geometry.canonical_dir(v)) == repr(canonical_dir(q))
+    for k1, q1 in zip(keys, quads):
+        for k2, q2 in zip(keys, quads):
+            assert (k1 > k2) - (k1 < k2) == cyclic_cmp(q1, q2)
+            assert (k1 == k2) == (cyclic_cmp(q1, q2) == 0)
+
+
+BIG = 2 ** 40
+# slopes 1 + t/2^40 with 0 < t < 2^8 share their first 32 bits, and so do
+# their mirror images; two pairs are one ray written twice
+TIED = [(BIG, 0, BIG + t, 0, 0) for t in (1, 2, 128, 255)] + [
+    (BIG, 0, BIG, 1, 2), (BIG, 0, BIG + 3, -1, 3), (BIG, 1, BIG + 2, 1, 5),
+    (2 * BIG, 0, 2 * BIG, 1, 8), (BIG, 0, BIG + 1, 0, 7)]
+
+
+@pytest.mark.parametrize("sx,sy", [(1, 1), (-1, 1), (-1, -1), (1, -1)])
+def test_cyclic_key_falls_back_to_the_exact_sign_on_tied_prefixes(sx, sy):
+    dirs = [(sx * xa, sx * xb, sy * ya, sy * yb, d) for xa, xb, ya, yb, d in TIED]
+    assert len({geometry.cyclic_key(v)[:2] for v in dirs}) == 1
+    _assert_key_order(dirs)
+
+
+def test_cyclic_key_of_one_ray_over_two_forms_of_one_field():
+    n = 2147483629 * 1000000009
+    u, v = (0, 1, 1, 0, n), (0, 1, 3, 0, 9 * n)  # v = 3*u, radicand written 9n
+    assert geometry.cyclic_key(u) == geometry.cyclic_key(v)
+    assert geometry.cross_sign(u, v) == 0
+    _assert_key_order([u, v, tuple(-a for a in v[:4]) + (9 * n,),
+                       (0, 1, 1, 1, n), (1, 0, 0, 1, 9 * n)])
+
+
+def test_cyclic_key_on_the_axes():
+    axes = [(1, 0, 0, 0, 0), (5, 0, 0, 0, 0), (0, 1, 0, 0, 2), (0, 0, 1, 0, 0),
+            (0, 0, 0, 3, 6), (-1, 0, 0, 0, 0), (0, -2, 0, 0, 3),
+            (0, 0, -1, 0, 0), (0, 0, -4, 0, 0), (1, 0, 1, 0, 0)]
+    assert [geometry.cyclic_key(v)[0] for v in axes] == \
+        [0, 0, 0, 2, 2, 4, 4, 6, 6, 1]
+    _assert_key_order(axes)
+
+
+RADICANDS = (0, 2, 3, 6, 8, 12, 18, 50, 2147483629 * 1000000009)
+parts = st.integers(-40, 40)
+
+
+@st.composite
+def int_dirs(draw):
+    """Two nonzero integer directions: independent, a positive multiple over
+    4d, or the first scaled by 2^40 and nudged, so their prefixes tie."""
+    d = draw(st.sampled_from(RADICANDS))
+    xa, xb, ya, yb = (draw(parts) for _ in range(4))
+    if not d:
+        xb = yb = 0
+    assume(xa or xb or ya or yb)
+    u = (xa, xb, ya, yb, d)
+    kind = draw(st.sampled_from(("independent", "multiple", "nudged")))
+    if kind == "multiple" and d:
+        return u, (2 * xa, xb, 2 * ya, yb, 4 * d)
+    if kind == "nudged":
+        return u, (BIG * xa, BIG * xb, BIG * ya + draw(st.integers(-2, 2)),
+                   BIG * yb, d)
+    e = draw(st.sampled_from(RADICANDS))
+    v = tuple(draw(parts) for _ in range(4)) + (e,)
+    if not e:
+        v = (v[0], 0, v[2], 0, 0)
+    assume(any(v[:4]))
+    return u, v
+
+
+@given(st.lists(int_dirs(), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_cyclic_key_matches_cyclic_cmp_on_mixed_radicands(pairs):
+    _assert_key_order([v for pair in pairs for v in pair])
 
 
 def _on_unit(x, y):

@@ -60,10 +60,12 @@ def test_incidence_output_is_byte_identical(k, capsys):
     assert out == (DATA / f"{name}.incidence-k{k}.csv").read_text()
 
 
-def test_family_output_is_byte_identical(capsys):
-    # written by select_family before its greedy scan was shared with the
-    # Szekely statistics
-    name = "lattice-n48-g4-s1"
-    assert main(["family", str(DATA / f"{name}.scene"), "--k", "3"]) == 0
+@pytest.mark.parametrize("name,k", [("lattice-n48-g4-s1", 3), ("uniform-n16-s9", 2)])
+def test_family_output_is_byte_identical(name, k, capsys):
+    # family-k3 was written by select_family before its greedy scan was
+    # shared with the Szekely statistics, and uniform-n16-s9.family-k2 by
+    # the family selection that sorted vertices by QuadNum cross signs,
+    # before the integer arc model
+    assert main(["family", str(DATA / f"{name}.scene"), "--k", str(k)]) == 0
     out, _ = capsys.readouterr()
-    assert out == (DATA / f"{name}.family-k3.csv").read_text()
+    assert out == (DATA / f"{name}.family-k{k}.csv").read_text()
