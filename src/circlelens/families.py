@@ -201,7 +201,8 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
     own = iter(vars(scene).get("_lenses", ()))
     keep = all(any(lens is other for other in own) for lens in lenses)
     model, n = _ArcModel.of(scene, lenses, keep), len(lenses)
-    keys = lens_keys(lenses)
+    # a subsequence of the sorted enumeration is in key order already
+    keys = range(n) if keep else lens_keys(lenses)
     if mode == "greedy":
         kept = _greedy(model, lenses, keys)
     else:

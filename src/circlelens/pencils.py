@@ -7,31 +7,31 @@ once by L, the lcm of the denominators of every cx, cy and r^2, so each
 circle is (X, Y, R) = (L*cx, L*cy, L^2*r^2) with its power constant
 X^2 + Y^2 - R.  Circle pairs are bucketed by their radical axis, a canonical
 integer triple, and each bucket is grouped by an integer chord key (the
-chord's midpoint and squared half chord, both times a^2 + b^2).  Points are
-built only for groups of two or more circles, in the original coordinates,
-and a rational point shared by lenses is one object.  A lens's base order
-follows from the sign of its axis coefficient b, so these lenses skip the
-checks of the public Lens constructor.  Lenses are sorted by
-lens_keys, which compares an exact integer prefix floor(2^K * v) of each
-coordinate first and the exact value only on a tie.  The fast path runs once
-per Scene, whose lenses every later stage shares.  The brute-force oracle
-groups pairwise intersection points by exact equality, sorts with
-Lens.compare alone, is recomputed on every call, and exists solely to
-cross-check the fast path.
+chord's midpoint and squared half chord, both times a^2 + b^2).  Base points
+are built from that key, for groups of two or more circles only, with the
+radicand chord_of gives; each distinct rational point, and each distinct
+coordinate of one, is one object.  A lens's base order follows from the sign
+of its axis coefficient b, so these lenses skip the checks of the public
+Lens constructor.  Lenses are sorted by lens_keys, which compares an exact
+integer prefix floor(2^K * v) of each coordinate first, then identity, and
+the exact value only on a tie.  The fast path runs once per Scene, whose
+lenses every later stage shares.  The brute-force oracle groups pairwise
+intersection points by exact equality, sorts with Lens.compare alone, is
+recomputed on every call, and exists solely to cross-check the fast path.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
-from .geometry import Circle, Line, chord_points, intersection_points
-from .quadfield import QuadPoint, frac, scaled_floor
+from .geometry import Circle, intersection_points
+from .quadfield import QuadNum, QuadPoint, _point, _quad, frac, scaled_floor
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,6 @@ def lens_keys(lenses) -> list[tuple]:
             for lens in lenses]
 
 
-def _base_key(p: QuadPoint, q: QuadPoint) -> tuple[QuadPoint, QuadPoint]:
-    return (p, q) if p.compare(q) <= 0 else (q, p)
-
-
 def enumerate_lenses(scene: Scene) -> list[Lens]:
     """All lenses of the scene, merged by base pair, in canonical order.
 
@@ -198,7 +194,23 @@ def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
         axis = _scaled_axis(scaled[i], scaled[j])
         if axis is not None:
             buckets[axis].update((i, j))
-    shared: dict[tuple, QuadPoint] = {}
+    values: dict[tuple, QuadNum] = {}  # (n, d) in lowest terms -> n/d
+    points: dict[tuple, QuadPoint] = {}  # (X, Y, D) with gcd 1 -> (X/D, Y/D)
+
+    def value(n: int, d: int) -> QuadNum:
+        h = gcd(n, d)
+        key = (n // h, d // h)
+        if key not in values:
+            values[key] = _quad(Fraction(*key), 0, 0)
+        return values[key]
+
+    def point(x: int, y: int, d: int) -> QuadPoint:
+        h = gcd(x, y, d)
+        key = (x // h, y // h, d // h)
+        if key not in points:
+            points[key] = _point(value(x, d), value(y, d))
+        return points[key]
+
     lenses = []
     for (a, b, c), ids in buckets.items():
         # circles on one axis with the same chord (midpoint, half-chord^2),
@@ -211,28 +223,32 @@ def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
             key = (x * d2 - n * a, y * d2 - n * b, r * d2 - n * n)
             if key[2] > 0:
                 groups[key].append(i)
-        # The axis in the original coordinates is (a*L, b*L, c)/content with
-        # content = gcd(a*L, b*L, c), a divisor of L.  Its coefficients are g
-        # times the scaled ones (g = L/content), which scales the radicand by
-        # g^2, so the chord is rebuilt on that line as chord_of gives it:
-        # midpoint (key[0], key[1])/(L*d2) and x = g^2*key[2]/L^2.
-        line = None
-        for key, members in groups.items():
+        # On the axis in the original coordinates, g*(a, b, c/L) with
+        # g = L/gcd(a*L, b*L, c), chord_of gives the midpoint (k0, k1)/m,
+        # m = L*d2, and the radicand g^2*k2/L^2 = n/e in lowest terms; the
+        # points are the midpoint -+ sqrt(n*e)/s * (b, -a) with s = g*d2*e.
+        g = None
+        for (k0, k1, k2), members in groups.items():
             if len(members) < 2:
                 continue
-            if line is None:
-                content = gcd(a * scale, b * scale, c)
-                g, den = scale // content, scale * d2
-                line = Line(a * g, b * g, c // content)
-            base = chord_points(line, Fraction(key[0], den), Fraction(key[1], den),
-                                Fraction(g * g * key[2], scale * scale))
-            if base[0].is_rational:
-                # two rational lines meet in a rational point, so only
-                # rational points can be shared by lenses
-                base = tuple(shared.setdefault((p.x.a, p.y.a), p) for p in base)
-            # chord_points steps from the first point to the second along
-            # (b, -a) with a >= 0: x grows when b > 0; when b == 0, x stays
-            # and y falls
+            if g is None:
+                g = scale // gcd(a * scale, b * scale, c)
+            h = gcd(g * g * k2, scale * scale)
+            e = scale * scale // h
+            delta, m, s = g * g * k2 // h * e, scale * d2, g * d2 * e
+            r = isqrt(delta)
+            if r * r == delta:
+                # over one denominator L*s; only rational points can be shared
+                x, y, t = k0 * g * e, k1 * g * e, scale * r
+                base = (point(x - b * t, y + a * t, scale * s),
+                        point(x + b * t, y - a * t, scale * s))
+            else:
+                fx, fy, u, v = (Fraction(k0, m), Fraction(k1, m),
+                                Fraction(b, s), Fraction(a, s))
+                base = (_point(_quad(fx, -u, delta), _quad(fy, v, delta)),
+                        _point(_quad(fx, u, delta), _quad(fy, -v, delta)))
+            # the first point steps to the second along (b, -a) with a >= 0:
+            # x grows when b > 0; when b == 0, x stays and y falls
             lenses.append(Lens._trusted(base if b > 0 else base[::-1],
                                         tuple(members)))
     keys = lens_keys(lenses)
@@ -255,6 +271,6 @@ def brute_force_lenses(scene: Scene, cap: int = 64) -> list[Lens]:
     for i, j in combinations(range(len(scene)), 2):
         pts = intersection_points(scene.circles[i], scene.circles[j])
         if len(pts) == 2:
-            groups[_base_key(*pts)].update((i, j))
-    return sorted((Lens(key, members) for key, members in groups.items()),
+            groups[frozenset(pts)].update((i, j))
+    return sorted((Lens(tuple(key), members) for key, members in groups.items()),
                   key=cmp_to_key(Lens.compare))

@@ -351,3 +351,10 @@ class QuadPoint:
 
     def __str__(self):
         return f"({self.x}, {self.y})"
+
+
+def _point(x: QuadNum, y: QuadNum) -> QuadPoint:
+    """A QuadPoint from coordinates already over one radicand."""
+    p = object.__new__(QuadPoint)
+    p.x, p.y = x, y
+    return p

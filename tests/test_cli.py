@@ -153,3 +153,14 @@ def test_unreadable_inputs_and_outputs_are_input_errors(tmp_path, capsys):
                  ["cut", str(scene), "--out", str(tmp_path)]):  # --out a directory
         code, _, err = run_cli(argv, capsys)
         assert code == 2 and err.startswith("error: "), argv
+
+
+def test_lenses_k3_are_the_rich_rows_of_the_golden(capsys):
+    data = Path(__file__).parent / "data"
+    code, out, _ = run_cli(["lenses", str(data / "lattice-n48-g4-s1.scene"),
+                            "--k", "3"], capsys)
+    assert code == 0
+    header, *rows = (data / "lattice-n48-g4-s1.lenses.csv").read_text().splitlines()
+    rich = [row.split(",", 1)[1] for row in rows if int(row.split(",")[5]) >= 3]
+    assert len(rich) > 1
+    assert out.splitlines() == [header] + [f"{i},{row}" for i, row in enumerate(rich)]

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 
@@ -289,3 +291,24 @@ def test_cutting_rich_lattice_scenes(n):
         assert verify_cut(scene, result), (n, k)
         family = select_family(rich_lenses(enumerate_lenses(scene), k), scene)
         assert family.certificate and coplanarity_audit(scene, family).clean
+
+
+def test_family_does_not_depend_on_lens_objects_or_order():
+    # the scene's own lenses are selected in index order; fresh copies
+    # (new Lens and point objects) in shuffled order go through lens_keys.
+    # Only the greedy scan is order-free: the exact search breaks ties in
+    # maximum sets by input order.
+    rng = random.Random(3)
+    for spec, k in ((GeneratorSpec(model="lattice-triples", n=48, seed=1,
+                                   spread=F(4)), 3),
+                    (GeneratorSpec(model="uniform-random", n=16, seed=9), 2)):
+        scene = random_scene(spec)
+        own = rich_lenses(enumerate_lenses(scene), k)
+        copies = [Lens(tuple(QuadPoint(p.x, p.y) for p in l.base), l.circles)
+                  for l in own]
+        rng.shuffle(copies)
+        family = select_family(own, scene)
+        assert len(family) > 1
+        assert select_family(copies, scene) == family
+        assert list(family.members) == sorted(family.members,
+                                              key=cmp_to_key(Lens.compare))

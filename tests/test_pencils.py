@@ -312,3 +312,25 @@ def test_enumerated_base_points_increase(n, seed):
         checked = Lens(lens.base[::-1], reversed(lens.circles))
         assert checked.base == lens.base and checked.circles == lens.circles
     assert {l.base[0].is_rational for l in lenses} == {True, False}
+
+
+def test_fast_path_beyond_the_oracle_cap():
+    # 120 circles, past brute_force_lenses' cap: every lens against its
+    # definition, and the object sharing that lens_keys' ties rest on: one
+    # object per rational base point and per coordinate of one
+    scene = random_scene(GeneratorSpec(model="lattice-triples", n=120, seed=1,
+                                       spread=F(4)))
+    lenses = enumerate_lenses(scene)
+    assert max(l.degree for l in lenses) >= 6
+    points, values = {}, {}
+    for lens in lenses:
+        c0, c1 = (scene.circles[i] for i in lens.circles[:2])
+        expected = sorted(circle_line_points(c0, radical_axis(c0, c1)),
+                          key=cmp_to_key(QuadPoint.compare))
+        assert repr(lens.base) == repr(tuple(expected)), lens
+        for p in lens.base:
+            if p.is_rational:
+                assert points.setdefault(p, p) is p
+                assert all(values.setdefault(v, v) is v for v in p)
+    assert all(a.compare(b) < 0 for a, b in zip(lenses, lenses[1:]))
+    assert {l.base[0].is_rational for l in lenses} == {True, False}
