@@ -29,7 +29,7 @@ from itertools import combinations
 from .errors import DegenerateInput
 from .families import LensFamily
 from .pencils import Scene, scene_frame
-from .quadfield import QuadNum, QuadPoint, cleared, frac
+from .quadfield import QuadNum, QuadPoint, cleared, cleared_parts, frac
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,19 @@ def lens_line(p, q) -> DualLine:
     if p == q:
         raise DegenerateInput("lens base points must be distinct")
     try:
-        sx, sy = p.x + q.x, p.y + q.y
-        e = QuadPoint(q.x - p.x, q.y - p.y)
+        den, delta, (pxa, pxb, pya, pyb, qxa, qxb, qya, qyb) = \
+            cleared_parts((p.x, p.y, q.x, q.y))
     except ValueError:
         raise DegenerateInput(
             "lens base points lie in two quadratic fields") from None
-    ex, ey = e
-    if not (sx.is_rational and sy.is_rational) or (
-            not e.is_rational and (ex.a or ey.a)):
+    if delta and (qxa, qxb, qya, qyb) != (pxa, -pxb, pya, -pyb):
         raise DegenerateInput("irrational lens base points must be conjugate")
-    sx, sy = sx.a, sy.a
-    u, v, d = (ex.a, ey.a, 1) if e.is_rational else (ex.b, ey.b, e.delta)
-    z = ((u * u + v * v) * d - sx * sx - sy * sy) / 4
-    return DualLine.of((sx / 2, sy / 2, z), (-v, u, sx * v - sy * u))
+    # s and e times den; e's parts are its rational or its sqrt(delta) ones
+    sx, sy = pxa + qxa, pya + qya
+    u, v = (qxb - pxb, qyb - pyb) if delta else (qxa - pxa, qya - pya)
+    z = Fraction((u * u + v * v) * (delta or 1) - sx * sx - sy * sy, 4 * den * den)
+    return DualLine.of((Fraction(sx, 2 * den), Fraction(sy, 2 * den), z),
+                       (-v, u, Fraction(sx * v - sy * u, den)))
 
 
 # -- exact audits -------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Non-overlapping lens families and lens cutting, on one arc model.
 
 Each lens's base points are vertices of its circles, built once per lens and
-kept on the Scene for the scene's own lenses: integer directions from the
-circle's center in the scene frame (pencils.scene_frame), with their integer
-cyclic keys (geometry.cyclic_key).  A base point is checked on its circles
-on integers there.  The model sorts the vertices on each circle once, so a
-lens arc is a pair of vertex indices, and angular order, overlap and
+kept on the Scene for the scene's own lenses: the integer directions from
+each circle's center that pencils.lens_dirs gives (it also checks the base
+points on the circles), with their integer cyclic keys
+(geometry.cyclic_key).  The model sorts the vertices on each circle once, so
+a lens arc is a pair of vertex indices, and angular order, overlap and
 covering tests are all integer.  A lens arc is the shorter arc between the
 base points p < q, or for a diameter the CCW half from p; the direction
 predicates over QuadNum directions that state this rule directly
-(lens_arc, arcs_overlap) are the tests' oracle, tests/dir_oracle.py.  Family selection is greedy (degree-descending scan) or
-exact (branch-and-bound maximum independent set in the overlap graph).  Lens
-cutting cuts circles until no k-rich lens of the scene's one enumeration
-lies on k arcs; verify_cut re-reads the arcs alone.
+(lens_arc, arcs_overlap) are the tests' oracle, tests/dir_oracle.py.
+Family selection is greedy (degree-descending scan) or exact
+(branch-and-bound maximum independent set in the overlap graph, branching
+in lens order).  Lens cutting cuts circles until no k-rich lens of the
+scene's one enumeration lies on k arcs; verify_cut re-reads the arcs alone.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from operator import eq, itemgetter
 from .errors import CapExceeded, DegenerateInput
 from .geometry import (Dir, IntDir, canonical_dir, cross_sign, cyclic_key,
                        int_dir)
-from .pencils import (Lens, Scene, enumerate_lenses, lens_keys, rich_lenses,
-                      scene_frame)
-from .quadfield import cleared
+from .pencils import (Lens, Scene, enumerate_lenses, lens_dirs, lens_keys,
+                      rich_lenses)
 
 
 def _position(keys, key) -> int:
@@ -44,40 +44,13 @@ def _forward(vp: IntDir, vq: IntDir) -> bool:
     return cross_sign(vp, vq) >= 0
 
 
-def _build_vertices(scene: Scene, lens: Lens) -> tuple:
-    scale, frame = scene_frame(scene)
-    p, q = lens.base
-    # both points times D, the lcm of L and their denominators; the centers
-    # times D are g*(X, Y), and r^2 times D^2 is g^2*R
-    d, parts = cleared((p.x.a, p.x.b, p.y.a, p.y.b, q.x.a, q.x.b, q.y.a, q.y.b),
-                       scale)
-    g = d // scale
-    # a conjugate q shares p's u and w, and is on a circle iff p is
-    conjugate = parts[4:] == [parts[0], -parts[1], parts[2], -parts[3]]
-    out = []
-    for cid in lens.circles:
-        x, y, r, _ = frame[cid]
-        dirs = []
-        for pt, (xa, xb, ya, yb) in ((p, parts[:4]), (q, parts[4:])):
-            if not (dirs and conjugate):
-                u, w = xa - g * x, ya - g * y
-                # the power of pt times D^2 is (u^2 + w^2 + (xb^2 + yb^2)*delta
-                # - g^2*R) + 2*(u*xb + w*yb)*sqrt(delta), zero iff both parts are
-                if u * xb + w * yb or \
-                        u * u + w * w + (xb * xb + yb * yb) * pt.delta != g * g * r:
-                    raise DegenerateInput(f"base point {pt} is not on circle {cid}")
-            dirs.append((u, xb, w, yb, pt.delta))
-        out.append((cyclic_key(dirs[0]), cyclic_key(dirs[1]), _forward(*dirs)))
-    return tuple(out)
-
-
 def _vertices(scene: Scene, lens: Lens, keep: bool = True) -> tuple:
     """Per circle of the lens, in the order of lens.circles, (key of p, key
-    of q, forward): the cyclic keys of p - center and q - center for its
-    base points p < q, both scaled by one positive integer, and whether the
-    lens arc runs CCW from p to q.  Built once per lens and, if keep, kept
-    on the Scene, which then holds on to the lens; a base point off one of
-    the circles raises DegenerateInput.
+    of q, forward): the cyclic keys of the directions pencils.lens_dirs
+    gives for its base points p < q, and whether the lens arc runs CCW from
+    p to q.  Built once per lens and, if keep, kept on the Scene, which then
+    holds on to the lens; lens_dirs raises DegenerateInput for base points
+    off the circles or in two fields.
     """
     store = vars(scene).get("_vertices")
     if store is None:
@@ -85,7 +58,8 @@ def _vertices(scene: Scene, lens: Lens, keep: bool = True) -> tuple:
         object.__setattr__(scene, "_vertices", store)
     entry = store.get(id(lens))
     if entry is None:
-        entry = (lens, _build_vertices(scene, lens))
+        entry = (lens, tuple((cyclic_key(vp), cyclic_key(vq), _forward(vp, vq))
+                             for vp, vq in lens_dirs(scene, lens)))
         if keep:
             store[id(lens)] = entry
     return entry[1]
@@ -206,10 +180,12 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
     if mode == "greedy":
         kept = _greedy(model, lenses, keys)
     else:
+        # branch in key order, so the family does not depend on input order
+        order = sorted(range(n), key=keys.__getitem__)
         mask = _max_independent_set(
-            [sum(1 << j for j in range(n) if j != i and model.overlap(i, j))
-             for i in range(n)], n)
-        kept = [i for i in range(n) if mask >> i & 1]
+            [sum(1 << b for b, j in enumerate(order)
+                 if j != i and model.overlap(i, j)) for i in order], n)
+        kept = [i for b, i in enumerate(order) if mask >> b & 1]
     kept.sort(key=keys.__getitem__)
     certificate = all(not model.overlap(i, j)
                       for a, i in enumerate(kept) for j in kept[a + 1:])

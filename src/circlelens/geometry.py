@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DegenerateInput, NoRadicalAxis
-from .quadfield import (QuadNum, QuadPoint, _quad, cleared, floor_root, frac,
-                        one_radicand, sign_q, two_field_sign)
+from .quadfield import (QuadNum, QuadPoint, _quad, cleared_parts, floor_root,
+                        frac, sign_q, two_field_sign)
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,8 @@ _SLOPE_BITS = 32
 def int_dir(d: Dir) -> IntDir:
     """The direction d = (x, y) over one radicand, scaled by a positive
     integer so that every part is an integer."""
-    x, y = one_radicand(*d)
-    return (*cleared((x.a, x.b, y.a, y.b))[1], x.delta or y.delta)
+    _, delta, ints = cleared_parts(d)
+    return (*ints, delta)
 
 
 def quadrant(v: IntDir) -> int:

@@ -15,9 +15,12 @@ of its axis coefficient b, so these lenses skip the checks of the public
 Lens constructor.  Lenses are sorted by lens_keys, which compares an exact
 integer prefix floor(2^K * v) of each coordinate first, then identity, and
 the exact value only on a tie.  The fast path runs once per Scene, whose
-lenses every later stage shares.  The brute-force oracle groups pairwise
-intersection points by exact equality, sorts with Lens.compare alone, is
-recomputed on every call, and exists solely to cross-check the fast path.
+lenses every later stage shares.  lens_dirs writes a lens's base pair as
+integer directions from its circles' centers, over one scale and one
+radicand, and checks it on them; families and slopes read base pairs there.
+The brute-force oracle groups pairwise intersection points by exact
+equality, sorts with Lens.compare alone, is recomputed on every call, and
+exists solely to cross-check the fast path.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
-from .geometry import Circle, intersection_points
-from .quadfield import QuadNum, QuadPoint, _point, _quad, frac, scaled_floor
+from .geometry import Circle, IntDir, intersection_points
+from .quadfield import (QuadNum, QuadPoint, _point, _quad, cleared_parts, frac,
+                        scaled_floor)
 
 
 @dataclass(frozen=True)
@@ -185,6 +189,41 @@ def scene_frame(scene: Scene) -> tuple[int, tuple[tuple[int, ...], ...]]:
         frame = (scale, tuple(scaled))
         object.__setattr__(scene, "_frame", frame)
     return frame
+
+
+def lens_dirs(scene: Scene, lens: Lens) -> tuple[tuple[IntDir, IntDir], ...]:
+    """Per circle of the lens, in the order of lens.circles, the directions
+    (vp, vq) of its base points p < q from the circle's center, as IntDirs
+    over one radicand: the points and the scene frame are scaled by one D,
+    the lcm of L and the points' denominators.  Raises DegenerateInput for
+    base points in two quadratic fields or off one of the circles.
+    """
+    scale, frame = scene_frame(scene)
+    p, q = lens.base
+    try:
+        d, delta, parts = cleared_parts((p.x, p.y, q.x, q.y), scale)
+    except ValueError:
+        raise DegenerateInput(
+            "lens base points lie in two quadratic fields") from None
+    # the centers times D are g*(X, Y), and r^2 times D^2 is g^2*R
+    g = d // scale
+    # over one radicand, a conjugate q shares p's u, w and on-circle verdict
+    conjugate = parts[4:] == [parts[0], -parts[1], parts[2], -parts[3]]
+    out = []
+    for cid in lens.circles:
+        x, y, r, _ = frame[cid]
+        pair = []
+        for pt, (xa, xb, ya, yb) in ((p, parts[:4]), (q, parts[4:])):
+            if not (pair and conjugate):
+                u, w = xa - g * x, ya - g * y
+                # the power of pt times D^2 is (u^2 + w^2 + (xb^2 + yb^2)*delta
+                # - g^2*R) + 2*(u*xb + w*yb)*sqrt(delta), zero iff both are
+                if u * xb + w * yb or \
+                        u * u + w * w + (xb * xb + yb * yb) * delta != g * g * r:
+                    raise DegenerateInput(f"base point {pt} is not on circle {cid}")
+            pair.append((u, xb, w, yb, delta))
+        out.append(tuple(pair))
+    return tuple(out)
 
 
 def _build_lenses(scene: Scene) -> tuple[Lens, ...]:

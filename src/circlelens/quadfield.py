@@ -289,15 +289,19 @@ ZERO = QuadNum(0)
 ONE = QuadNum(1)
 
 
-def one_radicand(x: QuadNum, y: QuadNum) -> tuple[QuadNum, QuadNum]:
-    """x and y with y written over x's radicand when both are irrational.
+def cleared_parts(values, base: int = 1) -> tuple[int, int, list[int]]:
+    """(D, delta, ints) for a sequence of QuadNums: each written over one
+    radicand delta (QuadNum._join), and its parts a, b in order times D, the
+    lcm of base and their denominators, so v = (a + b*sqrt(delta))/D.
 
-    Raises ValueError when x and y lie in different quadratic fields.
+    Raises ValueError when the values lie in two quadratic fields.
     """
-    if not x.delta or not y.delta or x.delta == y.delta:
-        return x, y
-    d, yb = x._join(y)
-    return x, _quad(y.a, yb, d)
+    first = next((v for v in values if v.delta), ZERO)
+    parts = []
+    for v in values:
+        parts += (v.a, first._join(v)[1])
+    d, ints = cleared(parts, base)
+    return d, first.delta, ints
 
 
 class QuadPoint:
@@ -308,10 +312,13 @@ class QuadPoint:
 
     def __init__(self, x, y):
         x, y = QuadNum.of(x), QuadNum.of(y)
-        try:
-            self.x, self.y = one_radicand(x, y)
-        except ValueError:
-            raise ValueError("QuadPoint coordinates must share one field") from None
+        if x.delta and y.delta and x.delta != y.delta:
+            try:  # y over x's radicand
+                y = _quad(y.a, x._join(y)[1], x.delta)
+            except ValueError:
+                raise ValueError(
+                    "QuadPoint coordinates must share one field") from None
+        self.x, self.y = x, y
 
     @classmethod
     def of(cls, value) -> "QuadPoint":

@@ -9,25 +9,23 @@ chord d = q - p.  With u = point - center, that slope is -(u x d)/(u . d):
 the tangent direction at the point is u turned a quarter, and the slope is
 its component along d over its component across d.
 
-The check runs on integers.  Per lens, the base points and the lens's
-circles are scaled by one common denominator (the scene's, see
-pencils.scene_frame, times that of the points), so every quantity lies in
-Z[sqrt(delta)] for the one radicand delta of the base pair.  A slope is kept
-as A/n with A in Z[sqrt(delta)] and an integer n > 0, and two slopes are
-compared with one sign_q.
+The check runs on integers.  pencils.lens_dirs gives each circle's radii
+to the base points, scaled with the scene frame by one common denominator
+and over the one radicand delta of the base pair, so every quantity lies in
+Z[sqrt(delta)]; the base chord d is the difference of two of them.  A slope
+is kept as A/n with A in Z[sqrt(delta)] and an integer n > 0, and two slopes
+are compared with one sign_q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
-from math import isqrt
 
 from .errors import DegenerateInput, Inconclusive, VerticalTangent
 from .geometry import Circle, point_on_circle
-from .pencils import Lens, Scene, scene_frame
-from .quadfield import QuadNum, QuadPoint, cleared, sign_q
+from .pencils import Lens, Scene, lens_dirs
+from .quadfield import QuadNum, QuadPoint, sign_q
 
 
 @dataclass(frozen=True)
@@ -58,23 +56,6 @@ class OrderReversal:
     excluded: tuple[int, ...]
 
 
-def _base_parts(p: QuadPoint, q: QuadPoint) -> tuple[int, tuple[Fraction, ...]]:
-    """(delta, (pxa, pxb, pya, pyb, qxa, qxb, qya, qyb)) with both points
-    written over the one radicand delta; raises DegenerateInput for a pair in
-    two quadratic fields."""
-    delta, dq = p.delta, q.delta
-    qxb, qyb = q.x.b, q.y.b
-    if not delta:
-        delta = dq
-    elif dq and dq != delta:
-        # sqrt(dq) = sqrt(delta*dq)/delta * sqrt(delta), as QuadNum._join
-        r = isqrt(delta * dq)
-        if r * r != delta * dq:
-            raise DegenerateInput("lens base points lie in two quadratic fields")
-        qxb, qyb = qxb * Fraction(r, delta), qyb * Fraction(r, delta)
-    return delta, (p.x.a, p.x.b, p.y.a, p.y.b, q.x.a, qxb, q.y.a, qyb)
-
-
 def _slope(ua, ub, wa, wb, d, delta: int) -> tuple[int, int, int]:
     """The chord-frame slope -(u x d)/(u . d) at a point with
     u = (ua + ub*sqrt(delta), wa + wb*sqrt(delta)), as (A0, A1, n) for
@@ -103,30 +84,17 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
     Inconclusive when fewer than two circles remain, and DegenerateInput for
     base points in two quadratic fields.
     """
-    delta, parts = _base_parts(*lens.base)
-    scale, scaled = scene_frame(scene)
-    den, pts = cleared(parts, scale)
-    p, q = pts[:4], pts[4:]
-    d = [b - a for a, b in zip(p, q)]
-    g = den // scale
+    dirs = lens_dirs(scene, lens)
+    # vq - vp is q - p, the base chord, in the same scale
+    vp, vq = dirs[0]
+    d, delta = [b - a for a, b in zip(vp[:4], vq[:4])], vp[4]
     slopes = {}
     excluded = []
-    for cid in lens.circles:
-        x, y, r, _ = scaled[cid]
-        cx, cy, r = x * g, y * g, r * g * g
-        radii = []
-        for xa, xb, ya, yb in (p, q):
-            ua, wa = xa - cx, ya - cy
-            if ua * xb + wa * yb or \
-                    ua * ua + wa * wa - r + (xb * xb + yb * yb) * delta:
-                raise DegenerateInput("point not on circle")
-            if not wa and not yb:  # a vertical tangent
-                break
-            radii.append((ua, xb, wa, yb))
-        if len(radii) < 2:
+    for cid, (vp, vq) in zip(lens.circles, dirs):
+        if not (vp[2] or vp[3]) or not (vq[2] or vq[3]):  # a vertical tangent
             excluded.append(cid)
         else:
-            slopes[cid] = tuple(_slope(*u, d, delta) for u in radii)
+            slopes[cid] = (_slope(*vp[:4], d, delta), _slope(*vq[:4], d, delta))
     if len(slopes) < 2:
         raise Inconclusive("fewer than two circles with finite slopes")
 

@@ -16,8 +16,8 @@ from itertools import combinations
 
 from circlelens.errors import DegenerateInput
 from circlelens.geometry import Circle, point_on_circle
-from circlelens.quadfield import (QuadNum, QuadPoint, _quad, cleared,
-                                  one_radicand, sign_q, two_field_sign)
+from circlelens.quadfield import (QuadNum, QuadPoint, _quad, cleared_parts,
+                                  sign_q, two_field_sign)
 
 Dir = tuple[QuadNum, QuadNum]
 
@@ -31,8 +31,8 @@ def centered(p: QuadPoint, c: Circle) -> Dir:
 def _coords(d: Dir) -> tuple:
     """(xa, xb, ya, yb, m): the direction (xa + xb*sqrt(m), ya + yb*sqrt(m))
     scaled by a positive integer so that xa, xb, ya, yb are integers."""
-    x, y = one_radicand(*d)
-    return (*cleared((x.a, x.b, y.a, y.b))[1], x.delta or y.delta)
+    _, m, ints = cleared_parts(d)
+    return (*ints, m)
 
 
 def _bilinear_sign(u: Dir, v: Dir, cross: bool) -> int:

@@ -9,7 +9,7 @@ from circlelens.dual import (AuditReport, DualLine, coplanarity_audit,
 from circlelens.errors import DegenerateInput
 from circlelens.families import LensFamily, select_family
 from circlelens.geometry import Circle, power_of_point
-from circlelens.pencils import Scene, enumerate_lenses, rich_lenses
+from circlelens.pencils import Lens, Scene, enumerate_lenses, rich_lenses
 from circlelens.quadfield import QuadNum, QuadPoint
 
 
@@ -118,7 +118,13 @@ def test_lens_line_contains_pencil_of_pair(p, q):
     line = lens_line(p, q)
     assert line == lens_line(q, p)
     assert all(isinstance(v, F) for v in line.anchor + line.direction)
-    for c in _pencil_through(p, q, [F(t, 3) for t in range(-4, 5)]):
+    pencil = _pencil_through(p, q, [F(t, 3) for t in range(-4, 5)])
+    # the pair as given and as enumeration writes it give one family
+    scene = Scene(circles=tuple(pencil))
+    (lens,) = enumerate_lenses(scene)
+    family = select_family([Lens((p, q), lens.circles)], scene)
+    assert family.certificate and family == select_family([lens], scene)
+    for c in pencil:
         pt = lift_circle(c)
         assert line.contains((pt.x, pt.y, pt.z))
         assert dual_plane(p).contains((pt.x, pt.y, pt.z))

@@ -110,6 +110,17 @@ def test_select_family_rejects_a_base_point_off_its_circles():
             select_family([Lens((moved, east), (0, 1))], scene)
 
 
+def test_select_family_checks_each_point_over_one_radicand():
+    # p = (-sqrt(8), 1) is on both circles; q = (sqrt(2), 1) is on neither.
+    # Each over its own radicand, their parts look conjugate: x is -1*sqrt(8)
+    # and 1*sqrt(2).  Over sqrt(8), q's x is 1/2*sqrt(8), so q is checked.
+    scene = Scene(circles=(Circle(F(0), F(0), F(9)), Circle(F(0), F(3), F(12))))
+    p = QuadPoint(QuadNum(0, -1, 8), F(1))
+    q = QuadPoint(QuadNum(0, 1, 2), F(1))
+    with pytest.raises(DegenerateInput, match="is not on circle 0$"):
+        select_family([Lens((p, q), (0, 1))], scene)
+
+
 def test_one_point_given_as_two_objects_is_one_vertex():
     # lenses built apart share the point (0, 1) by value only; their closed
     # lens arcs on the unit circle meet there
@@ -296,19 +307,20 @@ def test_cutting_rich_lattice_scenes(n):
 def test_family_does_not_depend_on_lens_objects_or_order():
     # the scene's own lenses are selected in index order; fresh copies
     # (new Lens and point objects) in shuffled order go through lens_keys.
-    # Only the greedy scan is order-free: the exact search breaks ties in
-    # maximum sets by input order.
+    # The greedy scan and the exact search's branching both follow that key
+    # order; the exact pools stay within its default cap of 30 lenses.
     rng = random.Random(3)
     for spec, k in ((GeneratorSpec(model="lattice-triples", n=48, seed=1,
                                    spread=F(4)), 3),
                     (GeneratorSpec(model="uniform-random", n=16, seed=9), 2)):
         scene = random_scene(spec)
         own = rich_lenses(enumerate_lenses(scene), k)
-        copies = [Lens(tuple(QuadPoint(p.x, p.y) for p in l.base), l.circles)
-                  for l in own]
-        rng.shuffle(copies)
-        family = select_family(own, scene)
-        assert len(family) > 1
-        assert select_family(copies, scene) == family
-        assert list(family.members) == sorted(family.members,
-                                              key=cmp_to_key(Lens.compare))
+        for mode, pool in (("greedy", own), ("exact", own[:30])):
+            copies = [Lens(tuple(QuadPoint(p.x, p.y) for p in l.base), l.circles)
+                      for l in pool]
+            rng.shuffle(copies)
+            family = select_family(pool, scene, mode)
+            assert len(family) > 1
+            assert select_family(copies, scene, mode) == family, mode
+            assert list(family.members) == sorted(family.members,
+                                                  key=cmp_to_key(Lens.compare))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelens.quadfield import QuadNum, QuadPoint, _quad, scaled_floor, sign_q
+from circlelens.quadfield import (QuadNum, QuadPoint, _quad, cleared_parts,
+                                  scaled_floor, sign_q)
 
 
 def test_canonical_storage_folds_square_radicands():
@@ -198,3 +199,14 @@ def test_scaled_floor_cases():
     assert scaled_floor(-QuadNum.sqrt(2), 0) == -2
     assert scaled_floor(QuadNum(1, Fraction(-1, 3), 2), 10) == 541  # 0.5285...
     assert scaled_floor(QuadNum(0, 1, 8), 32) == scaled_floor(QuadNum(0, 2, 2), 32)
+
+
+def test_cleared_parts_over_one_radicand():
+    # 1/2 + sqrt(8), 1/3 - 2*sqrt(2) and 5/4: one field, written over sqrt(8)
+    values = (QuadNum(Fraction(1, 2), 1, 8), QuadNum(Fraction(1, 3), -2, 2),
+              QuadNum(Fraction(5, 4)))
+    assert cleared_parts(values) == (12, 8, [6, 12, 4, -12, 15, 0])
+    assert cleared_parts(values, 5) == (60, 8, [30, 60, 20, -60, 75, 0])
+    assert cleared_parts((QuadNum(1), QuadNum(Fraction(1, 2)))) == (2, 0, [2, 0, 1, 0])
+    with pytest.raises(ValueError):
+        cleared_parts((QuadNum.sqrt(2), QuadNum.sqrt(3)))

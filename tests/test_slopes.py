@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from circlelens import slopes
 from circlelens.errors import (CircleLensError, DegenerateInput, Inconclusive,
                                VerticalTangent)
+from circlelens.families import select_family
 from circlelens.generators import GeneratorSpec, random_scene
 from circlelens.geometry import Circle, point_on_circle
 from circlelens.pencils import Lens, Scene, enumerate_lenses
@@ -34,20 +35,18 @@ def _chord_frame_slope(c: Circle, p: QuadPoint, d) -> QuadNum:
 
 
 def reference_order_reversal(lens: Lens, scene: Scene) -> OrderReversal:
-    """order_reversal_check over QuadNum: per circle, p on the circle, p not
-    vertical, then the same for q, and slopes compared with QuadNum.compare."""
+    """order_reversal_check over QuadNum: both base points on every circle,
+    circles vertical at either point excluded, and slopes compared with
+    QuadNum.compare."""
     p, q = lens.base
     d = (q.x - p.x, q.y - p.y)
     found, excluded = {}, []
     for cid in lens.circles:
+        if not all(point_on_circle(pt, scene.circles[cid]) for pt in (p, q)):
+            raise DegenerateInput("point not on circle")
+    for cid in lens.circles:
         c = scene.circles[cid]
-        try:
-            for pt in (p, q):
-                if not point_on_circle(pt, c):
-                    raise DegenerateInput("point not on circle")
-                if pt.y == c.cy:
-                    raise VerticalTangent("tangent is vertical at this point")
-        except VerticalTangent:
+        if p.y == c.cy or q.y == c.cy:
             excluded.append(cid)
             continue
         found[cid] = (_chord_frame_slope(c, p, d), _chord_frame_slope(c, q, d))
@@ -238,6 +237,17 @@ def test_circle_off_the_base_is_rejected_before_the_vertical_test(off):
     assert isinstance(_agrees_with_reference(forged, scene), DegenerateInput)
 
 
+def test_point_off_a_circle_where_the_other_is_vertical_is_rejected():
+    # p = (-1, 0) is on all three circles and vertical on circle 0;
+    # q = (0, 5) is on circles 1 and 2 only
+    scene = Scene(circles=(Circle(F(0), F(0), F(1)), Circle(F(2), F(2), F(13)),
+                           Circle(F(-3), F(3), F(13))))
+    forged = Lens((QuadPoint(F(-1), F(0)), QuadPoint(F(0), F(5))), (0, 1, 2))
+    with pytest.raises(DegenerateInput, match="is not on circle 0$"):
+        order_reversal_check(forged, scene)
+    assert isinstance(_agrees_with_reference(forged, scene), DegenerateInput)
+
+
 def test_irrational_conjugate_bases():
     ts = [F(t, 3) for t in range(-5, 6)]
     for p, q in [
@@ -263,6 +273,8 @@ def test_base_copied_over_a_square_factor_radicand():
     copy = Lens((p, q), lens.circles)
     assert copy == lens and {pt.delta for pt in copy.base} == {2, 8}
     assert _agrees_with_reference(copy, scene) == order_reversal_check(lens, scene)
+    family = select_family([copy], scene)
+    assert family.certificate and family == select_family([lens], scene)
 
 
 def test_large_pairwise_coprime_denominators():
