@@ -25,6 +25,13 @@ def clamped_log(x: float) -> float:
     return max(1.0, math.log(x))
 
 
+def _finite(**values: float) -> None:
+    """Raise InvalidInput naming the first non-finite value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, not {value}")
+
+
 def bound_eval(kind: str, n: float, k: float = 2.0, m: float = 0.0,
                const: float = 1.0) -> float:
     """Evaluate one closed-form bound with unit constants by default.
@@ -38,6 +45,7 @@ def bound_eval(kind: str, n: float, k: float = 2.0, m: float = 0.0,
     """
     if kind not in BOUND_KINDS:
         raise InvalidInput(f"unknown bound kind {kind!r}")
+    _finite(n=n, k=k, m=m, const=const)
     if n <= 0 or k < 2:
         raise InvalidInput("need n > 0 and k >= 2")
     if kind in ("pt-circle", "lens-circle") and m <= 0:
@@ -68,6 +76,7 @@ def dyadic_degree_sum(n: float, k: float, const: float = 1.0) -> tuple[float, fl
     class of n^(1/3)-rich lenses contributes the linear term.  Returns
     (sum, ratio-to-closed-form).
     """
+    _finite(n=n, k=k, const=const)
     if k < 2 or k > n ** (1 / 3) * (1 + 1e-12):
         raise InvalidInput("dyadic sum needs 2 <= k <= n^(1/3)")
     cube_root = n ** (1 / 3)
@@ -106,6 +115,7 @@ class RecurrenceTrace:
 
 def select_z(n: float, k: float) -> tuple[float, int]:
     """Iterate z_j = (n/k^3)^(1/2^j) until sqrt(2) < z_j <= 2."""
+    _finite(n=n, k=k)
     if n <= k ** 3 * math.sqrt(2):
         raise OutOfDomain("recurrence needs n > k^3 * sqrt(2)")
     z = n / k ** 3
@@ -125,6 +135,7 @@ def recurrence_certify(n: float, k: float, a: float = 1.0,
     induction chain that turns the single-step recurrence into the certified
     bound a0 * sqrt(z) * (3a)^j * n_j^(3/2) / k^(3/2).
     """
+    _finite(const=a, const0=a0)
     if a < 1 or a0 < 1:
         raise InvalidInput("constants must be at least 1")
     z, depth = select_z(n, k)

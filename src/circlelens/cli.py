@@ -49,13 +49,27 @@ def _load_scene(path):
         return parse_scene(fh.read())
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    return n
+
+
 def cmd_generate(args) -> int:
     if args.model == "bundle":
         scene, _ = pencil_bundle_construction(args.n, args.k)
     else:
         scene = random_scene(GeneratorSpec(
             model=args.model, n=args.n, k=args.k or 0,
-            seed=args.seed, spread=Fraction(args.spread)))
+            seed=args.seed, spread=args.spread))
     _write(args.out, serialize_scene(scene))
     return 0
 
@@ -198,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spread", default="10")
+    p.add_argument("--spread", type=_fraction, default="10")
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
@@ -226,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("duality", "coplanarity", "order-reversal", "oracle"))
     p.add_argument("scene", nargs="?")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=_count, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

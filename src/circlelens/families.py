@@ -1,19 +1,16 @@
 """Non-overlapping lens families and lens cutting, on one arc model.
 
-Each lens's base points are vertices of its circles, built once per lens and
-kept on the Scene for the scene's own lenses: the integer directions from
-each circle's center that pencils.lens_dirs gives (it also checks the base
-points on the circles), with their integer cyclic keys
-(geometry.cyclic_key).  The model sorts the vertices on each circle once, so
-a lens arc is a pair of vertex indices, and angular order, overlap and
-covering tests are all integer.  A lens arc is the shorter arc between the
-base points p < q, or for a diameter the CCW half from p; the direction
-predicates over QuadNum directions that state this rule directly
-(lens_arc, arcs_overlap) are the tests' oracle, tests/dir_oracle.py.
-Family selection is greedy (degree-descending scan) or exact
-(branch-and-bound maximum independent set in the overlap graph, branching
-in lens order).  Lens cutting cuts circles until no k-rich lens of the
-scene's one enumeration lies on k arcs; verify_cut re-reads the arcs alone.
+A lens's vertices are its base points on each of its circles, as the integer
+cyclic keys of pencils.lens_vertices.  The model sorts the vertices on each
+circle once, so a lens arc is a pair of vertex indices, and angular order,
+overlap and covering tests are all integer.  A lens arc is the shorter arc
+between the base points p < q, or for a diameter the CCW half from p; the
+QuadNum direction predicates that state this rule directly (lens_arc,
+arcs_overlap) are the tests' oracle, tests/dir_oracle.py.  Family selection
+is greedy (degree-descending scan) or exact (branch-and-bound maximum
+independent set in the overlap graph), both in lens order.  Lens cutting
+cuts circles until no k-rich lens lies on k arcs; verify_cut re-reads the
+arcs alone.
 """
 
 from __future__ import annotations
@@ -24,10 +21,9 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
-from .geometry import (Dir, IntDir, canonical_dir, cross_sign, cyclic_key,
-                       int_dir)
-from .pencils import (Lens, Scene, enumerate_lenses, lens_dirs, lens_keys,
-                      rich_lenses)
+from .geometry import Dir, canonical_dir, cyclic_key, int_dir
+from .pencils import (Lens, Scene, enumerate_lenses, lens_index, lens_keys,
+                      lens_vertices, rich_lenses)
 
 
 def _position(keys, key) -> int:
@@ -35,34 +31,6 @@ def _position(keys, key) -> int:
     2i + 1 strictly between keys i and i + 1 (cyclically)."""
     i = bisect_left(keys, key)
     return 2 * i if i < len(keys) and keys[i] == key else (2 * i - 1) % (2 * len(keys))
-
-
-def _forward(vp: IntDir, vq: IntDir) -> bool:
-    """Does the lens arc run CCW from p to q?  vp and vq are the directions
-    of a lens's base points p < q (lexicographically) from a circle's center.
-    """
-    return cross_sign(vp, vq) >= 0
-
-
-def _vertices(scene: Scene, lens: Lens, keep: bool = True) -> tuple:
-    """Per circle of the lens, in the order of lens.circles, (key of p, key
-    of q, forward): the cyclic keys of the directions pencils.lens_dirs
-    gives for its base points p < q, and whether the lens arc runs CCW from
-    p to q.  Built once per lens and, if keep, kept on the Scene, which then
-    holds on to the lens; lens_dirs raises DegenerateInput for base points
-    off the circles or in two fields.
-    """
-    store = vars(scene).get("_vertices")
-    if store is None:
-        store = {}
-        object.__setattr__(scene, "_vertices", store)
-    entry = store.get(id(lens))
-    if entry is None:
-        entry = (lens, tuple((cyclic_key(vp), cyclic_key(vq), _forward(vp, vq))
-                             for vp, vq in lens_dirs(scene, lens)))
-        if keep:
-            store[id(lens)] = entry
-    return entry[1]
 
 
 class _ArcModel:
@@ -89,16 +57,16 @@ class _ArcModel:
                       for cid, (s, e) in arcs.items()} for arcs in ends]
 
     @classmethod
-    def of(cls, scene: Scene, lenses, keep: bool = True) -> "_ArcModel":
+    def of(cls, scene: Scene, lenses) -> "_ArcModel":
         """The model whose vertices are the lenses' base points, with the ids
-        of the point objects as vertex ids; keep as for _vertices."""
+        of the point objects as vertex ids (pencils.lens_vertices)."""
         on: dict[int, dict] = defaultdict(dict)  # cid -> {point id: key}
         ends = []
         for lens in lenses:
             p, q = map(id, lens.base)
             arcs = {}
             for cid, (kp, kq, forward) in zip(lens.circles,
-                                              _vertices(scene, lens, keep)):
+                                              lens_vertices(scene, lens)):
                 on[cid][p], on[cid][q] = kp, kq
                 arcs[cid] = (p, q) if forward else (q, p)
             ends.append(arcs)
@@ -148,18 +116,21 @@ def _max_independent_set(adj: list[int], n: int) -> int:
     return best
 
 
-def _greedy(model: _ArcModel, lenses, keys) -> list[int]:
+def _greedy(model: _ArcModel, degrees, keys) -> list[int]:
     """The degree-descending scan (ties in lens order, by keys): each lens is
     kept unless it overlaps one kept before it."""
     kept: list[int] = []
-    for i in sorted(range(len(lenses)), key=lambda i: (-lenses[i].degree, keys[i])):
+    for i in sorted(range(len(degrees)), key=lambda i: (-degrees[i], keys[i])):
         if not any(model.overlap(i, j) for j in kept):
             kept.append(i)
     return kept
 
 
-def select_family(lenses, scene: Scene, mode: str = "greedy",
-                  exact_cap: int = 30) -> LensFamily:
+# the most lenses exact selection searches
+EXACT_CAP = 30
+
+
+def select_family(lenses, scene: Scene, mode: str = "greedy") -> LensFamily:
     """Pick a pairwise non-overlapping subfamily.
 
     greedy: scan by degree descending, keep whatever stays non-overlapping.
@@ -168,17 +139,15 @@ def select_family(lenses, scene: Scene, mode: str = "greedy",
     lenses = list(lenses)
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and len(lenses) > exact_cap:
-        raise CapExceeded(f"exact selection capped at {exact_cap} lenses")
-    # the scene keeps the vertices of its own lenses only: a subsequence of
-    # its enumeration, so lenses built elsewhere do not pile up on it
-    own = iter(vars(scene).get("_lenses", ()))
-    keep = all(any(lens is other for other in own) for lens in lenses)
-    model, n = _ArcModel.of(scene, lenses, keep), len(lenses)
-    # a subsequence of the sorted enumeration is in key order already
-    keys = range(n) if keep else lens_keys(lenses)
+    if mode == "exact" and len(lenses) > EXACT_CAP:
+        raise CapExceeded(f"exact selection capped at {EXACT_CAP} lenses")
+    model, n = _ArcModel.of(scene, lenses), len(lenses)
+    # the scene's own lenses sort by enumeration index, which is key order
+    keys = [lens_index(scene, lens) for lens in lenses]
+    if None in keys:
+        keys = lens_keys(lenses)
     if mode == "greedy":
-        kept = _greedy(model, lenses, keys)
+        kept = _greedy(model, [lens.degree for lens in lenses], keys)
     else:
         # branch in key order, so the family does not depend on input order
         order = sorted(range(n), key=keys.__getitem__)
@@ -220,7 +189,7 @@ class CutResult:
 
 def _midpoints(kp, kq, forward: bool) -> tuple[tuple, tuple]:
     """Cyclic keys of the midpoint directions of a lens arc and of the rest
-    of the circle, from _vertices.  The base points' directions share one
+    of the circle, from lens_vertices.  The base points' directions share one
     scale and one radicand, so their sum bisects the lens arc; only a
     diameter's lens arc is a half circle, and it starts at s."""
     s, e = (kp[2].v, kq[2].v) if forward else (kq[2].v, kp[2].v)
@@ -273,7 +242,7 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
         for i, lens in enumerate(targets):
             cov = covering(i)
             for cid, side in cov[k - 1:] if len(cov) >= k else ():
-                mids = _midpoints(*_vertices(scene, lens)[lens.circles.index(cid)])
+                mids = _midpoints(*lens_vertices(scene, lens)[lens.circles.index(cid)])
                 if side is None:
                     changed |= cut(cid, mids[0]) | cut(cid, mids[1])
                 else:
@@ -314,7 +283,7 @@ def _covering_counts(scene: Scene, result: CutResult) -> list[int] | None:
     counts = []
     for lens in rich_lenses(enumerate_lenses(scene), result.k):
         count = 0
-        for cid, (kp, kq, _) in zip(lens.circles, _vertices(scene, lens)):
+        for cid, (kp, kq, _) in zip(lens.circles, lens_vertices(scene, lens)):
             t = len(cut_keys[cid])
             if t <= 1:
                 count += 1

@@ -5,10 +5,10 @@ of them contributes one cyclic run of consecutive-point edges, drawn along
 its arcs.  The edges are read from the arc model of families (_ArcModel),
 built once with every drawn circle's marked points as its vertices: an edge
 is a pair of cyclically consecutive vertices of one circle.  The lens pool is
-every marked pair with at least k circles through both points; the model
-gives each pool lens its lens arcs (the rule of families) as vertex
-intervals, and the greedy scan of select_family runs on them.  An arc of a
-kept lens that joins consecutive vertices is an edge of G1.
+every marked pair (u, v), u < v in sorted point order, with at least k
+circles through both; the model gives each its lens arcs (pencils._forward),
+and the greedy scan of select_family runs on them in (u, v) order, which is
+lens order.  An arc of a kept lens joining consecutive vertices is in G1.
 
 Crossings are counted in this drawing, between edges of distinct circles and
 away from graph vertices.  The edges of a drawn circle cover all of it, so
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DegenerateInput, InvalidRichness
-from .families import _ArcModel, _forward, _greedy
+from .families import _ArcModel, _greedy
 from .geometry import cyclic_key
-from .pencils import Lens, Scene, lens_keys, scene_frame
-from .quadfield import QuadPoint, cleared, frac
+from .pencils import Scene, _forward, scene_frame
+from .quadfield import cleared, frac
 
 
 def _scaled(points, scene: Scene) -> tuple[int, list[tuple[int, int]]]:
@@ -97,7 +97,6 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     g, coords = _scaled(points, scene)
     on = _on_sets(scene, g, coords)
     drawn = [cid for cid, ids in enumerate(on) if len(ids) >= 2]
-    marked = [QuadPoint(x, y) for x, y in points]
     scaled = scene_frame(scene)[1]
     # each marked point's direction from each drawn circle through it
     dirs = {cid: {i: (coords[i][0] - g * scaled[cid][0], 0,
@@ -109,9 +108,8 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     for cid in drawn:
         for pair in combinations(sorted(on[cid]), 2):
             through.setdefault(pair, []).append(cid)
-    pairs = [pair for pair, cids in through.items() if len(cids) >= k]
-    pool = [Lens._trusted((marked[u], marked[v]), tuple(through[u, v]))
-            for u, v in pairs]
+    # in lens order: the marked points are sorted and distinct
+    pairs = sorted(pair for pair, cids in through.items() if len(cids) >= k)
     # the model's vertices are every drawn circle's marked points, so an
     # edge is a pair of cyclically consecutive vertices
     model = _ArcModel(
@@ -119,7 +117,8 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
         [{cid: (u, v) if _forward(dirs[cid][u], dirs[cid][v]) else (v, u)
           for cid in through[u, v]} for u, v in pairs])
     g1 = sum(e == (s + 1) % len(model.order[cid])
-             for i in _greedy(model, pool, lens_keys(pool))
+             for i in _greedy(model, [len(through[pair]) for pair in pairs],
+                              range(len(pairs)))
              for cid, (s, e) in model.arcs[i].items())
     edges = sum(len(on[cid]) for cid in drawn)
     # two points on a circle make two edges, u -> v and v -> u

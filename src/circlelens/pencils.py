@@ -1,25 +1,20 @@
-"""Lens enumeration: find every pair of points shared by two or more circles.
+"""Lens enumeration, and the one vertex record of each lens.
 
-Lenses are always merged by base pair, so one enumeration never contains two
-lenses with the same endpoints.  The fast path works on integers, in the
+Lenses are merged by base pair.  The fast path works on integers, in the
 scene frame (scene_frame, which later stages share): the scene is scaled
 once by L, the lcm of the denominators of every cx, cy and r^2, so each
 circle is (X, Y, R) = (L*cx, L*cy, L^2*r^2) with its power constant
 X^2 + Y^2 - R.  Circle pairs are bucketed by their radical axis, a canonical
 integer triple, and each bucket is grouped by an integer chord key (the
 chord's midpoint and squared half chord, both times a^2 + b^2).  Base points
-are built from that key, for groups of two or more circles only, with the
-radicand chord_of gives; each distinct rational point, and each distinct
-coordinate of one, is one object.  A lens's base order follows from the sign
-of its axis coefficient b, so these lenses skip the checks of the public
-Lens constructor.  Lenses are sorted by lens_keys, which compares an exact
-integer prefix floor(2^K * v) of each coordinate first, then identity, and
-the exact value only on a tie.  The fast path runs once per Scene, whose
-lenses every later stage shares.  lens_dirs writes a lens's base pair as
-integer directions from its circles' centers, over one scale and one
-radicand, and checks it on them; families and slopes read base pairs there.
-The brute-force oracle groups pairwise intersection points by exact
-equality, sorts with Lens.compare alone, is recomputed on every call, and
+are built from that key, for groups of two or more circles only; each
+distinct rational point, and each coordinate of one, is one object.  Lenses
+skip the checks of the public Lens constructor and are sorted by lens_keys:
+an exact integer prefix floor(2^K * v) of each coordinate first, then
+identity, and the exact value only on a tie.  The fast path runs once per
+Scene, whose lenses every later stage shares, as they share the one vertex
+record per lens that lens_vertices keeps.  The brute-force oracle groups
+pairwise intersections by exact equality, sorts with Lens.compare, and
 exists solely to cross-check the fast path.
 """
 
@@ -33,7 +28,8 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
-from .geometry import Circle, IntDir, intersection_points
+from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
+                       intersection_points)
 from .quadfield import (QuadNum, QuadPoint, _point, _quad, cleared_parts, frac,
                         scaled_floor)
 
@@ -191,13 +187,14 @@ def scene_frame(scene: Scene) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return frame
 
 
-def lens_dirs(scene: Scene, lens: Lens) -> tuple[tuple[IntDir, IntDir], ...]:
-    """Per circle of the lens, in the order of lens.circles, the directions
-    (vp, vq) of its base points p < q from the circle's center, as IntDirs
-    over one radicand: the points and the scene frame are scaled by one D,
-    the lcm of L and the points' denominators.  Raises DegenerateInput for
-    base points in two quadratic fields or off one of the circles.
-    """
+def _forward(vp: IntDir, vq: IntDir) -> bool:
+    """Does the lens arc run CCW from p to q?  vp and vq are the directions
+    of a lens's base points p < q (lexicographically) from a circle's center."""
+    return cross_sign(vp, vq) >= 0
+
+
+def _vertices(scene: Scene, lens: Lens) -> tuple:
+    """The record of lens_vertices, built anew."""
     scale, frame = scene_frame(scene)
     p, q = lens.base
     try:
@@ -222,8 +219,39 @@ def lens_dirs(scene: Scene, lens: Lens) -> tuple[tuple[IntDir, IntDir], ...]:
                         u * u + w * w + (xb * xb + yb * yb) * delta != g * g * r:
                     raise DegenerateInput(f"base point {pt} is not on circle {cid}")
             pair.append((u, xb, w, yb, delta))
-        out.append(tuple(pair))
+        out.append((cyclic_key(pair[0]), cyclic_key(pair[1]), _forward(*pair)))
     return tuple(out)
+
+
+def lens_index(scene: Scene, lens: Lens) -> int | None:
+    """The lens's index in the scene's enumeration, else None.  The index
+    {id(lens): i} and a record slot per lens are built on first use and
+    kept; the Scene holds its lenses, so no other live lens has their ids."""
+    records = vars(scene).get("_records")
+    if records is None:
+        lenses = vars(scene).get("_lenses")
+        if lenses is None:
+            return None
+        records = ({id(own): i for i, own in enumerate(lenses)},
+                   [None] * len(lenses))
+        object.__setattr__(scene, "_records", records)
+    return records[0].get(id(lens))
+
+
+def lens_vertices(scene: Scene, lens: Lens) -> tuple:
+    """Per circle of the lens, in the order of lens.circles, (key of p, key
+    of q, forward): the cyclic keys of the directions of its base points
+    p < q from the circle's center, and whether the lens arc runs CCW from p
+    to q.  A direction, key[2].v, is an IntDir over one radicand, the points
+    and the scene frame scaled by one D.  Kept for a lens the scene
+    enumerated, built for the call for any other.  Raises DegenerateInput
+    for base points in two quadratic fields or off one of the circles."""
+    i = lens_index(scene, lens)
+    if i is None:
+        return _vertices(scene, lens)
+    records = vars(scene)["_records"][1]
+    records[i] = records[i] or _vertices(scene, lens)
+    return records[i]
 
 
 def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
@@ -302,10 +330,14 @@ def rich_lenses(lenses, k: int) -> list[Lens]:
     return [lens for lens in lenses if lens.degree >= k]
 
 
-def brute_force_lenses(scene: Scene, cap: int = 64) -> list[Lens]:
+# the most circles the brute-force oracle takes
+ORACLE_CAP = 64
+
+
+def brute_force_lenses(scene: Scene) -> list[Lens]:
     """Definition-level oracle: group pairwise intersections by exact equality."""
-    if len(scene) > cap:
-        raise OracleCapExceeded(f"oracle capped at {cap} circles")
+    if len(scene) > ORACLE_CAP:
+        raise OracleCapExceeded(f"oracle capped at {ORACLE_CAP} circles")
     groups: dict = defaultdict(set)
     for i, j in combinations(range(len(scene)), 2):
         pts = intersection_points(scene.circles[i], scene.circles[j])

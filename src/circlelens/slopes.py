@@ -9,12 +9,12 @@ chord d = q - p.  With u = point - center, that slope is -(u x d)/(u . d):
 the tangent direction at the point is u turned a quarter, and the slope is
 its component along d over its component across d.
 
-The check runs on integers.  pencils.lens_dirs gives each circle's radii
-to the base points, scaled with the scene frame by one common denominator
-and over the one radicand delta of the base pair, so every quantity lies in
-Z[sqrt(delta)]; the base chord d is the difference of two of them.  A slope
-is kept as A/n with A in Z[sqrt(delta)] and an integer n > 0, and two slopes
-are compared with one sign_q.
+The check runs on integers.  It reads each circle's radii to the base
+points from the lens's one vertex record (pencils.lens_vertices), scaled
+with the scene frame by one denominator and over the one radicand delta of
+the base pair, so every quantity lies in Z[sqrt(delta)], the base chord d
+included.  A slope is A/n with A in Z[sqrt(delta)] and an integer n > 0,
+and two slopes are compared with one sign_q.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cmp_to_key
 
 from .errors import DegenerateInput, Inconclusive, VerticalTangent
 from .geometry import Circle, point_on_circle
-from .pencils import Lens, Scene, lens_dirs
+from .pencils import Lens, Scene, lens_vertices
 from .quadfield import QuadNum, QuadPoint, sign_q
 
 
@@ -84,12 +84,11 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
     Inconclusive when fewer than two circles remain, and DegenerateInput for
     base points in two quadratic fields.
     """
-    dirs = lens_dirs(scene, lens)
+    dirs = [(kp[2].v, kq[2].v) for kp, kq, _ in lens_vertices(scene, lens)]
     # vq - vp is q - p, the base chord, in the same scale
     vp, vq = dirs[0]
     d, delta = [b - a for a, b in zip(vp[:4], vq[:4])], vp[4]
-    slopes = {}
-    excluded = []
+    slopes, excluded = {}, []
     for cid, (vp, vq) in zip(lens.circles, dirs):
         if not (vp[2] or vp[3]) or not (vq[2] or vq[3]):  # a vertical tangent
             excluded.append(cid)

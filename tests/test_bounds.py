@@ -114,3 +114,21 @@ def test_recurrence_sweep():
                 count += 1
     assert count >= 90
     assert time.time() - start < 1.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_are_rejected(bad):
+    for kwargs in ({"n": bad}, {"n": 100.0, "k": bad}, {"n": 100.0, "m": bad},
+                   {"n": 100.0, "const": bad}):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            bound_eval("pt-circle", **{"m": 5.0, **kwargs})
+    for args, kwargs in (((bad, 2.0), {}), ((1000.0, bad), {}),
+                         ((1000.0, 2.0), {"const": bad})):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            dyadic_degree_sum(*args, **kwargs)
+    for args in ((bad, 2.0), (1000.0, bad)):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            select_z(*args)
+    for kwargs in ({"a": bad}, {"a0": bad}):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            recurrence_certify(2.0 ** 20, 16.0, **kwargs)

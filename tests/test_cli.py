@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from circlelens.cli import main
 
 
@@ -164,3 +166,24 @@ def test_lenses_k3_are_the_rich_rows_of_the_golden(capsys):
     rich = [row.split(",", 1)[1] for row in rows if int(row.split(",")[5]) >= 3]
     assert len(rich) > 1
     assert out.splitlines() == [header] + [f"{i},{row}" for i, row in enumerate(rich)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--model", "uniform-random", "--n", "5", "--spread", "abc"],
+    ["generate", "--model", "uniform-random", "--n", "5", "--spread", "1/0"],
+    ["verify", "--property", "duality", "--n", "-5"],
+    ["verify", "--property", "duality", "--n", "many"]])
+def test_bad_option_values_are_input_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2 and "error: argument" in err
+
+
+@pytest.mark.parametrize("kind,value", [
+    ("recurrence", "inf"), ("recurrence", "nan"), ("thm1-count", "nan"),
+    ("thm1-degree", "-inf"), ("dyadic", "inf")])
+def test_non_finite_bound_inputs_are_input_errors(kind, value, capsys):
+    code, out, err = run_cli(["bound", "--kind", kind, f"--n={value}"], capsys)
+    assert code == 2 and not out
+    assert err == f"error: n must be finite, not {float(value)}\n"

@@ -1,19 +1,27 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 
+from circlelens import pencils
 from circlelens.dual import coplanarity_audit
 from circlelens.errors import CapExceeded, DegenerateInput, InvalidRichness
-from circlelens.families import (CircleArc, CutResult, lens_cutting,
+from circlelens.families import (EXACT_CAP, CircleArc, CutResult, lens_cutting,
                                  select_family, verify_cut)
 from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
                                    random_scene)
 from circlelens.geometry import Circle, Line, circle_line_points
-from circlelens.pencils import Lens, Scene, enumerate_lenses, rich_lenses
+from circlelens.pencils import (Lens, Scene, enumerate_lenses, lens_vertices,
+                                rich_lenses)
 from circlelens.quadfield import QuadNum, QuadPoint
+from circlelens.sceneio import parse_scene
+from circlelens.slopes import order_reversal_check
 from dir_oracle import lenses_overlap
+
+DATA = Path(__file__).parent / "data"
 
 
 def _lenses(scene):
@@ -132,13 +140,45 @@ def test_one_point_given_as_two_objects_is_one_vertex():
     assert len(select_family([a, b], scene)) == 1
 
 
+def _kept_records(scene):
+    """The vertex records pencils keeps on the scene, one per lens that has one."""
+    return [r for r in vars(scene).get("_records", ((), ()))[1] if r is not None]
+
+
 def test_scene_keeps_vertices_of_its_own_lenses_only():
     scene = Scene(circles=(Circle(F(0), F(0), F(1)), Circle(F(1), F(1), F(1))))
     for _ in range(3):
         select_family([Lens((QuadPoint(1, 0), QuadPoint(0, 1)), (0, 1))], scene)
-    assert not vars(scene).get("_vertices")
-    select_family(_lenses(scene), scene)
-    assert len(vars(scene)["_vertices"]) == 1
+    assert "_records" not in vars(scene)
+    (own,) = _lenses(scene)
+    # an equal lens built apart is not the scene's own
+    select_family([Lens(own.base, own.circles)], scene)
+    assert not _kept_records(scene)
+    select_family([own], scene)
+    (record,) = _kept_records(scene)
+    assert lens_vertices(scene, own) is record
+
+
+def test_each_base_pair_is_cleared_once_per_run(monkeypatch):
+    # family selection, cutting, verify_cut and the order check all read
+    # the one vertex record pencils keeps per enumerated lens
+    scene = parse_scene((DATA / "lattice-n48-g4-s1.scene").read_text())
+    cleared = Counter()
+    real = pencils.cleared_parts
+
+    def counted(values, base=1):
+        cleared[tuple(values)] += 1
+        return real(values, base)
+
+    monkeypatch.setattr(pencils, "cleared_parts", counted)
+    rich = rich_lenses(enumerate_lenses(scene), 3)
+    assert select_family(rich, scene).certificate
+    assert verify_cut(scene, lens_cutting(scene, 3))
+    for lens in rich:
+        order_reversal_check(lens, scene)
+    pairs = [(p.x, p.y, q.x, q.y) for p, q in (lens.base for lens in rich)]
+    assert len(rich) > 50 and len(set(pairs)) == len(rich)
+    assert cleared == Counter(pairs)
 
 
 def test_exact_at_least_greedy(corpus):
@@ -153,11 +193,14 @@ def test_exact_at_least_greedy(corpus):
 
 
 def test_exact_cap_and_bad_mode(worked_pencil):
-    lenses = _lenses(worked_pencil)
-    with pytest.raises(CapExceeded):
-        select_family(lenses, worked_pencil, mode="exact", exact_cap=0)
+    scene = parse_scene((DATA / "lattice-n48-g4-s1.scene").read_text())
+    lenses = rich_lenses(_lenses(scene), 2)[:EXACT_CAP + 1]
+    assert len(lenses) == EXACT_CAP + 1 == 31
+    with pytest.raises(CapExceeded, match="^exact selection capped at 30 lenses$"):
+        select_family(lenses, scene, mode="exact")
+    assert select_family(lenses[:-1], scene, mode="exact").certificate
     with pytest.raises(ValueError):
-        select_family(lenses, worked_pencil, mode="best")
+        select_family(_lenses(worked_pencil), worked_pencil, mode="best")
 
 
 def test_exact_on_interval_overlap_chain():
@@ -305,10 +348,10 @@ def test_cutting_rich_lattice_scenes(n):
 
 
 def test_family_does_not_depend_on_lens_objects_or_order():
-    # the scene's own lenses are selected in index order; fresh copies
-    # (new Lens and point objects) in shuffled order go through lens_keys.
-    # The greedy scan and the exact search's branching both follow that key
-    # order; the exact pools stay within its default cap of 30 lenses.
+    # the scene's own lenses are selected in index order, shuffled or not;
+    # fresh copies (new Lens and point objects) go through lens_keys.  The
+    # greedy scan and the exact search's branching both follow that key
+    # order; the exact pools stay within its cap of 30 lenses.
     rng = random.Random(3)
     for spec, k in ((GeneratorSpec(model="lattice-triples", n=48, seed=1,
                                    spread=F(4)), 3),
@@ -318,9 +361,14 @@ def test_family_does_not_depend_on_lens_objects_or_order():
         for mode, pool in (("greedy", own), ("exact", own[:30])):
             copies = [Lens(tuple(QuadPoint(p.x, p.y) for p in l.base), l.circles)
                       for l in pool]
+            shuffled = list(pool)
             rng.shuffle(copies)
+            rng.shuffle(shuffled)
             family = select_family(pool, scene, mode)
             assert len(family) > 1
+            assert select_family(shuffled, scene, mode) == family, mode
+            kept = len(_kept_records(scene))
             assert select_family(copies, scene, mode) == family, mode
+            assert len(_kept_records(scene)) == kept  # none for the copies
             assert list(family.members) == sorted(family.members,
                                                   key=cmp_to_key(Lens.compare))

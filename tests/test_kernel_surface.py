@@ -60,12 +60,19 @@ def test_incidence_output_is_byte_identical(k, capsys):
     assert out == (DATA / f"{name}.incidence-k{k}.csv").read_text()
 
 
-@pytest.mark.parametrize("name,k", [("lattice-n48-g4-s1", 3), ("uniform-n16-s9", 2)])
-def test_family_output_is_byte_identical(name, k, capsys):
+@pytest.mark.parametrize("name,k,mode", [("lattice-n48-g4-s1", 3, "greedy"),
+                                         ("uniform-n16-s9", 2, "greedy"),
+                                         ("uniform-n16-s9", 2, "exact")],
+                         ids=["lattice-n48-g4-s1-3", "uniform-n16-s9-2",
+                              "uniform-n16-s9-2-exact"])
+def test_family_output_is_byte_identical(name, k, mode, capsys):
     # family-k3 was written by select_family before its greedy scan was
-    # shared with the Szekely statistics, and uniform-n16-s9.family-k2 by
-    # the family selection that sorted vertices by QuadNum cross signs,
-    # before the integer arc model
-    assert main(["family", str(DATA / f"{name}.scene"), "--k", str(k)]) == 0
+    # shared with the Szekely statistics, uniform-n16-s9.family-k2 by the
+    # family selection that sorted vertices by QuadNum cross signs, before
+    # the integer arc model, and family-exact-k2 by the exact selection that
+    # kept its vertex records apart from the order check's base pairs
+    assert main(["family", str(DATA / f"{name}.scene"), "--k", str(k),
+                 "--mode", mode]) == 0
     out, _ = capsys.readouterr()
-    assert out == (DATA / f"{name}.family-k{k}.csv").read_text()
+    suffix = "" if mode == "greedy" else f"-{mode}"
+    assert out == (DATA / f"{name}.family{suffix}-k{k}.csv").read_text()

@@ -12,7 +12,7 @@ from circlelens.errors import (DegenerateInput, InvalidRichness,
 from circlelens.families import lens_cutting, verify_cut
 from circlelens.generators import GeneratorSpec, random_scene
 from circlelens.geometry import Circle, circle_line_points, radical_axis
-from circlelens.pencils import (Lens, Scene, brute_force_lenses,
+from circlelens.pencils import (ORACLE_CAP, Lens, Scene, brute_force_lenses,
                                 enumerate_lenses, rich_lenses)
 from circlelens.quadfield import QuadNum, QuadPoint
 
@@ -90,9 +90,11 @@ def test_oracle_equivalence_on_corpus(corpus):
 
 
 def test_oracle_cap():
-    scene = random_scene(GeneratorSpec(model="uniform-random", n=8, seed=3))
-    with pytest.raises(OracleCapExceeded):
-        brute_force_lenses(scene, cap=4)
+    scene = random_scene(GeneratorSpec(model="unit-circles-on-grid",
+                                       n=ORACLE_CAP + 1))
+    assert len(scene) == 65
+    with pytest.raises(OracleCapExceeded, match="^oracle capped at 64 circles$"):
+        brute_force_lenses(scene)
 
 
 def test_enumeration_deterministic(corpus):
