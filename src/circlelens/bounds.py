@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .errors import InvalidInput, OutOfDomain
 
@@ -32,6 +33,23 @@ def _finite(**values: float) -> None:
             raise InvalidInput(f"{name} must be finite, not {value}")
 
 
+def _in_range(fn):
+    """Raise InvalidInput where finite inputs give a bound past the float
+    range: an OverflowError, or an infinite or nan result."""
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except OverflowError:
+            out = math.inf
+        values = out if isinstance(out, tuple) else (getattr(out, "certificate", out),)
+        if not all(map(math.isfinite, values)):
+            raise InvalidInput(f"{fn.__name__}: the bound overflows a float")
+        return out
+    return checked
+
+
+@_in_range
 def bound_eval(kind: str, n: float, k: float = 2.0, m: float = 0.0,
                const: float = 1.0) -> float:
     """Evaluate one closed-form bound with unit constants by default.
@@ -68,6 +86,7 @@ def bound_eval(kind: str, n: float, k: float = 2.0, m: float = 0.0,
                     * clamped_log(m ** 3 / n ** 2) ** 0.4 + n)
 
 
+@_in_range
 def dyadic_degree_sum(n: float, k: float, const: float = 1.0) -> tuple[float, float]:
     """Sum the dyadic richness-class degree bounds and compare to the closed
     form.
@@ -113,6 +132,7 @@ class RecurrenceTrace:
         return all(ok for _, _, _, ok in self.checks)
 
 
+@_in_range
 def select_z(n: float, k: float) -> tuple[float, int]:
     """Iterate z_j = (n/k^3)^(1/2^j) until sqrt(2) < z_j <= 2."""
     _finite(n=n, k=k)
@@ -126,6 +146,7 @@ def select_z(n: float, k: float) -> tuple[float, int]:
     return z, depth
 
 
+@_in_range
 def recurrence_certify(n: float, k: float, a: float = 1.0,
                        a0: float = 1.0) -> RecurrenceTrace:
     """Numerically verify the doubling recurrence solution line by line.

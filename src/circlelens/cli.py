@@ -21,7 +21,7 @@ from .generators import (MODELS, GeneratorSpec, pencil_bundle_construction,
                          random_scene)
 from .geometry import Circle, power_of_point
 from .incidence import szekely_stats
-from .pencils import brute_force_lenses, enumerate_lenses, rich_lenses
+from .pencils import brute_force_lenses, enumerate_lenses
 from .sceneio import parse_scene, serialize_scene
 from .slopes import order_reversal_check
 
@@ -76,9 +76,7 @@ def cmd_generate(args) -> int:
 
 def cmd_lenses(args) -> int:
     scene = _load_scene(args.scene)
-    lenses = enumerate_lenses(scene)
-    if args.k:
-        lenses = rich_lenses(lenses, args.k)
+    lenses = enumerate_lenses(scene, args.k or 2)
     rows = [(i, str(l.base[0].x), str(l.base[0].y),
              str(l.base[1].x), str(l.base[1].y), l.degree,
              ";".join(map(str, l.circles)))
@@ -90,7 +88,7 @@ def cmd_lenses(args) -> int:
 
 def cmd_family(args) -> int:
     scene = _load_scene(args.scene)
-    lenses = rich_lenses(enumerate_lenses(scene), args.k)
+    lenses = enumerate_lenses(scene, args.k)
     family = select_family(lenses, scene, mode=args.mode)
     bound = bound_eval("thm1-degree", n=len(scene), k=args.k)
     rows = [(len(scene), args.k, len(lenses), len(family.members),
@@ -149,7 +147,7 @@ def _verify_on_scene(args, prop) -> int:
         print("order reversal ok")
         return 0
     # coplanarity
-    lenses = rich_lenses(enumerate_lenses(scene), args.k or 2)
+    lenses = enumerate_lenses(scene, args.k or 2)
     family = select_family(lenses, scene, mode="greedy")
     report = coplanarity_audit(scene, family)
     if report.clean:

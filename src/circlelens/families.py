@@ -23,7 +23,7 @@ from operator import eq, itemgetter
 from .errors import CapExceeded, DegenerateInput
 from .geometry import Dir, canonical_dir, cyclic_key, int_dir
 from .pencils import (Lens, Scene, enumerate_lenses, lens_index, lens_keys,
-                      lens_vertices, rich_lenses)
+                      lens_vertices)
 
 
 def _position(keys, key) -> int:
@@ -206,7 +206,7 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
     then from angle 0) is cut at the midpoint of the side of the base pair it
     covers, else at the other side's; a one-arc circle is cut at both.  A cut
     sits at a doubled index: 2i on vertex i, 2i + 1 in the gap after it."""
-    targets = rich_lenses(enumerate_lenses(scene), k)  # InvalidRichness if k < 2
+    targets = enumerate_lenses(scene, k)  # InvalidRichness if k < 2
     model = _ArcModel.of(scene, targets)
     cuts: dict[int, list] = defaultdict(list)  # cid -> cut keys, sorted
     at: dict[int, list] = defaultdict(list)  # cid -> their doubled indices
@@ -281,7 +281,7 @@ def _covering_counts(scene: Scene, result: CutResult) -> list[int] | None:
             return None
         cut_keys.append(keys)
     counts = []
-    for lens in rich_lenses(enumerate_lenses(scene), result.k):
+    for lens in enumerate_lenses(scene, result.k):
         count = 0
         for cid, (kp, kq, _) in zip(lens.circles, lens_vertices(scene, lens)):
             t = len(cut_keys[cid])

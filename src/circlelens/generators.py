@@ -35,10 +35,11 @@ class GeneratorSpec:
             raise InvalidInput("n must be positive")
         if self.model == "bundle" and (self.k < 2 or self.n % self.k):
             raise InvalidInput("bundle model requires k >= 2 and k | n")
-        if self.model == "lattice-triples" and (
-                frac(self.spread).denominator != 1 or self.spread < 3):
-            raise InvalidInput("lattice-triples needs an integer grid side "
-                               "(spread) of at least 3")
+        # the spread is the lattice-triples grid side, the uniform-random span
+        least = {"lattice-triples": 3, "uniform-random": 1}.get(self.model)
+        if least and (frac(self.spread).denominator != 1 or self.spread < least):
+            raise InvalidInput(f"{self.model} needs an integer spread of at "
+                               f"least {least}")
         object.__setattr__(self, "spread", frac(self.spread))
 
 
@@ -132,7 +133,7 @@ def random_scene(spec: GeneratorSpec) -> Scene:
     # uniform-random: integer lattice scaled by spread, plus a bounded-
     # denominator rational perturbation so predicates stay exact
     rng = random.Random(spec.seed)
-    span = max(1, int(spec.spread))
+    span = int(spec.spread)
     circles: list[Circle] = []
     seen = set()
     while len(circles) < spec.n:

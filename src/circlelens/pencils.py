@@ -7,15 +7,19 @@ circle is (X, Y, R) = (L*cx, L*cy, L^2*r^2) with its power constant
 X^2 + Y^2 - R.  Circle pairs are bucketed by their radical axis, a canonical
 integer triple, and each bucket is grouped by an integer chord key (the
 chord's midpoint and squared half chord, both times a^2 + b^2).  Base points
-are built from that key, for groups of two or more circles only; each
-distinct rational point, and each coordinate of one, is one object.  Lenses
-skip the checks of the public Lens constructor and are sorted by lens_keys:
-an exact integer prefix floor(2^K * v) of each coordinate first, then
-identity, and the exact value only on a tie.  The fast path runs once per
-Scene, whose lenses every later stage shares, as they share the one vertex
-record per lens that lens_vertices keeps.  The brute-force oracle groups
-pairwise intersections by exact equality, sorts with Lens.compare, and
-exists solely to cross-check the fast path.
+are built from that key, only for groups of at least k circles, the
+richness a caller asks for (the pair loop skips radical axes with fewer
+circles); each distinct rational point, and each coordinate of one, is one
+object.  Lenses skip the checks of the public Lens constructor and are
+sorted by lens_keys: an exact integer prefix floor(2^K * v) of each
+coordinate first, then identity, and the exact value only on a tie.  The
+scene keeps the lenses of the smallest k built so far, which every later
+stage shares, as they share the one vertex record per lens that
+lens_vertices keeps.  It keeps no chord groups: the pair loop runs once per
+Scene for callers that ask for one k or a rising k, and again for a later,
+smaller k.  The brute-force oracle groups pairwise intersections by exact
+equality, sorts with Lens.compare, and exists solely to cross-check the
+fast path.
 """
 
 from __future__ import annotations
@@ -137,18 +141,24 @@ def lens_keys(lenses) -> list[tuple]:
             for lens in lenses]
 
 
-def enumerate_lenses(scene: Scene) -> list[Lens]:
-    """All lenses of the scene, merged by base pair, in canonical order.
+def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
+    """The lenses of degree >= k of the scene, merged by base pair, in
+    canonical order; InvalidRichness for k < 2.
 
-    A Scene is immutable, so its lenses are built once and kept on it (a
-    private attribute outside the dataclass fields); every call returns a
-    fresh list of them.
+    A Scene is immutable, so its lenses are kept on it (private attributes
+    outside the dataclass fields): those of the smallest k built so far.
+    A larger k filters them; a smaller k builds the scene's lenses anew,
+    equal to the ones kept, and drops the kept vertex records.  Every call
+    returns a fresh list.
     """
-    lenses = vars(scene).get("_lenses")
-    if lenses is None:
-        lenses = _build_lenses(scene)
-        object.__setattr__(scene, "_lenses", lenses)
-    return list(lenses)
+    if k < 2:
+        raise InvalidRichness("richness k must be at least 2")
+    state = vars(scene)
+    if "_lenses" not in state or k < state["_k"]:
+        object.__setattr__(scene, "_lenses", _build_lenses(scene, k))
+        object.__setattr__(scene, "_k", k)
+        state.pop("_records", None)
+    return rich_lenses(state["_lenses"], k)
 
 
 def _scaled_axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
@@ -224,9 +234,10 @@ def _vertices(scene: Scene, lens: Lens) -> tuple:
 
 
 def lens_index(scene: Scene, lens: Lens) -> int | None:
-    """The lens's index in the scene's enumeration, else None.  The index
-    {id(lens): i} and a record slot per lens are built on first use and
-    kept; the Scene holds its lenses, so no other live lens has their ids."""
+    """The lens's index among the scene's kept lenses, else None.  The index
+    {id(lens): i} and a record slot per lens are built on first use and kept
+    until the lenses are built anew; the Scene holds its lenses, so no other
+    live lens has their ids."""
     records = vars(scene).get("_records")
     if records is None:
         lenses = vars(scene).get("_lenses")
@@ -254,7 +265,8 @@ def lens_vertices(scene: Scene, lens: Lens) -> tuple:
     return records[i]
 
 
-def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
+def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
+    """The lenses of degree >= k, in canonical order."""
     scale, scaled = scene_frame(scene)
     buckets: dict = defaultdict(set)
     for i, j in combinations(range(len(scaled)), 2):
@@ -280,6 +292,8 @@ def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
 
     lenses = []
     for (a, b, c), ids in buckets.items():
+        if len(ids) < k:
+            continue
         # circles on one axis with the same chord (midpoint, half-chord^2),
         # all three times a^2 + b^2
         d2 = a * a + b * b
@@ -296,7 +310,7 @@ def _build_lenses(scene: Scene) -> tuple[Lens, ...]:
         # points are the midpoint -+ sqrt(n*e)/s * (b, -a) with s = g*d2*e.
         g = None
         for (k0, k1, k2), members in groups.items():
-            if len(members) < 2:
+            if len(members) < k:
                 continue
             if g is None:
                 g = scale // gcd(a * scale, b * scale, c)

@@ -187,3 +187,23 @@ def test_non_finite_bound_inputs_are_input_errors(kind, value, capsys):
     code, out, err = run_cli(["bound", "--kind", kind, f"--n={value}"], capsys)
     assert code == 2 and not out
     assert err == f"error: n must be finite, not {float(value)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "mt", "--n", "1e308", "--const", "10"],
+    ["--kind", "thm1-degree", "--n", "1e200", "--const", "1e300"],
+    ["--kind", "dyadic", "--n", "1e300", "--const", "1e300"]])
+def test_overflowing_bounds_are_input_errors(argv, capsys):
+    # finite inputs whose bound is past the float range: an OverflowError
+    # for mt, an infinite product for thm1-degree, nan ratio for dyadic
+    code, out, err = run_cli(["bound", *argv], capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "overflows a float" in err
+
+
+@pytest.mark.parametrize("spread", ["-5", "0", "1/2"])
+def test_uniform_random_rejects_a_bad_spread(spread, capsys):
+    code, out, err = run_cli(["generate", "--model", "uniform-random", "--n",
+                              "5", f"--spread={spread}"], capsys)
+    assert code == 2 and not out
+    assert err == "error: uniform-random needs an integer spread of at least 1\n"

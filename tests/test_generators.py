@@ -22,6 +22,10 @@ def test_spec_validation():
         GeneratorSpec(model="lattice-triples", n=10, spread=F(7, 2))
     with pytest.raises(InvalidInput):
         GeneratorSpec(model="lattice-triples", n=1, spread=F(2))
+    for spread in (F(-5), F(0), F(1, 2)):
+        with pytest.raises(InvalidInput):
+            GeneratorSpec(model="uniform-random", n=5, spread=spread)
+    assert GeneratorSpec(model="uniform-random", n=5, spread=F(1)).spread == 1
     assert set(MODELS) == {"bundle", "uniform-random", "unit-circles-on-grid",
                            "lattice-triples"}
 

@@ -33,6 +33,15 @@ def test_lenses_output_is_byte_identical(name, capsys):
     assert out == (DATA / f"{name}.lenses.csv").read_text()
 
 
+@pytest.mark.parametrize("name", ["bundle-n12-k3", "lattice-n48-g4-s1"])
+def test_rich_lenses_output_is_byte_identical(name, capsys):
+    # expected files were written by the enumeration that built every lens
+    # and then kept those of degree >= 3
+    assert main(["lenses", str(DATA / f"{name}.scene"), "--k", "3"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (DATA / f"{name}.lenses-k3.csv").read_text()
+
+
 @pytest.mark.parametrize("name,k", [("uniform-n12-s5", 2), ("uniform-n16-s9", 2),
                                     ("grid-n12-s3", 2), ("bundle-n12-k3", 3),
                                     ("lattice-n48-g4-s1", 3)])

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,14 @@ from circlelens import pencils
 from circlelens.errors import (DegenerateInput, InvalidRichness,
                                OracleCapExceeded)
 from circlelens.families import lens_cutting, verify_cut
-from circlelens.generators import GeneratorSpec, random_scene
+from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
+                                   random_scene)
 from circlelens.geometry import Circle, circle_line_points, radical_axis
 from circlelens.pencils import (ORACLE_CAP, Lens, Scene, brute_force_lenses,
-                                enumerate_lenses, rich_lenses)
+                                enumerate_lenses, lens_index, lens_vertices,
+                                rich_lenses)
 from circlelens.quadfield import QuadNum, QuadPoint
+from circlelens.sceneio import parse_scene
 
 
 def test_scene_rejects_duplicates():
@@ -122,9 +126,9 @@ def test_enumeration_built_once_per_scene(monkeypatch):
         axes.append((u, v))
         return real_axis(u, v)
 
-    def counted_build(s):
+    def counted_build(s, k):
         builds.append(s)
-        return real_build(s)
+        return real_build(s, k)
 
     real_axis, real_build = pencils._scaled_axis, pencils._build_lenses
     monkeypatch.setattr(pencils, "_scaled_axis", counted_axis)
@@ -336,3 +340,72 @@ def test_fast_path_beyond_the_oracle_cap():
                 assert all(values.setdefault(v, v) is v for v in p)
     assert all(a.compare(b) < 0 for a, b in zip(lenses, lenses[1:]))
     assert {l.base[0].is_rational for l in lenses} == {True, False}
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _rich_scenes():
+    """Factories of fresh, equal scenes: the tests/data scenes, a bundle and
+    a lattice-triple scene with lenses of degree 2 to 6."""
+    texts = {path.stem: path.read_text() for path in sorted(DATA.glob("*.scene"))}
+    out = {name: (lambda text=text: parse_scene(text))
+           for name, text in texts.items()}
+    out["bundle-20-4"] = lambda: pencil_bundle_construction(20, 4)[0]
+    out["lattice-64-g4-s2"] = lambda: random_scene(GeneratorSpec(
+        model="lattice-triples", n=64, seed=2, spread=F(4)))
+    return out
+
+
+RICH_SCENES = _rich_scenes()
+
+
+@pytest.mark.parametrize("name", sorted(RICH_SCENES))
+def test_enumerate_k_is_the_rich_part_of_the_full_enumeration(name):
+    full = enumerate_lenses(RICH_SCENES[name]())
+    for k in (2, 3, 4, 5):
+        lenses = enumerate_lenses(RICH_SCENES[name](), k)
+        expected = rich_lenses(full, k)
+        assert lenses == expected, (name, k)
+        assert [repr(l.base) for l in lenses] == [repr(l.base) for l in expected]
+
+
+def test_enumerate_k_validates_richness():
+    scene = RICH_SCENES["bundle-n12-k3"]()
+    for k in (1, 0, -3):
+        with pytest.raises(InvalidRichness):
+            enumerate_lenses(scene, k)
+
+
+@pytest.mark.parametrize("order", [(4, 3, 2), (2, 4), (3, 3), (5, 3, 4, 2)])
+def test_requests_of_any_k_on_one_scene(order):
+    # a k no smaller than any before filters the kept lenses, the same
+    # objects; a smaller k builds equal lenses anew and drops the records.
+    # lens_index follows the kept lenses, and every record equals a fresh one
+    scene = RICH_SCENES["lattice-64-g4-s2"]()
+    full = enumerate_lenses(RICH_SCENES["lattice-64-g4-s2"]())
+    kept = {}
+    for step, k in enumerate(order):
+        lenses = enumerate_lenses(scene, k)
+        assert lenses == rich_lenses(full, k), (order, k)
+        if step and k >= min(order[:step]):
+            assert all(kept[lens.base] is lens for lens in lenses)
+        else:
+            old = list(kept.values())
+            kept = {lens.base: lens for lens in lenses}
+            for lens in old[::7]:
+                assert lens_index(scene, lens) is None
+                assert lens_vertices(scene, lens) == pencils._vertices(scene, lens)
+        for i, lens in enumerate(enumerate_lenses(scene, min(order[:step + 1]))):
+            assert lens_index(scene, lens) == i
+        for lens in lenses[::7]:
+            record = lens_vertices(scene, lens)
+            assert lens_vertices(scene, lens) is record
+            assert record == pencils._vertices(scene, lens)
+    # one object per rational base point and per coordinate of one
+    points, values = {}, {}
+    for lens in enumerate_lenses(scene, min(order)):
+        for p in lens.base:
+            if p.is_rational:
+                assert points.setdefault(p, p) is p
+                assert all(values.setdefault(v, v) is v for v in p)
