@@ -9,10 +9,12 @@ on a circle iff the lifted circle lies on p's plane.
 Lens lines are rational: a lens's base points are rational or Galois
 conjugates over one Q(sqrt(delta)), and conjugation swaps their planes, so
 it fixes their common line.  A DualLine keeps its canonical Fraction anchor
-and direction and, computed once, an integer form: both times their common
-denominator.  The audits run on these integer forms, with the lifted
-circles taken from the scene frame (pencils.scene_frame) as integer points
-over L^2, so no Fraction is built per test.
+and direction and an integer form: both times their common denominator.
+DualLine.of canonicalises on integers, and the audit builds the lines of
+the scene's own lenses from their integer records (pencils.lens_record).
+The audits run on the integer forms, with the lifted circles taken from the
+scene frame (pencils.scene_frame) as integer points over L^2, so no
+Fraction is built per test.
 
 The audits check, with exact arithmetic, that no circle participating in
 three lenses of a certified non-overlapping family has coplanar lens lines,
@@ -25,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .errors import DegenerateInput
 from .families import LensFamily
-from .pencils import Scene, scene_frame
-from .quadfield import QuadNum, QuadPoint, cleared, cleared_parts, frac
+from .pencils import Scene, lens_record, pair_record, scene_frame
+from .quadfield import QuadNum, QuadPoint, cleared, frac
 
 
 @dataclass(frozen=True)
@@ -86,16 +89,29 @@ class DualLine:
 
     @classmethod
     def of(cls, anchor, direction) -> "DualLine":
-        anchor = tuple(frac(v) for v in anchor)
-        direction = tuple(frac(v) for v in direction)
-        pivot = next((i for i in range(3) if direction[i]), None)
-        if pivot is None:
+        w, anchor = cleared([frac(v) for v in anchor])
+        return cls._of_ints(anchor, w, cleared([frac(v) for v in direction])[1])
+
+    @classmethod
+    def _of_ints(cls, a, w: int, d) -> "DualLine":
+        """The line through a/w along d, for integer 3-vectors a and d and an
+        integer w > 0, canonicalised on integers: the direction d/t for its
+        first nonzero component t, and the anchor a/w - (a[i]/w)*d/t for
+        that component i, both over w*t and then in lowest terms."""
+        i = next((i for i in range(3) if d[i]), None)
+        if i is None:
             raise DegenerateInput("line direction must be nonzero")
-        inv = 1 / direction[pivot]
-        direction = tuple(v * inv for v in direction)
-        t = anchor[pivot]
-        anchor = tuple(anchor[i] - t * direction[i] for i in range(3))
-        return cls(anchor=anchor, direction=direction)
+        t = d[i]
+        ints = [x * t - a[i] * y for x, y in zip(a, d)] + [y * w for y in d]
+        s = w * t
+        h = gcd(s, *ints) if s > 0 else -gcd(s, *ints)
+        ints, s = [x // h for x in ints], s // h
+        line = object.__new__(cls)
+        for name, value in (("anchor", tuple(Fraction(x, s) for x in ints[:3])),
+                            ("direction", tuple(Fraction(x, s) for x in ints[3:])),
+                            ("scaled", (tuple(ints[:3]), tuple(ints[3:]), s))):
+            object.__setattr__(line, name, value)
+        return line
 
     def contains(self, point) -> bool:
         """Exact test for a point with coordinates rational or in one field."""
@@ -104,29 +120,31 @@ class DualLine:
 
 
 def lens_line(p, q) -> DualLine:
-    """The intersection line of the dual planes of p and q: with s = p + q
-    and e = q - p it passes through (s/2, (|e|^2 - |s|^2)/4) along
-    (-e.y, e.x, s.x*e.y - s.y*e.x), where a conjugate pair's e loses its
-    sqrt(delta).  Raises DegenerateInput for a pair that cannot be a lens
-    base: equal points, two fields, or non-conjugate irrational points.
+    """The intersection line of the dual planes of p and q (_line).  Raises
+    DegenerateInput for a pair that cannot be a lens base: equal points,
+    two fields, or non-conjugate irrational points.
     """
     p, q = QuadPoint.of(p), QuadPoint.of(q)
     if p == q:
         raise DegenerateInput("lens base points must be distinct")
-    try:
-        den, delta, (pxa, pxb, pya, pyb, qxa, qxb, qya, qyb) = \
-            cleared_parts((p.x, p.y, q.x, q.y))
-    except ValueError:
-        raise DegenerateInput(
-            "lens base points lie in two quadratic fields") from None
-    if delta and (qxa, qxb, qya, qyb) != (pxa, -pxb, pya, -pyb):
+    den, delta, p, q = pair_record(p, q)
+    if delta and q != [p[0], -p[1], p[2], -p[3]]:
         raise DegenerateInput("irrational lens base points must be conjugate")
+    return _line(den, delta, p, q)
+
+
+def _line(den: int, delta: int, p, q) -> DualLine:
+    """The lens line of base points with integer parts p and q over den and
+    delta (pencils.pair_record): with s = p + q and e = q - p it passes
+    through (s/2, (|e|^2 - |s|^2)/4) along (-e.y, e.x, s.x*e.y - s.y*e.x),
+    where a conjugate pair's e loses its sqrt(delta)."""
+    (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = p, q
     # s and e times den; e's parts are its rational or its sqrt(delta) ones
     sx, sy = pxa + qxa, pya + qya
     u, v = (qxb - pxb, qyb - pyb) if delta else (qxa - pxa, qya - pya)
-    z = Fraction((u * u + v * v) * (delta or 1) - sx * sx - sy * sy, 4 * den * den)
-    return DualLine.of((Fraction(sx, 2 * den), Fraction(sy, 2 * den), z),
-                       (-v, u, Fraction(sx * v - sy * u, den)))
+    z = (u * u + v * v) * (delta or 1) - sx * sx - sy * sy
+    return DualLine._of_ints((2 * den * sx, 2 * den * sy, z), 4 * den * den,
+                             (-v * den, u * den, sx * v - sy * u))
 
 
 # -- exact audits -------------------------------------------------------------
@@ -207,7 +225,9 @@ def coplanarity_audit(scene: Scene, family: LensFamily) -> AuditReport:
         raise DegenerateInput("audit requires a certified family")
     report = AuditReport()
     members = family.members
-    lines = [lens_line(*lens.base) for lens in members]
+    records = [lens_record(scene, lens) for lens in members]
+    lines = [_line(*record) if record else lens_line(*lens.base)
+             for lens, record in zip(members, records)]
 
     by_circle: dict[int, list[int]] = {}
     for i, lens in enumerate(members):

@@ -22,8 +22,8 @@ from operator import eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
 from .geometry import Dir, canonical_dir, cyclic_key, int_dir
-from .pencils import (Lens, Scene, enumerate_lenses, lens_index, lens_keys,
-                      lens_vertices)
+from .pencils import (Lens, Scene, base_ids, enumerate_lenses, lens_index,
+                      lens_keys, lens_vertices)
 
 
 def _position(keys, key) -> int:
@@ -58,12 +58,12 @@ class _ArcModel:
 
     @classmethod
     def of(cls, scene: Scene, lenses) -> "_ArcModel":
-        """The model whose vertices are the lenses' base points, with the ids
-        of the point objects as vertex ids (pencils.lens_vertices)."""
+        """The model whose vertices are the lenses' base points
+        (pencils.lens_vertices), with pencils.base_ids as vertex ids."""
         on: dict[int, dict] = defaultdict(dict)  # cid -> {point id: key}
         ends = []
         for lens in lenses:
-            p, q = map(id, lens.base)
+            p, q = base_ids(lens)
             arcs = {}
             for cid, (kp, kq, forward) in zip(lens.circles,
                                               lens_vertices(scene, lens)):

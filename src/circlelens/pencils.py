@@ -1,25 +1,26 @@
-"""Lens enumeration, and the one vertex record of each lens.
+"""Lens enumeration, and the one integer record of each lens.
 
-Lenses are merged by base pair.  The fast path works on integers, in the
-scene frame (scene_frame, which later stages share): the scene is scaled
-once by L, the lcm of the denominators of every cx, cy and r^2, so each
-circle is (X, Y, R) = (L*cx, L*cy, L^2*r^2) with its power constant
-X^2 + Y^2 - R.  Circle pairs are bucketed by their radical axis, a canonical
-integer triple, and each bucket is grouped by an integer chord key (the
-chord's midpoint and squared half chord, both times a^2 + b^2).  Base points
-are built from that key, only for groups of at least k circles, the
-richness a caller asks for (the pair loop skips radical axes with fewer
-circles); each distinct rational point, and each coordinate of one, is one
-object.  Lenses skip the checks of the public Lens constructor and are
-sorted by lens_keys: an exact integer prefix floor(2^K * v) of each
-coordinate first, then identity, and the exact value only on a tie.  The
-scene keeps the lenses of the smallest k built so far, which every later
-stage shares, as they share the one vertex record per lens that
-lens_vertices keeps.  It keeps no chord groups: the pair loop runs once per
-Scene for callers that ask for one k or a rising k, and again for a later,
-smaller k.  The brute-force oracle groups pairwise intersections by exact
-equality, sorts with Lens.compare, and exists solely to cross-check the
-fast path.
+Lenses are merged by base pair, on integers in the scene frame (scene_frame,
+which later stages share): the scene scaled by L, the lcm of the
+denominators of every cx, cy and r^2.  Circle pairs are bucketed by their
+radical axis, an integer triple, and each bucket is grouped by an integer
+chord key (the chord's midpoint and squared half chord, times a^2 + b^2).
+Groups of at least k circles, the richness a caller asks for, are lenses.
+
+An enumerated lens keeps one integer record: a denominator D, the radicand
+delta of its base pair (0 when rational) and the parts (xa, xb, ya, yb) of
+p and of q, each point ((xa + xb*sqrt(delta))/D, (ya + yb*sqrt(delta))/D).
+Lenses are sorted by keys read from it: per coordinate the prefix
+floor(2^K * v), then the exact value, compared only on a prefix tie.  Later
+stages read it too (lens_record, lens_dirs, lens_vertices), and Lens.base,
+the QuadPoint pair, is built on first read; each rational point, and each
+coordinate of one, is one object per enumeration.  A lens built apart
+through Lens(...) has no record: its base pair is written over one radicand
+(cleared_parts) and each point is tested on each circle.
+
+The scene keeps the lenses of the smallest k built so far, for every later
+stage.  The brute-force oracle groups pairwise intersections by exact
+equality, sorts with Lens.compare, and exists solely to cross-check.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from math import gcd, isqrt, lcm
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
 from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
                        intersection_points)
-from .quadfield import (QuadNum, QuadPoint, _point, _quad, cleared_parts, frac,
-                        scaled_floor)
+from .quadfield import (QuadNum, QuadPoint, _point, _quad, cleared_parts,
+                        floor_root, frac, sign_q, two_field_sign)
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,10 @@ class Lens:
     """A base point pair plus the circles passing through both points.
 
     Immutable, since every caller of enumerate_lenses on a scene gets the same
-    Lens objects."""
+    Lens objects.  An enumerated lens holds its integer record and builds its
+    base from it on first read."""
 
-    __slots__ = ("base", "circles")
+    __slots__ = ("_base", "circles", "_ints")
 
     def __init__(self, base: tuple[QuadPoint, QuadPoint], circles):
         p, q = (QuadPoint.of(b) for b in base)
@@ -76,17 +78,27 @@ class Lens:
             raise DegenerateInput("a lens needs at least two circles")
         if len(set(circles)) != len(circles):
             raise DegenerateInput("repeated circle in lens")
-        object.__setattr__(self, "base", (p, q))
+        object.__setattr__(self, "_base", (p, q))
         object.__setattr__(self, "circles", circles)
+        object.__setattr__(self, "_ints", None)
 
     @classmethod
-    def _trusted(cls, base: tuple[QuadPoint, QuadPoint], circles: tuple) -> "Lens":
-        """A lens from parts already in canonical form: distinct base points
-        in increasing order and at least two sorted, distinct circle ids."""
+    def _enumerated(cls, circles: tuple, ints: tuple) -> "Lens":
+        """A lens of an enumeration: at least two sorted, distinct circle ids
+        and the integer record (D, delta, p, q, p id, q id, point table) of
+        distinct base points p < q.  A rational pair's ids are its points'
+        keys (X, Y, W), from which lens_record rebuilds p and q (None here)."""
         lens = object.__new__(cls)
-        object.__setattr__(lens, "base", base)
-        object.__setattr__(lens, "circles", circles)
+        _set_base(lens, None)
+        _set_circles(lens, circles)
+        _set_ints(lens, ints)
         return lens
+
+    @property
+    def base(self) -> tuple[QuadPoint, QuadPoint]:
+        if self._base is None:
+            _set_base(self, _base_points(self._ints))
+        return self._base
 
     def __setattr__(self, name, value):
         raise AttributeError("Lens is immutable")
@@ -116,29 +128,74 @@ class Lens:
         return f"Lens(base=({self.base[0]}, {self.base[1]}), circles={self.circles})"
 
 
-# bits of the integer prefix floor(2^K * v) that lens_keys compares first
+# the slots' own setters, which Lens.__setattr__ does not reach
+_set_base, _set_circles, _set_ints = (
+    getattr(Lens, name).__set__ for name in ("_base", "circles", "_ints"))
+
+
+# bits of the integer prefix floor(2^K * v) that sort keys compare first
 _PREFIX_BITS = 32
 
 
+class _Coord(tuple):
+    """(a, n, b, d): the coordinate (a + b*sqrt(d))/n, integers, n > 0, that
+    a sort key compares exactly when its prefixes floor(2^K*v) tie."""
+
+    __slots__ = ()
+
+    def _sign(self, other: "_Coord") -> int:
+        """The sign of self - other."""
+        a, n, b, d = self
+        oa, on, ob, od = other
+        a, b, c = a * on - oa * n, b * on, ob * n
+        if not c:
+            return sign_q(a, b, d)
+        if not b or d == od:
+            return sign_q(a, b - c, od)
+        return two_field_sign(a, b, -c, 0, d, od)
+
+    def __eq__(self, other):
+        return not self._sign(other)
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+
+def _key_part(a: int, b: int, d: int, n: int) -> tuple:
+    """(floor(2^K*v), v) for the coordinate v = (a + b*sqrt(d))/n."""
+    return floor_root(a, b, d, n, _PREFIX_BITS), _Coord((a, n, b, d))
+
+
+def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
+    """The sort key of the point with integer parts p = (xa, xb, ya, yb)
+    over D = d and radicand delta and of its conjugate: the key part of each
+    coordinate of the one, then of the other.  One isqrt per coordinate
+    serves both: floor(2^K*v) is (2^K*a + s)//d for b >= 0, else
+    (2^K*a - s - 1)//d (floor_root)."""
+    xa, xb, ya, yb = p
+    k = _PREFIX_BITS
+    sx, sy = isqrt((xb << k) ** 2 * delta), isqrt((yb << k) ** 2 * delta)
+    x, y = xa << k, ya << k
+    px, qx = (x + sx) // d, (x - sx - (sx > 0)) // d
+    py, qy = (y + sy) // d, (y - sy - (sy > 0)) // d
+    if xb < 0:
+        px, qx = qx, px
+    if yb < 0:
+        py, qy = qy, py
+    return (px, _Coord((xa, d, xb, delta)), py, _Coord((ya, d, yb, delta)),
+            qx, _Coord((xa, d, -xb, delta)), qy, _Coord((ya, d, -yb, delta)))
+
+
 def lens_keys(lenses) -> list[tuple]:
-    """One sort key per lens, in the order of Lens.compare.
-
-    A base point's key is (floor(2^K*x), x, floor(2^K*y), y), built once per
-    distinct point object, so tuple comparison settles most pairs on the
-    integer prefixes and on identity, and compares coordinates exactly only
-    when their prefixes tie.
-    """
-    points: dict[int, tuple] = {}
-
-    def point_key(p: QuadPoint) -> tuple:
-        key = points.get(id(p))
-        if key is None:
-            key = points[id(p)] = (scaled_floor(p.x, _PREFIX_BITS), p.x,
-                                   scaled_floor(p.y, _PREFIX_BITS), p.y)
-        return key
-
-    return [(point_key(lens.base[0]), point_key(lens.base[1]), lens.circles)
-            for lens in lenses]
+    """One sort key per lens, in the order of Lens.compare: the key part of
+    each coordinate of its base pair's record (pair_record), then its
+    circles."""
+    keys = []
+    for lens in lenses:
+        d, delta, p, q = pair_record(*lens.base)
+        keys.append((*(t for a, b in (p[:2], p[2:], q[:2], q[2:])
+                       for t in _key_part(a, b, delta, d)), lens.circles))
+    return keys
 
 
 def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
@@ -203,41 +260,11 @@ def _forward(vp: IntDir, vq: IntDir) -> bool:
     return cross_sign(vp, vq) >= 0
 
 
-def _vertices(scene: Scene, lens: Lens) -> tuple:
-    """The record of lens_vertices, built anew."""
-    scale, frame = scene_frame(scene)
-    p, q = lens.base
-    try:
-        d, delta, parts = cleared_parts((p.x, p.y, q.x, q.y), scale)
-    except ValueError:
-        raise DegenerateInput(
-            "lens base points lie in two quadratic fields") from None
-    # the centers times D are g*(X, Y), and r^2 times D^2 is g^2*R
-    g = d // scale
-    # over one radicand, a conjugate q shares p's u, w and on-circle verdict
-    conjugate = parts[4:] == [parts[0], -parts[1], parts[2], -parts[3]]
-    out = []
-    for cid in lens.circles:
-        x, y, r, _ = frame[cid]
-        pair = []
-        for pt, (xa, xb, ya, yb) in ((p, parts[:4]), (q, parts[4:])):
-            if not (pair and conjugate):
-                u, w = xa - g * x, ya - g * y
-                # the power of pt times D^2 is (u^2 + w^2 + (xb^2 + yb^2)*delta
-                # - g^2*R) + 2*(u*xb + w*yb)*sqrt(delta), zero iff both are
-                if u * xb + w * yb or \
-                        u * u + w * w + (xb * xb + yb * yb) * delta != g * g * r:
-                    raise DegenerateInput(f"base point {pt} is not on circle {cid}")
-            pair.append((u, xb, w, yb, delta))
-        out.append((cyclic_key(pair[0]), cyclic_key(pair[1]), _forward(*pair)))
-    return tuple(out)
-
-
 def lens_index(scene: Scene, lens: Lens) -> int | None:
     """The lens's index among the scene's kept lenses, else None.  The index
-    {id(lens): i} and a record slot per lens are built on first use and kept
-    until the lenses are built anew; the Scene holds its lenses, so no other
-    live lens has their ids."""
+    {id(lens): i} and a vertex record slot per lens are built on first use
+    and kept until the lenses are built anew; the Scene holds its lenses, so
+    no other live lens has their ids."""
     records = vars(scene).get("_records")
     if records is None:
         lenses = vars(scene).get("_lenses")
@@ -249,14 +276,76 @@ def lens_index(scene: Scene, lens: Lens) -> int | None:
     return records[0].get(id(lens))
 
 
+def pair_record(p: QuadPoint, q: QuadPoint, base: int = 1) -> tuple:
+    """(D, delta, p parts, q parts): a base pair written over one radicand,
+    with D the lcm of base and its denominators (cleared_parts), as in an
+    enumerated lens's record.  DegenerateInput for two quadratic fields."""
+    try:
+        d, delta, parts = cleared_parts((p.x, p.y, q.x, q.y), base)
+    except ValueError:
+        raise DegenerateInput(
+            "lens base points lie in two quadratic fields") from None
+    return d, delta, parts[:4], parts[4:]
+
+
+def lens_record(scene: Scene, lens: Lens) -> tuple | None:
+    """(D, delta, p, q) of a lens the scene enumerated, D a multiple of the
+    scene frame's L (module docstring); None for any other lens."""
+    if lens_index(scene, lens) is None:
+        return None
+    d, delta, p, q, pid, qid, _ = lens._ints
+    if p is None:  # rational: from the keys (X, Y, W), W dividing D
+        p, q = ((x * (d // w), 0, y * (d // w), 0) for x, y, w in (pid, qid))
+    return d, delta, p, q
+
+
+def base_ids(lens: Lens) -> tuple[int, int]:
+    """Ids of two live objects that stand for the lens's base points: one
+    per rational point of an enumeration (the record), else its QuadPoints."""
+    return tuple(map(id, lens._ints[4:6] if lens._ints else lens.base))
+
+
+def lens_dirs(scene: Scene, lens: Lens) -> tuple:
+    """Per circle of the lens, in the order of lens.circles, (vp, vq): the
+    directions (IntDir) of its base points p < q from the circle's center,
+    the points and the scene frame scaled by one D, over one radicand.  Read
+    from the record of a lens the scene enumerated; any other lens's points
+    are tested on each circle (DegenerateInput for two quadratic fields or
+    a point off a circle)."""
+    scale, frame = scene_frame(scene)
+    record = lens_record(scene, lens)
+    checked = record is None
+    if checked:
+        record = pair_record(*lens.base, scale)
+    d, delta, (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = record
+    g = d // scale  # the centers times D are g*(X, Y)
+    dirs = tuple(((pxa - g * x, pxb, pya - g * y, pyb, delta),
+                  (qxa - g * x, qxb, qya - g * y, qyb, delta))
+                 for x, y, _, _ in (frame[cid] for cid in lens.circles))
+    for cid, pair in zip(lens.circles, dirs) if checked else ():
+        r = frame[cid][2]
+        for pt, (u, xb, w, yb, _) in zip(lens.base, pair):
+            # the power of pt times D^2 is (u^2 + w^2 + (xb^2 + yb^2)*delta
+            # - g^2*R) + 2*(u*xb + w*yb)*sqrt(delta), zero iff both are
+            if u * xb + w * yb or \
+                    u * u + w * w + (xb * xb + yb * yb) * delta != g * g * r:
+                raise DegenerateInput(f"base point {pt} is not on circle {cid}")
+    return dirs
+
+
+def _vertices(scene: Scene, lens: Lens) -> tuple:
+    """The record of lens_vertices, built anew."""
+    return tuple((cyclic_key(vp), cyclic_key(vq), _forward(vp, vq))
+                 for vp, vq in lens_dirs(scene, lens))
+
+
 def lens_vertices(scene: Scene, lens: Lens) -> tuple:
     """Per circle of the lens, in the order of lens.circles, (key of p, key
-    of q, forward): the cyclic keys of the directions of its base points
-    p < q from the circle's center, and whether the lens arc runs CCW from p
-    to q.  A direction, key[2].v, is an IntDir over one radicand, the points
-    and the scene frame scaled by one D.  Kept for a lens the scene
-    enumerated, built for the call for any other.  Raises DegenerateInput
-    for base points in two quadratic fields or off one of the circles."""
+    of q, forward): the cyclic keys of the base points' directions
+    (lens_dirs; a direction is key[2].v), and whether the lens arc runs CCW
+    from p to q.  This vertex record is kept for a lens the scene
+    enumerated and built for the call for any other, with the checks of
+    lens_dirs."""
     i = lens_index(scene, lens)
     if i is None:
         return _vertices(scene, lens)
@@ -265,16 +354,46 @@ def lens_vertices(scene: Scene, lens: Lens) -> tuple:
     return records[i]
 
 
+def _base_points(ints: tuple) -> tuple[QuadPoint, QuadPoint]:
+    """The base pair of an enumerated lens, from its integer record."""
+    d, delta, p, q, pid, qid, table = ints
+    if not delta:
+        return table(pid), table(qid)
+    # conjugates: q's parts are p's with the sqrt(delta) parts negated
+    fx, u, fy, v = (Fraction(t, d) for t in p)
+    return (_point(_quad(fx, u, delta), _quad(fy, v, delta)),
+            _point(_quad(fx, -u, delta), _quad(fy, -v, delta)))
+
+
 def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
     """The lenses of degree >= k, in canonical order."""
     scale, scaled = scene_frame(scene)
-    buckets: dict = defaultdict(set)
+    buckets: dict = defaultdict(list)  # axis -> the circles of its pairs
     for i, j in combinations(range(len(scaled)), 2):
         axis = _scaled_axis(scaled[i], scaled[j])
         if axis is not None:
-            buckets[axis].update((i, j))
+            buckets[axis] += i, j
+    shared: dict[tuple, tuple] = {}  # see rational
+    coords: dict[tuple, tuple] = {}  # (n, d) in lowest terms -> its key part
     values: dict[tuple, QuadNum] = {}  # (n, d) in lowest terms -> n/d
-    points: dict[tuple, QuadPoint] = {}  # (X, Y, D) with gcd 1 -> (X/D, Y/D)
+    points: dict[tuple, QuadPoint] = {}  # (X, Y, W) -> (X/W, Y/W)
+
+    def rational(x: int, y: int, d: int) -> tuple:
+        """(key, sort key) of the rational point (x/d, y/d): the key (X, Y, W)
+        in lowest terms, one object per point, and a sort key that shares
+        each coordinate's part with every equal one."""
+        h = gcd(x, y, d)
+        key = (x // h, y // h, d // h)
+        if key not in shared:
+            shared[key] = (key, coord(key[0], key[2]) + coord(key[1], key[2]))
+        return shared[key]
+
+    def coord(n: int, d: int) -> tuple:
+        h = gcd(n, d)
+        key = (n // h, d // h)
+        if key not in coords:
+            coords[key] = _key_part(key[0], 0, 0, key[1])
+        return coords[key]
 
     def value(n: int, d: int) -> QuadNum:
         h = gcd(n, d)
@@ -283,16 +402,17 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
             values[key] = _quad(Fraction(*key), 0, 0)
         return values[key]
 
-    def point(x: int, y: int, d: int) -> QuadPoint:
-        h = gcd(x, y, d)
-        key = (x // h, y // h, d // h)
+    def table(key: tuple) -> QuadPoint:
+        """The QuadPoint of a rational point's key, one object per point and
+        per coordinate value."""
         if key not in points:
-            points[key] = _point(value(x, d), value(y, d))
+            points[key] = _point(value(key[0], key[2]), value(key[1], key[2]))
         return points[key]
 
-    lenses = []
+    lenses, keys = [], []
     for (a, b, c), ids in buckets.items():
-        if len(ids) < k:
+        # m pairs hold at most 2m circles
+        if len(ids) < k or len(ids := set(ids)) < k:
             continue
         # circles on one axis with the same chord (midpoint, half-chord^2),
         # all three times a^2 + b^2
@@ -304,10 +424,15 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
             key = (x * d2 - n * a, y * d2 - n * b, r * d2 - n * n)
             if key[2] > 0:
                 groups[key].append(i)
+        # the base points are the midpoint -+ t*(u, -v): the step (b, -a)
+        # with a >= 0 turned, if needed, so that p < q, since x grows along
+        # it when b > 0 and, when b == 0, x stays and y falls
+        u, v = (b, a) if b > 0 else (-b, -a)
         # On the axis in the original coordinates, g*(a, b, c/L) with
         # g = L/gcd(a*L, b*L, c), chord_of gives the midpoint (k0, k1)/m,
         # m = L*d2, and the radicand g^2*k2/L^2 = n/e in lowest terms; the
-        # points are the midpoint -+ sqrt(n*e)/s * (b, -a) with s = g*d2*e.
+        # points are the midpoint -+ sqrt(n*e)/s * (b, -a) with s = g*d2*e,
+        # all over D = L*s.
         g = None
         for (k0, k1, k2), members in groups.items():
             if len(members) < k:
@@ -316,23 +441,23 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
                 g = scale // gcd(a * scale, b * scale, c)
             h = gcd(g * g * k2, scale * scale)
             e = scale * scale // h
-            delta, m, s = g * g * k2 // h * e, scale * d2, g * d2 * e
-            r = isqrt(delta)
+            delta, d = g * g * k2 // h * e, scale * g * d2 * e
+            x, y, r = k0 * g * e, k1 * g * e, isqrt(delta)
             if r * r == delta:
-                # over one denominator L*s; only rational points can be shared
-                x, y, t = k0 * g * e, k1 * g * e, scale * r
-                base = (point(x - b * t, y + a * t, scale * s),
-                        point(x + b * t, y - a * t, scale * s))
+                # only rational points can be shared between lenses
+                t = scale * r
+                pid, pkey = rational(x - u * t, y + v * t, d)
+                qid, qkey = rational(x + u * t, y - v * t, d)
+                # lens_record rebuilds p and q from the points' keys
+                lens_key, delta, p, q = pkey + qkey, 0, None, None
             else:
-                fx, fy, u, v = (Fraction(k0, m), Fraction(k1, m),
-                                Fraction(b, s), Fraction(a, s))
-                base = (_point(_quad(fx, -u, delta), _quad(fy, v, delta)),
-                        _point(_quad(fx, u, delta), _quad(fy, -v, delta)))
-            # the first point steps to the second along (b, -a) with a >= 0:
-            # x grows when b > 0; when b == 0, x stays and y falls
-            lenses.append(Lens._trusted(base if b > 0 else base[::-1],
-                                        tuple(members)))
-    keys = lens_keys(lenses)
+                p, q = (x, -u * scale, y, v * scale), (x, u * scale, y, -v * scale)
+                pid, qid = p, q
+                lens_key = _conjugate_key(p, delta, d)
+            members = tuple(members)
+            keys.append((*lens_key, members))
+            lenses.append(Lens._enumerated(members,
+                                           (d, delta, p, q, pid, qid, table)))
     return tuple(lenses[i] for i in sorted(range(len(lenses)),
                                            key=keys.__getitem__))
 

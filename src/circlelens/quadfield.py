@@ -276,15 +276,6 @@ def floor_root(p: int, q: int, d: int, n: int, k: int) -> int:
     return (p + s) // n if q >= 0 else (p - s - 1) // n
 
 
-def scaled_floor(x: QuadNum, k: int) -> int:
-    """The integer floor(2^k * x)."""
-    a, b = x.a, x.b
-    if not b:
-        return (a.numerator << k) // a.denominator
-    return floor_root(a.numerator * b.denominator, b.numerator * a.denominator,
-                      x.delta, a.denominator * b.denominator, k)
-
-
 ZERO = QuadNum(0)
 ONE = QuadNum(1)
 

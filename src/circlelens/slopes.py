@@ -10,11 +10,11 @@ the tangent direction at the point is u turned a quarter, and the slope is
 its component along d over its component across d.
 
 The check runs on integers.  It reads each circle's radii to the base
-points from the lens's one vertex record (pencils.lens_vertices), scaled
-with the scene frame by one denominator and over the one radicand delta of
-the base pair, so every quantity lies in Z[sqrt(delta)], the base chord d
-included.  A slope is A/n with A in Z[sqrt(delta)] and an integer n > 0,
-and two slopes are compared with one sign_q.
+points from the lens's integer record (pencils.lens_dirs), scaled with the
+scene frame by one denominator and over the one radicand delta of the base
+pair, so every quantity lies in Z[sqrt(delta)], the base chord d included.
+A slope is A/n with A in Z[sqrt(delta)] and an integer n > 0, and two
+slopes are compared with one sign_q.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cmp_to_key
 
 from .errors import DegenerateInput, Inconclusive, VerticalTangent
 from .geometry import Circle, point_on_circle
-from .pencils import Lens, Scene, lens_vertices
+from .pencils import Lens, Scene, lens_dirs
 from .quadfield import QuadNum, QuadPoint, sign_q
 
 
@@ -84,7 +84,7 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
     Inconclusive when fewer than two circles remain, and DegenerateInput for
     base points in two quadratic fields.
     """
-    dirs = [(kp[2].v, kq[2].v) for kp, kq, _ in lens_vertices(scene, lens)]
+    dirs = lens_dirs(scene, lens)
     # vq - vp is q - p, the base chord, in the same scale
     vp, vq = dirs[0]
     d, delta = [b - a for a, b in zip(vp[:4], vq[:4])], vp[4]

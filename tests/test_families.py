@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
 from pathlib import Path
@@ -159,26 +158,34 @@ def test_scene_keeps_vertices_of_its_own_lenses_only():
     assert lens_vertices(scene, own) is record
 
 
-def test_each_base_pair_is_cleared_once_per_run(monkeypatch):
-    # family selection, cutting, verify_cut and the order check all read
-    # the one vertex record pencils keeps per enumerated lens
+def test_stages_read_the_records_of_own_lenses(monkeypatch):
+    # family selection, the audit, cutting, verify_cut and the order check
+    # read each enumerated lens's integer record: no base pair is cleared
+    # again and no lens builds its QuadPoints
     scene = parse_scene((DATA / "lattice-n48-g4-s1.scene").read_text())
-    cleared = Counter()
-    real = pencils.cleared_parts
+    cleared = []
 
     def counted(values, base=1):
-        cleared[tuple(values)] += 1
+        cleared.append(tuple(values))
         return real(values, base)
 
+    real = pencils.cleared_parts
     monkeypatch.setattr(pencils, "cleared_parts", counted)
-    rich = rich_lenses(enumerate_lenses(scene), 3)
-    assert select_family(rich, scene).certificate
+    lenses = enumerate_lenses(scene)
+    rich = rich_lenses(lenses, 3)
+    family = select_family(rich, scene)
+    assert family.certificate and coplanarity_audit(scene, family).clean
     assert verify_cut(scene, lens_cutting(scene, 3))
     for lens in rich:
         order_reversal_check(lens, scene)
-    pairs = [(p.x, p.y, q.x, q.y) for p, q in (lens.base for lens in rich)]
-    assert len(rich) > 50 and len(set(pairs)) == len(rich)
-    assert cleared == Counter(pairs)
+    assert len(rich) > 50 and not cleared
+    assert all(lens._base is None for lens in lenses)
+    # a lens built apart takes the checked path, once per call
+    (first,) = rich[:1]
+    apart = Lens(first.base, first.circles)
+    assert lens_vertices(scene, apart) == lens_vertices(scene, first)
+    assert order_reversal_check(apart, scene) == order_reversal_check(first, scene)
+    assert len(cleared) == 2
 
 
 def test_exact_at_least_greedy(corpus):

@@ -21,13 +21,15 @@ def test_import_loads_no_sympy():
 
 
 @pytest.mark.parametrize("name", ["uniform-n12-s5", "uniform-n16-s9",
-                                  "grid-n12-s3", "lattice-n48-g4-s1"])
+                                  "grid-n12-s3", "lattice-n48-g4-s1",
+                                  "prefix-tie-n4"])
 def test_lenses_output_is_byte_identical(name, capsys):
     # expected files were written by the square-free kernel that factored
     # every radicand; printing strips squares without factoring.
     # lattice-n48-g4-s1.lenses.csv (806 lenses) was written by the
     # enumeration that sorted with Lens.compare alone, before integer chord
-    # keys
+    # keys; prefix-tie-n4.lenses.csv by the enumeration that sorted base
+    # points as QuadNums, before integer lens records
     assert main(["lenses", str(DATA / f"{name}.scene")]) == 0
     out, _ = capsys.readouterr()
     assert out == (DATA / f"{name}.lenses.csv").read_text()

@@ -15,8 +15,8 @@ from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
                                    random_scene)
 from circlelens.geometry import Circle, circle_line_points, radical_axis
 from circlelens.pencils import (ORACLE_CAP, Lens, Scene, brute_force_lenses,
-                                enumerate_lenses, lens_index, lens_vertices,
-                                rich_lenses)
+                                enumerate_lenses, lens_dirs, lens_index,
+                                lens_vertices, rich_lenses)
 from circlelens.quadfield import QuadNum, QuadPoint
 from circlelens.sceneio import parse_scene
 
@@ -405,6 +405,63 @@ def test_requests_of_any_k_on_one_scene(order):
     # one object per rational base point and per coordinate of one
     points, values = {}, {}
     for lens in enumerate_lenses(scene, min(order)):
+        for p in lens.base:
+            if p.is_rational:
+                assert points.setdefault(p, p) is p
+                assert all(values.setdefault(v, v) is v for v in p)
+
+
+def test_enumeration_breaks_a_prefix_tie_exactly(monkeypatch):
+    # chords at x = 1/3 (circles 0, 1) and x = 1/3 + 2^-40 (circles 2, 3)
+    # share floor(2^32*x), and the second chord's lower base point lies
+    # lower, so an order read from the prefixes alone would put it first
+    scene = parse_scene((DATA / "prefix-tie-n4.scene").read_text())
+    compared = []
+    real = pencils._Coord._sign
+
+    def counted(self, other):
+        compared.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(pencils._Coord, "_sign", counted)
+    lenses = enumerate_lenses(scene)
+    assert compared
+    assert [l.circles for l in lenses] == [(0, 3), (0, 1), (2, 3), (1, 2)]
+    (p1, _), (p2, _) = lenses[1].base, lenses[2].base
+    assert (p1.x.a, p2.x.a) == (F(1, 3), F(1, 3) + F(1, 2 ** 40))
+    assert math.floor(p1.x.a * 2 ** 32) == math.floor(p2.x.a * 2 ** 32)
+    assert p2.y < p1.y
+    assert lenses == sorted(lenses, key=cmp_to_key(Lens.compare))
+    assert lenses == brute_force_lenses(scene)
+
+
+def _ray(v):
+    """An IntDir reduced by the gcd of its parts: equal for positive
+    multiples of one direction over one radicand."""
+    g = math.gcd(*v[:4])
+    return (*(x // g for x in v[:4]), v[4])
+
+
+@pytest.mark.parametrize("name", sorted(RICH_SCENES))
+def test_records_agree_with_the_checked_path(name):
+    # every enumerated lens against an equal one built apart, which has no
+    # record and takes the checked path (cleared_parts, on-circle tests)
+    scene = RICH_SCENES[name]()
+    lenses = enumerate_lenses(scene)
+    dirs = [lens_dirs(scene, lens) for lens in lenses]
+    vertices = [lens_vertices(scene, lens) for lens in lenses]
+    assert all(lens._base is None for lens in lenses)  # none read so far
+    points, values = {}, {}
+    for lens, own_dirs, own_vertices in zip(lenses, dirs, vertices):
+        apart = Lens(lens.base, lens.circles)
+        assert lens_index(scene, apart) is None
+        assert lens_vertices(scene, apart) == own_vertices
+        assert [tuple(map(_ray, pair)) for pair in lens_dirs(scene, apart)] \
+            == [tuple(map(_ray, pair)) for pair in own_dirs]
+        assert apart == lens and hash(apart) == hash(lens)
+        assert repr(apart) == repr(lens)
+        assert repr(apart.base) == repr(lens.base)
+        # lazily built rational points: one object per point and per value
         for p in lens.base:
             if p.is_rational:
                 assert points.setdefault(p, p) is p

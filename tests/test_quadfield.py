@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelens.quadfield import (QuadNum, QuadPoint, _quad, cleared_parts,
-                                  scaled_floor, sign_q)
+                                  floor_root, sign_q)
 
 
 def test_canonical_storage_folds_square_radicands():
@@ -179,26 +179,32 @@ big_rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                              max_denominator=10 ** 12)
 
 
+def _scaled_floor(x: QuadNum, k: int) -> int:
+    """floor(2^k * x) by floor_root, on x written over its own denominator."""
+    d, delta, (a, b) = cleared_parts((x,))
+    return floor_root(a, b, delta, d, k)
+
+
 @given(big_rationals, big_rationals, st.integers(2, 10 ** 15),
        st.sampled_from([0, 1, 7, 32, 64]))
 @settings(max_examples=150)
-def test_scaled_floor_brackets_the_value(a, b, delta, k):
+def test_floor_root_brackets_the_value(a, b, delta, k):
     # f <= 2^k * x < f + 1, decided exactly by sign_q
     x = QuadNum(a, b, delta)
-    f = scaled_floor(x, k)
+    f = _scaled_floor(x, k)
     assert isinstance(f, int)
     scaled_a, scaled_b = x.a * 2 ** k, x.b * 2 ** k
     assert sign_q(scaled_a - f, scaled_b, x.delta) >= 0
     assert sign_q(scaled_a - f - 1, scaled_b, x.delta) < 0
 
 
-def test_scaled_floor_cases():
-    assert scaled_floor(QuadNum.of(Fraction(-3, 2)), 0) == -2
-    assert scaled_floor(QuadNum.of(Fraction(-3, 2)), 1) == -3
-    assert scaled_floor(QuadNum.sqrt(2), 0) == 1
-    assert scaled_floor(-QuadNum.sqrt(2), 0) == -2
-    assert scaled_floor(QuadNum(1, Fraction(-1, 3), 2), 10) == 541  # 0.5285...
-    assert scaled_floor(QuadNum(0, 1, 8), 32) == scaled_floor(QuadNum(0, 2, 2), 32)
+def test_floor_root_cases():
+    assert _scaled_floor(QuadNum.of(Fraction(-3, 2)), 0) == -2
+    assert _scaled_floor(QuadNum.of(Fraction(-3, 2)), 1) == -3
+    assert _scaled_floor(QuadNum.sqrt(2), 0) == 1
+    assert _scaled_floor(-QuadNum.sqrt(2), 0) == -2
+    assert _scaled_floor(QuadNum(1, Fraction(-1, 3), 2), 10) == 541  # 0.5285...
+    assert _scaled_floor(QuadNum(0, 1, 8), 32) == _scaled_floor(QuadNum(0, 2, 2), 32)
 
 
 def test_cleared_parts_over_one_radicand():
