@@ -21,7 +21,7 @@ from .generators import (MODELS, GeneratorSpec, pencil_bundle_construction,
                          random_scene)
 from .geometry import Circle, power_of_point
 from .incidence import szekely_stats
-from .pencils import brute_force_lenses, enumerate_lenses
+from .pencils import base_text, brute_force_lenses, enumerate_lenses
 from .sceneio import parse_scene, serialize_scene
 from .slopes import order_reversal_check
 
@@ -77,9 +77,7 @@ def cmd_generate(args) -> int:
 def cmd_lenses(args) -> int:
     scene = _load_scene(args.scene)
     lenses = enumerate_lenses(scene, args.k or 2)
-    rows = [(i, str(l.base[0].x), str(l.base[0].y),
-             str(l.base[1].x), str(l.base[1].y), l.degree,
-             ";".join(map(str, l.circles)))
+    rows = [(i, *base_text(scene, l), l.degree, ";".join(map(str, l.circles)))
             for i, l in enumerate(lenses)]
     _write(args.out, _csv(["index", "px", "py", "qx", "qy", "degree", "circles"],
                           rows))

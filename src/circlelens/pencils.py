@@ -36,7 +36,7 @@ from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
 from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
                        intersection_points)
 from .quadfield import (QuadNum, QuadPoint, _point, _quad, cleared_parts,
-                        floor_root, frac, sign_q, two_field_sign)
+                        floor_root, frac, parts_text, sign_q, two_field_sign)
 
 
 @dataclass(frozen=True)
@@ -297,6 +297,16 @@ def lens_record(scene: Scene, lens: Lens) -> tuple | None:
     if p is None:  # rational: from the keys (X, Y, W), W dividing D
         p, q = ((x * (d // w), 0, y * (d // w), 0) for x, y, w in (pid, qid))
     return d, delta, p, q
+
+
+def base_text(scene: Scene, lens: Lens) -> list[str]:
+    """The printed coordinates px, py, qx, qy of the lens's base points: from
+    the record of a lens the scene enumerated, without building them."""
+    record = lens_record(scene, lens)
+    if record is None:
+        return [str(v) for point in lens.base for v in point]
+    d, delta, p, q = record
+    return parts_text((p[:2], p[2:], q[:2], q[2:]), delta, d)
 
 
 def base_ids(lens: Lens) -> tuple[int, int]:

@@ -257,13 +257,32 @@ class QuadNum:
         return f"QuadNum({self.a!r}, {self.b!r}, {self.delta!r})"
 
     def __str__(self):
-        if self.delta == 0:
-            return str(self.a)
-        s, m = _printed_radicand(self.delta)
-        b = self.b * s
-        head = f"{self.a}" if self.a else ""
+        a, b = self.a, self.b
+        return parts_text([(a.numerator * b.denominator,
+                            b.numerator * a.denominator)],
+                          self.delta, a.denominator * b.denominator)[0]
+
+
+def _ratio_text(a: int, n: int) -> str:
+    """a/n in lowest terms, printed as a Fraction prints, for n > 0."""
+    h = gcd(a, n)
+    return f"{a // h}" if h == n else f"{a // h}/{n // h}"
+
+
+def parts_text(parts, delta: int, n: int) -> list[str]:
+    """The printed form of (a + b*sqrt(delta))/n for each integer pair (a, b)
+    of parts, with n > 0 and delta 0 or not a square, as QuadNum prints it;
+    the radicand's squares are taken out once for all of them."""
+    s, m = _printed_radicand(delta) if delta else (1, 0)
+    out = []
+    for a, b in parts:
+        if not (b and delta):
+            out.append(_ratio_text(a, n))
+            continue
+        head = _ratio_text(a, n) if a else ""
         sgn = "+" if b > 0 and head else ""
-        return f"{head}{sgn}{b}*sqrt({m})"
+        out.append(f"{head}{sgn}{_ratio_text(b * s, n)}*sqrt({m})")
+    return out
 
 
 def floor_root(p: int, q: int, d: int, n: int, k: int) -> int:

@@ -14,9 +14,10 @@ from circlelens.families import lens_cutting, verify_cut
 from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
                                    random_scene)
 from circlelens.geometry import Circle, circle_line_points, radical_axis
-from circlelens.pencils import (ORACLE_CAP, Lens, Scene, brute_force_lenses,
-                                enumerate_lenses, lens_dirs, lens_index,
-                                lens_vertices, rich_lenses)
+from circlelens.pencils import (ORACLE_CAP, Lens, Scene, base_text,
+                                brute_force_lenses, enumerate_lenses,
+                                lens_dirs, lens_index, lens_vertices,
+                                rich_lenses)
 from circlelens.quadfield import QuadNum, QuadPoint
 from circlelens.sceneio import parse_scene
 
@@ -450,10 +451,13 @@ def test_records_agree_with_the_checked_path(name):
     lenses = enumerate_lenses(scene)
     dirs = [lens_dirs(scene, lens) for lens in lenses]
     vertices = [lens_vertices(scene, lens) for lens in lenses]
+    texts = [base_text(scene, lens) for lens in lenses]
     assert all(lens._base is None for lens in lenses)  # none read so far
     points, values = {}, {}
-    for lens, own_dirs, own_vertices in zip(lenses, dirs, vertices):
+    for lens, own_dirs, own_vertices, text in zip(lenses, dirs, vertices, texts):
         apart = Lens(lens.base, lens.circles)
+        assert text == base_text(scene, apart) == [str(v) for p in apart.base
+                                                   for v in p]
         assert lens_index(scene, apart) is None
         assert lens_vertices(scene, apart) == own_vertices
         assert [tuple(map(_ray, pair)) for pair in lens_dirs(scene, apart)] \
