@@ -188,8 +188,8 @@ def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
 
 def lens_keys(lenses) -> list[tuple]:
     """One sort key per lens, in the order of Lens.compare: the key part of
-    each coordinate of its base pair's record (pair_record), then its
-    circles."""
+    each coordinate of its base pair's record (pair_record, so
+    DegenerateInput for two quadratic fields), then its circles."""
     keys = []
     for lens in lenses:
         d, delta, p, q = pair_record(*lens.base)
