@@ -77,7 +77,7 @@ def cmd_generate(args) -> int:
 def cmd_lenses(args) -> int:
     scene = _load_scene(args.scene)
     lenses = enumerate_lenses(scene, args.k or 2)
-    rows = [(i, *base_text(scene, l), l.degree, ";".join(map(str, l.circles)))
+    rows = [(i, *base_text(l), l.degree, ";".join(map(str, l.circles)))
             for i, l in enumerate(lenses)]
     _write(args.out, _csv(["index", "px", "py", "qx", "qy", "degree", "circles"],
                           rows))

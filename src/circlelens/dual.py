@@ -10,8 +10,8 @@ Lens lines are rational: a lens's base points are rational or Galois
 conjugates over one Q(sqrt(delta)), and conjugation swaps their planes, so
 it fixes their common line.  A DualLine keeps its canonical Fraction anchor
 and direction and an integer form: both times their common denominator.
-DualLine.of canonicalises on integers, and the audit builds the lines of
-the scene's own lenses from their integer records (pencils.lens_record).
+DualLine.of canonicalises on integers, and the audit builds the line of
+each lens from its integer record (pencils.lens_record).
 The audits run on the integer forms, with the lifted circles taken from the
 scene frame (pencils.scene_frame) as integer points over L^2, so no
 Fraction is built per test.
@@ -127,17 +127,17 @@ def lens_line(p, q) -> DualLine:
     p, q = QuadPoint.of(p), QuadPoint.of(q)
     if p == q:
         raise DegenerateInput("lens base points must be distinct")
-    den, delta, p, q = pair_record(p, q)
-    if delta and q != [p[0], -p[1], p[2], -p[3]]:
-        raise DegenerateInput("irrational lens base points must be conjugate")
-    return _line(den, delta, p, q)
+    return _line(*pair_record(p, q))
 
 
 def _line(den: int, delta: int, p, q) -> DualLine:
     """The lens line of base points with integer parts p and q over den and
-    delta (pencils.pair_record): with s = p + q and e = q - p it passes
+    delta (pencils.lens_record): with s = p + q and e = q - p it passes
     through (s/2, (|e|^2 - |s|^2)/4) along (-e.y, e.x, s.x*e.y - s.y*e.x),
-    where a conjugate pair's e loses its sqrt(delta)."""
+    where a conjugate pair's e loses its sqrt(delta).  DegenerateInput for
+    irrational points that are not conjugate."""
+    if delta and q != (p[0], -p[1], p[2], -p[3]):
+        raise DegenerateInput("irrational lens base points must be conjugate")
     (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = p, q
     # s and e times den; e's parts are its rational or its sqrt(delta) ones
     sx, sy = pxa + qxa, pya + qya
@@ -225,9 +225,7 @@ def coplanarity_audit(scene: Scene, family: LensFamily) -> AuditReport:
         raise DegenerateInput("audit requires a certified family")
     report = AuditReport()
     members = family.members
-    records = [lens_record(scene, lens) for lens in members]
-    lines = [_line(*record) if record else lens_line(*lens.base)
-             for lens, record in zip(members, records)]
+    lines = [_line(*lens_record(lens)) for lens in members]
 
     by_circle: dict[int, list[int]] = {}
     for i, lens in enumerate(members):

@@ -22,8 +22,8 @@ from operator import eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
 from .geometry import Dir, canonical_dir, cyclic_key, int_dir
-from .pencils import (Lens, Scene, base_ids, enumerate_lenses, lens_index,
-                      lens_keys, lens_vertices)
+from .pencils import (Lens, Scene, base_ids, enumerate_lenses, lens_vertices,
+                      sort_keys)
 
 
 def _position(keys, key) -> int:
@@ -142,10 +142,7 @@ def select_family(lenses, scene: Scene, mode: str = "greedy") -> LensFamily:
     if mode == "exact" and len(lenses) > EXACT_CAP:
         raise CapExceeded(f"exact selection capped at {EXACT_CAP} lenses")
     model, n = _ArcModel.of(scene, lenses), len(lenses)
-    # the scene's own lenses sort by enumeration index, which is key order
-    keys = [lens_index(scene, lens) for lens in lenses]
-    if None in keys:
-        keys = lens_keys(lenses)
+    keys = sort_keys(scene, lenses)
     if mode == "greedy":
         kept = _greedy(model, [lens.degree for lens in lenses], keys)
     else:

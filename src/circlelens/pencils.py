@@ -7,20 +7,21 @@ radical axis, an integer triple, and each bucket is grouped by an integer
 chord key (the chord's midpoint and squared half chord, times a^2 + b^2).
 Groups of at least k circles, the richness a caller asks for, are lenses.
 
-An enumerated lens keeps one integer record: a denominator D, the radicand
-delta of its base pair (0 when rational) and the parts (xa, xb, ya, yb) of
-p and of q, each point ((xa + xb*sqrt(delta))/D, (ya + yb*sqrt(delta))/D).
+Every lens has one integer record (D, delta, P, Q, build): a denominator D,
+the radicand delta of its base pair (0 when rational), the parts
+(xa, xb, ya, yb) of p and of q, each point ((xa + xb*sqrt(delta))/D,
+(ya + yb*sqrt(delta))/D), or when delta = 0 the points' keys (X, Y, W) in
+lowest terms, and the point table of the enumeration that built the lens
+(None for a lens built apart, whose record is built on first read).
 Lenses are sorted by keys read from it: per coordinate the prefix
 floor(2^K * v), then the exact value, compared only on a prefix tie.  Later
-stages read it too (lens_record, lens_dirs, lens_vertices), and Lens.base,
-the QuadPoint pair, is built on first read; each rational point, and each
-coordinate of one, is one object per enumeration.  A lens built apart
-through Lens(...) has no record: its base pair is written over one radicand
-(cleared_parts) and each point is tested on each circle.
-
-The scene keeps the lenses of the smallest k built so far, for every later
-stage.  The brute-force oracle groups pairwise intersections by exact
-equality, sorts with Lens.compare, and exists solely to cross-check.
+stages read it too, and Lens.base of an enumerated lens is built on first
+read; each rational point, and each coordinate of one, is one object per
+enumeration.  The scene's own lenses are those of the smallest k built so
+far, which it keeps with their table; they keep their index and vertex
+record, and skip the on-circle tests.  The brute-force oracle groups
+pairwise intersections by exact equality, sorts with Lens.compare, and
+exists solely to cross-check.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ class Lens:
     """A base point pair plus the circles passing through both points.
 
     Immutable, since every caller of enumerate_lenses on a scene gets the same
-    Lens objects.  An enumerated lens holds its integer record and builds its
-    base from it on first read."""
+    Lens objects.  Its base or its integer record, whichever it was not
+    built with, is built on first read."""
 
-    __slots__ = ("_base", "circles", "_ints")
+    __slots__ = ("_base", "circles", "_record", "_index", "_vertices")
 
     def __init__(self, base: tuple[QuadPoint, QuadPoint], circles):
         p, q = (QuadPoint.of(b) for b in base)
@@ -78,27 +79,35 @@ class Lens:
             raise DegenerateInput("a lens needs at least two circles")
         if len(set(circles)) != len(circles):
             raise DegenerateInput("repeated circle in lens")
-        object.__setattr__(self, "_base", (p, q))
-        object.__setattr__(self, "circles", circles)
-        object.__setattr__(self, "_ints", None)
+        for setter, value in zip(_SETTERS, ((p, q), circles, None, None, None)):
+            setter(self, value)
 
     @classmethod
-    def _enumerated(cls, circles: tuple, ints: tuple) -> "Lens":
-        """A lens of an enumeration: at least two sorted, distinct circle ids
-        and the integer record (D, delta, p, q, p id, q id, point table) of
-        distinct base points p < q.  A rational pair's ids are its points'
-        keys (X, Y, W), from which lens_record rebuilds p and q (None here)."""
+    def _enumerated(cls, circles: tuple, record: tuple) -> "Lens":
+        """A lens of an enumeration, which sets its index: at least two
+        sorted, distinct circle ids and the record of base points p < q."""
         lens = object.__new__(cls)
         _set_base(lens, None)
         _set_circles(lens, circles)
-        _set_ints(lens, ints)
+        _set_record(lens, record)
+        _set_vertices(lens, None)
         return lens
 
     @property
     def base(self) -> tuple[QuadPoint, QuadPoint]:
         if self._base is None:
-            _set_base(self, _base_points(self._ints))
+            _set_base(self, _base_points(self._record))
         return self._base
+
+    @property
+    def record(self) -> tuple:
+        """The integer record (D, delta, P, Q, build) (module docstring)."""
+        if self._record is None:
+            d, delta, p, q = pair_record(*self._base)
+            if not delta:
+                p, q = (_point_key(x, y, d) for x, _, y, _ in (p, q))
+            _set_record(self, (d, delta, p, q, None))
+        return self._record
 
     def __setattr__(self, name, value):
         raise AttributeError("Lens is immutable")
@@ -129,8 +138,8 @@ class Lens:
 
 
 # the slots' own setters, which Lens.__setattr__ does not reach
-_set_base, _set_circles, _set_ints = (
-    getattr(Lens, name).__set__ for name in ("_base", "circles", "_ints"))
+_SETTERS = tuple(getattr(Lens, name).__set__ for name in Lens.__slots__)
+_set_base, _set_circles, _set_record, _set_index, _set_vertices = _SETTERS
 
 
 # bits of the integer prefix floor(2^K * v) that sort keys compare first
@@ -188,34 +197,40 @@ def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
 
 def lens_keys(lenses) -> list[tuple]:
     """One sort key per lens, in the order of Lens.compare: the key part of
-    each coordinate of its base pair's record (pair_record, so
-    DegenerateInput for two quadratic fields), then its circles."""
+    each coordinate of its record (lens_record, so DegenerateInput for two
+    quadratic fields), then its circles."""
     keys = []
     for lens in lenses:
-        d, delta, p, q = pair_record(*lens.base)
+        d, delta, p, q = lens_record(lens)
         keys.append((*(t for a, b in (p[:2], p[2:], q[:2], q[2:])
                        for t in _key_part(a, b, delta, d)), lens.circles))
     return keys
+
+
+def sort_keys(scene: Scene, lenses) -> list:
+    """One key per lens, in the order of Lens.compare: the enumeration index
+    when every lens is the scene's own, which is key order, else lens_keys."""
+    keys = [lens._index if _own(scene, lens) else None for lens in lenses]
+    return lens_keys(lenses) if None in keys else keys
 
 
 def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
     """The lenses of degree >= k of the scene, merged by base pair, in
     canonical order; InvalidRichness for k < 2.
 
-    A Scene is immutable, so its lenses are kept on it (private attributes
+    A Scene is immutable, so its lenses are kept on it (a private attribute
     outside the dataclass fields): those of the smallest k built so far.
     A larger k filters them; a smaller k builds the scene's lenses anew,
-    equal to the ones kept, and drops the kept vertex records.  Every call
+    equal to the ones kept, which are no longer its own.  Every call
     returns a fresh list.
     """
     if k < 2:
         raise InvalidRichness("richness k must be at least 2")
-    state = vars(scene)
-    if "_lenses" not in state or k < state["_k"]:
-        object.__setattr__(scene, "_lenses", _build_lenses(scene, k))
-        object.__setattr__(scene, "_k", k)
-        state.pop("_records", None)
-    return rich_lenses(state["_lenses"], k)
+    kept = vars(scene).get("_kept")
+    if kept is None or k < kept[0]:
+        kept = (k, *_build_lenses(scene, k))
+        object.__setattr__(scene, "_kept", kept)
+    return rich_lenses(kept[1], k)
 
 
 def _scaled_axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
@@ -260,79 +275,62 @@ def _forward(vp: IntDir, vq: IntDir) -> bool:
     return cross_sign(vp, vq) >= 0
 
 
-def lens_index(scene: Scene, lens: Lens) -> int | None:
-    """The lens's index among the scene's kept lenses, else None.  The index
-    {id(lens): i} and a vertex record slot per lens are built on first use
-    and kept until the lenses are built anew; the Scene holds its lenses, so
-    no other live lens has their ids."""
-    records = vars(scene).get("_records")
-    if records is None:
-        lenses = vars(scene).get("_lenses")
-        if lenses is None:
-            return None
-        records = ({id(own): i for i, own in enumerate(lenses)},
-                   [None] * len(lenses))
-        object.__setattr__(scene, "_records", records)
-    return records[0].get(id(lens))
+def _own(scene: Scene, lens: Lens) -> bool:
+    """Is the lens one the scene keeps: enumerated, with a record that holds
+    the point table of the build the scene keeps (enumerate_lenses)?"""
+    kept = vars(scene).get("_kept", (None,) * 3)
+    return lens._index is not None and lens._record[4] is kept[2]
 
 
-def pair_record(p: QuadPoint, q: QuadPoint, base: int = 1) -> tuple:
+def pair_record(p: QuadPoint, q: QuadPoint) -> tuple:
     """(D, delta, p parts, q parts): a base pair written over one radicand,
-    with D the lcm of base and its denominators (cleared_parts), as in an
-    enumerated lens's record.  DegenerateInput for two quadratic fields."""
+    with D the lcm of its denominators (cleared_parts).  DegenerateInput for
+    two quadratic fields."""
     try:
-        d, delta, parts = cleared_parts((p.x, p.y, q.x, q.y), base)
+        d, delta, parts = cleared_parts((p.x, p.y, q.x, q.y))
     except ValueError:
         raise DegenerateInput(
             "lens base points lie in two quadratic fields") from None
-    return d, delta, parts[:4], parts[4:]
+    return d, delta, tuple(parts[:4]), tuple(parts[4:])
 
 
-def lens_record(scene: Scene, lens: Lens) -> tuple | None:
-    """(D, delta, p, q) of a lens the scene enumerated, D a multiple of the
-    scene frame's L (module docstring); None for any other lens."""
-    if lens_index(scene, lens) is None:
-        return None
-    d, delta, p, q, pid, qid, _ = lens._ints
-    if p is None:  # rational: from the keys (X, Y, W), W dividing D
-        p, q = ((x * (d // w), 0, y * (d // w), 0) for x, y, w in (pid, qid))
+def lens_record(lens: Lens) -> tuple:
+    """(D, delta, p parts, q parts) of the lens's record (module docstring);
+    DegenerateInput for a base pair in two quadratic fields."""
+    d, delta, p, q, _ = lens.record
+    if not delta:  # from the keys (X, Y, W), W dividing D
+        p, q = ((x * (d // w), 0, y * (d // w), 0) for x, y, w in (p, q))
     return d, delta, p, q
 
 
-def base_text(scene: Scene, lens: Lens) -> list[str]:
-    """The printed coordinates px, py, qx, qy of the lens's base points: from
-    the record of a lens the scene enumerated, without building them."""
-    record = lens_record(scene, lens)
-    if record is None:
-        return [str(v) for point in lens.base for v in point]
-    d, delta, p, q = record
+def base_text(lens: Lens) -> list[str]:
+    """The printed coordinates px, py, qx, qy of the lens's base points,
+    from its record, without building them."""
+    d, delta, p, q = lens_record(lens)
     return parts_text((p[:2], p[2:], q[:2], q[2:]), delta, d)
 
 
 def base_ids(lens: Lens) -> tuple[int, int]:
-    """Ids of two live objects that stand for the lens's base points: one
-    per rational point of an enumeration (the record), else its QuadPoints."""
-    return tuple(map(id, lens._ints[4:6] if lens._ints else lens.base))
+    """Ids of two live objects that stand for the lens's base points: its
+    record's P and Q, one object per rational point of an enumeration."""
+    return tuple(map(id, lens.record[2:4]))
 
 
 def lens_dirs(scene: Scene, lens: Lens) -> tuple:
     """Per circle of the lens, in the order of lens.circles, (vp, vq): the
     directions (IntDir) of its base points p < q from the circle's center,
-    the points and the scene frame scaled by one D, over one radicand.  Read
-    from the record of a lens the scene enumerated; any other lens's points
-    are tested on each circle (DegenerateInput for two quadratic fields or
-    a point off a circle)."""
+    the points and the scene frame scaled by the lcm of the record's D and
+    L, over one radicand.  The points of a lens not the scene's own are
+    tested on each circle (DegenerateInput for two quadratic fields or a
+    point off a circle)."""
     scale, frame = scene_frame(scene)
-    record = lens_record(scene, lens)
-    checked = record is None
-    if checked:
-        record = pair_record(*lens.base, scale)
-    d, delta, (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = record
-    g = d // scale  # the centers times D are g*(X, Y)
-    dirs = tuple(((pxa - g * x, pxb, pya - g * y, pyb, delta),
-                  (qxa - g * x, qxb, qya - g * y, qyb, delta))
+    d, delta, (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = lens_record(lens)
+    t = scale // gcd(d, scale)
+    g = d * t // scale  # the centers times lcm(D, L) = D*t are g*(X, Y)
+    dirs = tuple(((pxa * t - g * x, pxb * t, pya * t - g * y, pyb * t, delta),
+                  (qxa * t - g * x, qxb * t, qya * t - g * y, qyb * t, delta))
                  for x, y, _, _ in (frame[cid] for cid in lens.circles))
-    for cid, pair in zip(lens.circles, dirs) if checked else ():
+    for cid, pair in () if _own(scene, lens) else zip(lens.circles, dirs):
         r = frame[cid][2]
         for pt, (u, xb, w, yb, _) in zip(lens.base, pair):
             # the power of pt times D^2 is (u^2 + w^2 + (xb^2 + yb^2)*delta
@@ -353,30 +351,34 @@ def lens_vertices(scene: Scene, lens: Lens) -> tuple:
     """Per circle of the lens, in the order of lens.circles, (key of p, key
     of q, forward): the cyclic keys of the base points' directions
     (lens_dirs; a direction is key[2].v), and whether the lens arc runs CCW
-    from p to q.  This vertex record is kept for a lens the scene
-    enumerated and built for the call for any other, with the checks of
-    lens_dirs."""
-    i = lens_index(scene, lens)
-    if i is None:
+    from p to q.  This vertex record is kept on a lens of the scene's own
+    and built for the call for any other, with the checks of lens_dirs."""
+    if not _own(scene, lens):
         return _vertices(scene, lens)
-    records = vars(scene)["_records"][1]
-    records[i] = records[i] or _vertices(scene, lens)
-    return records[i]
+    if lens._vertices is None:
+        _set_vertices(lens, _vertices(scene, lens))
+    return lens._vertices
 
 
-def _base_points(ints: tuple) -> tuple[QuadPoint, QuadPoint]:
+def _point_key(x: int, y: int, d: int) -> tuple[int, int, int]:
+    """The key (X, Y, W) in lowest terms of the rational point (x/d, y/d)."""
+    h = gcd(x, y, d)
+    return x // h, y // h, d // h
+
+
+def _base_points(record: tuple) -> tuple[QuadPoint, QuadPoint]:
     """The base pair of an enumerated lens, from its integer record."""
-    d, delta, p, q, pid, qid, table = ints
+    d, delta, p, q, table = record
     if not delta:
-        return table(pid), table(qid)
+        return table(p), table(q)
     # conjugates: q's parts are p's with the sqrt(delta) parts negated
     fx, u, fy, v = (Fraction(t, d) for t in p)
     return (_point(_quad(fx, u, delta), _quad(fy, v, delta)),
             _point(_quad(fx, -u, delta), _quad(fy, -v, delta)))
 
 
-def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
-    """The lenses of degree >= k, in canonical order."""
+def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
+    """The lenses of degree >= k, in canonical order, and their point table."""
     scale, scaled = scene_frame(scene)
     buckets: dict = defaultdict(list)  # axis -> the circles of its pairs
     for i, j in combinations(range(len(scaled)), 2):
@@ -389,11 +391,10 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
     points: dict[tuple, QuadPoint] = {}  # (X, Y, W) -> (X/W, Y/W)
 
     def rational(x: int, y: int, d: int) -> tuple:
-        """(key, sort key) of the rational point (x/d, y/d): the key (X, Y, W)
-        in lowest terms, one object per point, and a sort key that shares
-        each coordinate's part with every equal one."""
-        h = gcd(x, y, d)
-        key = (x // h, y // h, d // h)
+        """(key, sort key) of the rational point (x/d, y/d): its key, one
+        object per point, and a sort key that shares each coordinate's part
+        with every equal one."""
+        key = _point_key(x, y, d)
         if key not in shared:
             shared[key] = (key, coord(key[0], key[2]) + coord(key[1], key[2]))
         return shared[key]
@@ -456,20 +457,20 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
             if r * r == delta:
                 # only rational points can be shared between lenses
                 t = scale * r
-                pid, pkey = rational(x - u * t, y + v * t, d)
-                qid, qkey = rational(x + u * t, y - v * t, d)
-                # lens_record rebuilds p and q from the points' keys
-                lens_key, delta, p, q = pkey + qkey, 0, None, None
+                p, pkey = rational(x - u * t, y + v * t, d)
+                q, qkey = rational(x + u * t, y - v * t, d)
+                lens_key, delta = pkey + qkey, 0
             else:
                 p, q = (x, -u * scale, y, v * scale), (x, u * scale, y, -v * scale)
-                pid, qid = p, q
                 lens_key = _conjugate_key(p, delta, d)
             members = tuple(members)
             keys.append((*lens_key, members))
-            lenses.append(Lens._enumerated(members,
-                                           (d, delta, p, q, pid, qid, table)))
-    return tuple(lenses[i] for i in sorted(range(len(lenses)),
-                                           key=keys.__getitem__))
+            lenses.append(Lens._enumerated(members, (d, delta, p, q, table)))
+    lenses = tuple(lenses[i] for i in sorted(range(len(lenses)),
+                                             key=keys.__getitem__))
+    for i, lens in enumerate(lenses):
+        _set_index(lens, i)
+    return lenses, table
 
 
 def rich_lenses(lenses, k: int) -> list[Lens]:

@@ -142,6 +142,20 @@ def test_lens_line_rejects_non_lens_pairs(p, q):
         lens_line(p, q)
 
 
+@pytest.mark.parametrize("base, message", [
+    (((QuadNum.sqrt(2), 0), (1 + QuadNum.sqrt(2), 0)), "must be conjugate"),
+    (((QuadNum.sqrt(2), 0), (QuadNum.sqrt(3), 0)), "two quadratic fields"),
+])
+def test_audit_rejects_a_certified_family_of_non_lens_pairs(base, message):
+    # a family built by hand skips enumeration and selection; the audit still
+    # rejects a base pair that no lens can have
+    scene = Scene(circles=(Circle(F(0), F(0), F(1)), Circle(F(1), F(1), F(1))))
+    family = LensFamily(members=(Lens(base, (0, 1)),), certificate=True,
+                        total_degree=2)
+    with pytest.raises(DegenerateInput, match=message):
+        coplanarity_audit(scene, family)
+
+
 def test_lines_coplanar_cases():
     # two lines in the z = 0 plane plus one out of plane
     a = DualLine.of((F(0), F(0), F(0)), (F(1), F(0), F(0)))

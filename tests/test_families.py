@@ -139,23 +139,26 @@ def test_one_point_given_as_two_objects_is_one_vertex():
     assert len(select_family([a, b], scene)) == 1
 
 
-def _kept_records(scene):
-    """The vertex records pencils keeps on the scene, one per lens that has one."""
-    return [r for r in vars(scene).get("_records", ((), ()))[1] if r is not None]
+def _kept_records(lenses):
+    """The vertex records the lenses keep, one per lens that has one."""
+    return [lens._vertices for lens in lenses if lens._vertices is not None]
 
 
 def test_scene_keeps_vertices_of_its_own_lenses_only():
     scene = Scene(circles=(Circle(F(0), F(0), F(1)), Circle(F(1), F(1), F(1))))
-    for _ in range(3):
-        select_family([Lens((QuadPoint(1, 0), QuadPoint(0, 1)), (0, 1))], scene)
-    assert "_records" not in vars(scene)
+    built = [Lens((QuadPoint(1, 0), QuadPoint(0, 1)), (0, 1)) for _ in range(3)]
+    for lens in built:
+        select_family([lens], scene)
+    assert not _kept_records(built)
     (own,) = _lenses(scene)
     # an equal lens built apart is not the scene's own
-    select_family([Lens(own.base, own.circles)], scene)
-    assert not _kept_records(scene)
+    apart = Lens(own.base, own.circles)
+    select_family([apart], scene)
+    assert not pencils._own(scene, apart)
+    assert not _kept_records([apart, own])
     select_family([own], scene)
-    (record,) = _kept_records(scene)
-    assert lens_vertices(scene, own) is record
+    (record,) = _kept_records([apart, own])
+    assert pencils._own(scene, own) and lens_vertices(scene, own) is record
 
 
 def test_stages_read_the_records_of_own_lenses(monkeypatch):
@@ -180,12 +183,13 @@ def test_stages_read_the_records_of_own_lenses(monkeypatch):
         order_reversal_check(lens, scene)
     assert len(rich) > 50 and not cleared
     assert all(lens._base is None for lens in lenses)
-    # a lens built apart takes the checked path, once per call
+    # a lens built apart clears its pair once, on its record's first read,
+    # and keeps the record
     (first,) = rich[:1]
     apart = Lens(first.base, first.circles)
     assert lens_vertices(scene, apart) == lens_vertices(scene, first)
     assert order_reversal_check(apart, scene) == order_reversal_check(first, scene)
-    assert len(cleared) == 2
+    assert len(cleared) == 1
 
 
 def test_exact_at_least_greedy(corpus):
@@ -374,8 +378,7 @@ def test_family_does_not_depend_on_lens_objects_or_order():
             family = select_family(pool, scene, mode)
             assert len(family) > 1
             assert select_family(shuffled, scene, mode) == family, mode
-            kept = len(_kept_records(scene))
             assert select_family(copies, scene, mode) == family, mode
-            assert len(_kept_records(scene)) == kept  # none for the copies
+            assert not _kept_records(copies)  # none for the copies
             assert list(family.members) == sorted(family.members,
                                                   key=cmp_to_key(Lens.compare))

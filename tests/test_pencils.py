@@ -16,8 +16,7 @@ from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
 from circlelens.geometry import Circle, circle_line_points, radical_axis
 from circlelens.pencils import (ORACLE_CAP, Lens, Scene, base_text,
                                 brute_force_lenses, enumerate_lenses,
-                                lens_dirs, lens_index, lens_vertices,
-                                rich_lenses)
+                                lens_dirs, lens_vertices, rich_lenses)
 from circlelens.quadfield import QuadNum, QuadPoint
 from circlelens.sceneio import parse_scene
 
@@ -381,8 +380,9 @@ def test_enumerate_k_validates_richness():
 @pytest.mark.parametrize("order", [(4, 3, 2), (2, 4), (3, 3), (5, 3, 4, 2)])
 def test_requests_of_any_k_on_one_scene(order):
     # a k no smaller than any before filters the kept lenses, the same
-    # objects; a smaller k builds equal lenses anew and drops the records.
-    # lens_index follows the kept lenses, and every record equals a fresh one
+    # objects; a smaller k builds equal lenses anew, and the ones kept before
+    # are no longer the scene's own.  An own lens's index is its position,
+    # and every kept vertex record equals a fresh one
     scene = RICH_SCENES["lattice-64-g4-s2"]()
     full = enumerate_lenses(RICH_SCENES["lattice-64-g4-s2"]())
     kept = {}
@@ -395,13 +395,15 @@ def test_requests_of_any_k_on_one_scene(order):
             old = list(kept.values())
             kept = {lens.base: lens for lens in lenses}
             for lens in old[::7]:
-                assert lens_index(scene, lens) is None
-                assert lens_vertices(scene, lens) == pencils._vertices(scene, lens)
+                assert not pencils._own(scene, lens)
+                vertices = lens_vertices(scene, lens)
+                assert vertices is not lens._vertices
+                assert vertices == pencils._vertices(scene, lens)
         for i, lens in enumerate(enumerate_lenses(scene, min(order[:step + 1]))):
-            assert lens_index(scene, lens) == i
+            assert pencils._own(scene, lens) and lens._index == i
         for lens in lenses[::7]:
             record = lens_vertices(scene, lens)
-            assert lens_vertices(scene, lens) is record
+            assert lens_vertices(scene, lens) is record is lens._vertices
             assert record == pencils._vertices(scene, lens)
     # one object per rational base point and per coordinate of one
     points, values = {}, {}
@@ -445,20 +447,21 @@ def _ray(v):
 
 @pytest.mark.parametrize("name", sorted(RICH_SCENES))
 def test_records_agree_with_the_checked_path(name):
-    # every enumerated lens against an equal one built apart, which has no
-    # record and takes the checked path (cleared_parts, on-circle tests)
+    # every enumerated lens against an equal one built apart, which builds
+    # its record from its base pair (cleared_parts) and is not the scene's
+    # own, so its points are tested on each circle
     scene = RICH_SCENES[name]()
     lenses = enumerate_lenses(scene)
     dirs = [lens_dirs(scene, lens) for lens in lenses]
     vertices = [lens_vertices(scene, lens) for lens in lenses]
-    texts = [base_text(scene, lens) for lens in lenses]
+    texts = [base_text(lens) for lens in lenses]
     assert all(lens._base is None for lens in lenses)  # none read so far
     points, values = {}, {}
     for lens, own_dirs, own_vertices, text in zip(lenses, dirs, vertices, texts):
         apart = Lens(lens.base, lens.circles)
-        assert text == base_text(scene, apart) == [str(v) for p in apart.base
-                                                   for v in p]
-        assert lens_index(scene, apart) is None
+        assert text == base_text(apart) == [str(v) for p in apart.base
+                                            for v in p]
+        assert not pencils._own(scene, apart)
         assert lens_vertices(scene, apart) == own_vertices
         assert [tuple(map(_ray, pair)) for pair in lens_dirs(scene, apart)] \
             == [tuple(map(_ray, pair)) for pair in own_dirs]
@@ -470,3 +473,16 @@ def test_records_agree_with_the_checked_path(name):
             if p.is_rational:
                 assert points.setdefault(p, p) is p
                 assert all(values.setdefault(v, v) is v for v in p)
+
+
+def test_base_text_prints_a_pair_built_apart_over_one_radicand():
+    # p and q of a lens built apart may write one field two ways, sqrt(2)
+    # and sqrt(2*1009^2) (1009 is past the primes a printed radicand drops);
+    # the record writes both over the first radicand, the same values
+    root = QuadNum(0, 1, 2 * 1009 ** 2)
+    lens = Lens(((0, root), (1, QuadNum.sqrt(2))), (0, 1))
+    assert [str(v) for p in lens.base for v in p] == ["0", "1*sqrt(2036162)",
+                                                      "1", "1*sqrt(2)"]
+    assert base_text(lens) == ["0", "1*sqrt(2036162)", "1",
+                               "1/1009*sqrt(2036162)"]
+    assert QuadNum(0, F(1, 1009), 2 * 1009 ** 2) == QuadNum.sqrt(2)
