@@ -58,8 +58,8 @@ def _fraction(text: str) -> Fraction:
 
 def _count(text: str) -> int:
     n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
     return n
 
 
@@ -76,7 +76,7 @@ def cmd_generate(args) -> int:
 
 def cmd_lenses(args) -> int:
     scene = _load_scene(args.scene)
-    lenses = enumerate_lenses(scene, args.k or 2)
+    lenses = enumerate_lenses(scene, args.k)
     rows = [(i, *base_text(l), l.degree, ";".join(map(str, l.circles)))
             for i, l in enumerate(lenses)]
     _write(args.out, _csv(["index", "px", "py", "qx", "qy", "degree", "circles"],
@@ -111,8 +111,7 @@ def cmd_cut(args) -> int:
 
 def _verify_duality(args) -> int:
     rng = random.Random(args.seed)
-    trials = args.n or 10000
-    for _ in range(trials):
+    for _ in range(args.n):
         p = (Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
              Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
         c = Circle(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
@@ -124,7 +123,7 @@ def _verify_duality(args) -> int:
         if on != dual:
             print(f"duality violation: p={p} circle={c}", file=sys.stderr)
             return 1
-    print(f"duality ok over {trials} seeded pairs")
+    print(f"duality ok over {args.n} seeded pairs")
     return 0
 
 
@@ -145,7 +144,7 @@ def _verify_on_scene(args, prop) -> int:
         print("order reversal ok")
         return 0
     # coplanarity
-    lenses = enumerate_lenses(scene, args.k or 2)
+    lenses = enumerate_lenses(scene, args.k)
     family = select_family(lenses, scene, mode="greedy")
     report = coplanarity_audit(scene, family)
     if report.clean:
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lenses", help="enumerate lenses of a scene")
     p.add_argument("scene")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lenses)
 
@@ -235,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True,
                    choices=("duality", "coplanarity", "order-reversal", "oracle"))
     p.add_argument("scene", nargs="?")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--n", type=_count, default=0)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--n", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

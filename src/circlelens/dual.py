@@ -81,11 +81,7 @@ class DualLine:
     anchor: Vec3
     direction: Vec3
     # (s*anchor, s*direction, s) for s the lcm of the six denominators
-    scaled: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        s, ints = cleared(self.anchor + self.direction)
-        object.__setattr__(self, "scaled", (tuple(ints[:3]), tuple(ints[3:]), s))
+    scaled: tuple = field(repr=False, compare=False)
 
     @classmethod
     def of(cls, anchor, direction) -> "DualLine":
@@ -106,12 +102,9 @@ class DualLine:
         s = w * t
         h = gcd(s, *ints) if s > 0 else -gcd(s, *ints)
         ints, s = [x // h for x in ints], s // h
-        line = object.__new__(cls)
-        for name, value in (("anchor", tuple(Fraction(x, s) for x in ints[:3])),
-                            ("direction", tuple(Fraction(x, s) for x in ints[3:])),
-                            ("scaled", (tuple(ints[:3]), tuple(ints[3:]), s))):
-            object.__setattr__(line, name, value)
-        return line
+        return cls(tuple(Fraction(x, s) for x in ints[:3]),
+                   tuple(Fraction(x, s) for x in ints[3:]),
+                   (tuple(ints[:3]), tuple(ints[3:]), s))
 
     def contains(self, point) -> bool:
         """Exact test for a point with coordinates rational or in one field."""

@@ -201,8 +201,10 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
 
     While a k-rich lens lies on k arcs, each after the first k - 1 (by circle,
     then from angle 0) is cut at the midpoint of the side of the base pair it
-    covers, else at the other side's; a one-arc circle is cut at both.  A cut
-    sits at a doubled index: 2i on vertex i, 2i + 1 in the gap after it."""
+    covers; an uncut circle is cut at both sides' midpoints.  A circle thus
+    holds no cut or at least two, and a covered side has no cut strictly
+    inside it, so every cut is new.  A cut sits at a doubled index: 2i on
+    vertex i, 2i + 1 in the gap after it."""
     targets = enumerate_lenses(scene, k)  # InvalidRichness if k < 2
     model = _ArcModel.of(scene, targets)
     cuts: dict[int, list] = defaultdict(list)  # cid -> cut keys, sorted
@@ -210,7 +212,7 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
 
     def covering(i) -> list:
         """(cid, side) per covering arc: side 0 over the lens arc, 1 over the
-        rest (covered iff no cut is strictly inside), None for one arc."""
+        rest (covered iff no cut is strictly inside), None for no cut."""
         out = []
         for cid, (s, e) in model.arcs[i].items():
             if len(at[cid]) <= 1:
@@ -224,15 +226,6 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
                     out.append((cid, side))
         return out
 
-    def cut(cid, key) -> bool:
-        keys = cuts[cid]
-        j = bisect_left(keys, key)
-        if j < len(keys) and keys[j] == key:
-            return False
-        keys.insert(j, key)
-        insort(at[cid], _position(model.keys[cid], key))
-        return True
-
     changed = True
     while changed:
         changed = False
@@ -240,10 +233,10 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
             cov = covering(i)
             for cid, side in cov[k - 1:] if len(cov) >= k else ():
                 mids = _midpoints(*lens_vertices(scene, lens)[lens.circles.index(cid)])
-                if side is None:
-                    changed |= cut(cid, mids[0]) | cut(cid, mids[1])
-                else:
-                    changed |= cut(cid, mids[side]) or cut(cid, mids[1 - side])
+                for key in mids if side is None else (mids[side],):
+                    insort(cuts[cid], key)
+                    insort(at[cid], _position(model.keys[cid], key))
+                changed = True
     if any(len(covering(i)) >= k for i in range(len(targets))):
         raise DegenerateInput("lens cutting failed to reach a fixpoint")
     arcs = []

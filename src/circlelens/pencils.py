@@ -11,17 +11,16 @@ Every lens has one integer record (D, delta, P, Q, build): a denominator D,
 the radicand delta of its base pair (0 when rational), the parts
 (xa, xb, ya, yb) of p and of q, each point ((xa + xb*sqrt(delta))/D,
 (ya + yb*sqrt(delta))/D), or when delta = 0 the points' keys (X, Y, W) in
-lowest terms, and the point table of the enumeration that built the lens
-(None for a lens built apart, whose record is built on first read).
-Lenses are sorted by keys read from it: per coordinate the prefix
-floor(2^K * v), then the exact value, compared only on a prefix tie.  Later
-stages read it too, and Lens.base of an enumerated lens is built on first
-read; each rational point, and each coordinate of one, is one object per
-enumeration.  The scene's own lenses are those of the smallest k built so
-far, which it keeps with their table; they keep their index and vertex
-record, and skip the on-circle tests.  The brute-force oracle groups
-pairwise intersections by exact equality, sorts with Lens.compare, and
-exists solely to cross-check.
+lowest terms, one object per rational point of an enumeration, and a token
+of the enumeration that built the lens (None for a lens built apart, whose
+record is built on first read).  Lenses are sorted by keys read from it:
+per coordinate the prefix floor(2^K * v), then the exact value, compared
+only on a prefix tie.  Later stages read it too, and Lens.base of an
+enumerated lens is built on first read.  The scene's own lenses are those
+of the smallest k built so far, which it keeps with their build's token;
+they keep their index and vertex record, and skip the on-circle tests.
+The brute-force oracle groups pairwise intersections by exact equality,
+sorts with Lens.compare, and exists solely to cross-check.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from math import gcd, isqrt, lcm
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
 from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
                        intersection_points)
-from .quadfield import (QuadNum, QuadPoint, _point, _quad, cleared_parts,
-                        floor_root, frac, parts_text, sign_q, two_field_sign)
+from .quadfield import (QuadPoint, _point, _quad, cleared_parts, floor_root,
+                        frac, parts_text, sign_q, two_field_sign)
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def _forward(vp: IntDir, vq: IntDir) -> bool:
 
 def _own(scene: Scene, lens: Lens) -> bool:
     """Is the lens one the scene keeps: enumerated, with a record that holds
-    the point table of the build the scene keeps (enumerate_lenses)?"""
+    the token of the build the scene keeps (enumerate_lenses)?"""
     kept = vars(scene).get("_kept", (None,) * 3)
     return lens._index is not None and lens._record[4] is kept[2]
 
@@ -368,9 +367,10 @@ def _point_key(x: int, y: int, d: int) -> tuple[int, int, int]:
 
 def _base_points(record: tuple) -> tuple[QuadPoint, QuadPoint]:
     """The base pair of an enumerated lens, from its integer record."""
-    d, delta, p, q, table = record
+    d, delta, p, q, _ = record
     if not delta:
-        return table(p), table(q)
+        return tuple(_point(*(_quad(Fraction(v, w), 0, 0) for v in (x, y)))
+                     for x, y, w in (p, q))
     # conjugates: q's parts are p's with the sqrt(delta) parts negated
     fx, u, fy, v = (Fraction(t, d) for t in p)
     return (_point(_quad(fx, u, delta), _quad(fy, v, delta)),
@@ -378,7 +378,8 @@ def _base_points(record: tuple) -> tuple[QuadPoint, QuadPoint]:
 
 
 def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
-    """The lenses of degree >= k, in canonical order, and their point table."""
+    """The lenses of degree >= k, in canonical order, and the token in their
+    records."""
     scale, scaled = scene_frame(scene)
     buckets: dict = defaultdict(list)  # axis -> the circles of its pairs
     for i, j in combinations(range(len(scaled)), 2):
@@ -387,8 +388,7 @@ def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
             buckets[axis] += i, j
     shared: dict[tuple, tuple] = {}  # see rational
     coords: dict[tuple, tuple] = {}  # (n, d) in lowest terms -> its key part
-    values: dict[tuple, QuadNum] = {}  # (n, d) in lowest terms -> n/d
-    points: dict[tuple, QuadPoint] = {}  # (X, Y, W) -> (X/W, Y/W)
+    build = object()
 
     def rational(x: int, y: int, d: int) -> tuple:
         """(key, sort key) of the rational point (x/d, y/d): its key, one
@@ -405,20 +405,6 @@ def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
         if key not in coords:
             coords[key] = _key_part(key[0], 0, 0, key[1])
         return coords[key]
-
-    def value(n: int, d: int) -> QuadNum:
-        h = gcd(n, d)
-        key = (n // h, d // h)
-        if key not in values:
-            values[key] = _quad(Fraction(*key), 0, 0)
-        return values[key]
-
-    def table(key: tuple) -> QuadPoint:
-        """The QuadPoint of a rational point's key, one object per point and
-        per coordinate value."""
-        if key not in points:
-            points[key] = _point(value(key[0], key[2]), value(key[1], key[2]))
-        return points[key]
 
     lenses, keys = [], []
     for (a, b, c), ids in buckets.items():
@@ -465,12 +451,12 @@ def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
                 lens_key = _conjugate_key(p, delta, d)
             members = tuple(members)
             keys.append((*lens_key, members))
-            lenses.append(Lens._enumerated(members, (d, delta, p, q, table)))
+            lenses.append(Lens._enumerated(members, (d, delta, p, q, build)))
     lenses = tuple(lenses[i] for i in sorted(range(len(lenses)),
                                              key=keys.__getitem__))
     for i, lens in enumerate(lenses):
         _set_index(lens, i)
-    return lenses, table
+    return lenses, build
 
 
 def rich_lenses(lenses, k: int) -> list[Lens]:

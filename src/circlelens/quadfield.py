@@ -299,10 +299,10 @@ ZERO = QuadNum(0)
 ONE = QuadNum(1)
 
 
-def cleared_parts(values, base: int = 1) -> tuple[int, int, list[int]]:
+def cleared_parts(values) -> tuple[int, int, list[int]]:
     """(D, delta, ints) for a sequence of QuadNums: each written over one
     radicand delta (QuadNum._join), and its parts a, b in order times D, the
-    lcm of base and their denominators, so v = (a + b*sqrt(delta))/D.
+    lcm of their denominators, so v = (a + b*sqrt(delta))/D.
 
     Raises ValueError when the values lie in two quadratic fields.
     """
@@ -310,7 +310,7 @@ def cleared_parts(values, base: int = 1) -> tuple[int, int, list[int]]:
     parts = []
     for v in values:
         parts += (v.a, first._join(v)[1])
-    d, ints = cleared(parts, base)
+    d, ints = cleared(parts)
     return d, first.delta, ints
 
 

@@ -86,6 +86,27 @@ def test_verify_scene_properties(tmp_path, capsys):
         assert code == 0, (prop, out)
 
 
+def test_verify_order_reversal_skips_an_inconclusive_lens(tmp_path, capsys):
+    # the circles meet at (1, 0) and (0, 1), each with a vertical tangent
+    # at one of them, so the lens's slope order is inconclusive
+    scene_file = tmp_path / "s.scene"
+    scene_file.write_text("circle 0 0 1\ncircle 1 1 1\n")
+    code, out, _ = run_cli(["verify", "--property", "order-reversal",
+                            str(scene_file)], capsys)
+    assert (code, out) == (0, "order reversal ok\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lenses"], ["family"], ["cut"], ["incidence"],
+    ["verify", "--property", "coplanarity"]])
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_richness_below_two_is_an_input_error(argv, k, capsys):
+    scene = Path(__file__).parent / "data" / "bundle-n12-k3.scene"
+    code, out, err = run_cli([*argv, str(scene), "--k", k], capsys)
+    assert code == 2 and not out
+    assert err == "error: richness k must be at least 2\n"
+
+
 def test_verify_missing_scene_is_input_error(capsys):
     code, _, err = run_cli(["verify", "--property", "oracle"], capsys)
     assert code == 2
@@ -172,6 +193,7 @@ def test_lenses_k3_are_the_rich_rows_of_the_golden(capsys):
     ["generate", "--model", "uniform-random", "--n", "5", "--spread", "abc"],
     ["generate", "--model", "uniform-random", "--n", "5", "--spread", "1/0"],
     ["verify", "--property", "duality", "--n", "-5"],
+    ["verify", "--property", "duality", "--n", "0"],
     ["verify", "--property", "duality", "--n", "many"]])
 def test_bad_option_values_are_input_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
 from pathlib import Path
@@ -168,9 +169,9 @@ def test_stages_read_the_records_of_own_lenses(monkeypatch):
     scene = parse_scene((DATA / "lattice-n48-g4-s1.scene").read_text())
     cleared = []
 
-    def counted(values, base=1):
+    def counted(values):
         cleared.append(tuple(values))
-        return real(values, base)
+        return real(values)
 
     real = pencils.cleared_parts
     monkeypatch.setattr(pencils, "cleared_parts", counted)
@@ -344,6 +345,21 @@ def test_verify_cut_counts_both_arcs_through_a_cut_base_pair(worked_pencil):
 LATTICE = {n: random_scene(GeneratorSpec(model="lattice-triples", n=n,
                                          seed=seed, spread=F(4)))
            for n, seed in ((24, 2), (36, 3))}
+
+
+def test_cutting_leaves_no_circle_with_a_single_cut(corpus):
+    # lens_cutting cuts an uncut circle at both sides' midpoints, and a cut
+    # circle only inside a side free of cuts, so no circle holds one cut
+    # and no cut repeats
+    scenes = corpus + [(f"lattice-{n}", scene) for n, scene in LATTICE.items()]
+    for name, scene in scenes:
+        for k in (2, 3, 4):
+            result = lens_cutting(scene, k)
+            arcs = Counter(arc.circle_id for arc in result.arcs)
+            assert all(arcs[arc.circle_id] > 1 for arc in result.arcs
+                       if not arc.is_full), (name, k)
+            starts = {(arc.circle_id, arc.start) for arc in result.arcs}
+            assert len(starts) == len(result.arcs), (name, k)
 
 
 @pytest.mark.parametrize("n", sorted(LATTICE))

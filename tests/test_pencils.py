@@ -322,22 +322,16 @@ def test_enumerated_base_points_increase(n, seed):
 
 def test_fast_path_beyond_the_oracle_cap():
     # 120 circles, past brute_force_lenses' cap: every lens against its
-    # definition, and the object sharing that lens_keys' ties rest on: one
-    # object per rational base point and per coordinate of one
+    # definition
     scene = random_scene(GeneratorSpec(model="lattice-triples", n=120, seed=1,
                                        spread=F(4)))
     lenses = enumerate_lenses(scene)
     assert max(l.degree for l in lenses) >= 6
-    points, values = {}, {}
     for lens in lenses:
         c0, c1 = (scene.circles[i] for i in lens.circles[:2])
         expected = sorted(circle_line_points(c0, radical_axis(c0, c1)),
                           key=cmp_to_key(QuadPoint.compare))
         assert repr(lens.base) == repr(tuple(expected)), lens
-        for p in lens.base:
-            if p.is_rational:
-                assert points.setdefault(p, p) is p
-                assert all(values.setdefault(v, v) is v for v in p)
     assert all(a.compare(b) < 0 for a, b in zip(lenses, lenses[1:]))
     assert {l.base[0].is_rational for l in lenses} == {True, False}
 
@@ -405,13 +399,6 @@ def test_requests_of_any_k_on_one_scene(order):
             record = lens_vertices(scene, lens)
             assert lens_vertices(scene, lens) is record is lens._vertices
             assert record == pencils._vertices(scene, lens)
-    # one object per rational base point and per coordinate of one
-    points, values = {}, {}
-    for lens in enumerate_lenses(scene, min(order)):
-        for p in lens.base:
-            if p.is_rational:
-                assert points.setdefault(p, p) is p
-                assert all(values.setdefault(v, v) is v for v in p)
 
 
 def test_enumeration_breaks_a_prefix_tie_exactly(monkeypatch):
@@ -456,7 +443,6 @@ def test_records_agree_with_the_checked_path(name):
     vertices = [lens_vertices(scene, lens) for lens in lenses]
     texts = [base_text(lens) for lens in lenses]
     assert all(lens._base is None for lens in lenses)  # none read so far
-    points, values = {}, {}
     for lens, own_dirs, own_vertices, text in zip(lenses, dirs, vertices, texts):
         apart = Lens(lens.base, lens.circles)
         assert text == base_text(apart) == [str(v) for p in apart.base
@@ -468,11 +454,6 @@ def test_records_agree_with_the_checked_path(name):
         assert apart == lens and hash(apart) == hash(lens)
         assert repr(apart) == repr(lens)
         assert repr(apart.base) == repr(lens.base)
-        # lazily built rational points: one object per point and per value
-        for p in lens.base:
-            if p.is_rational:
-                assert points.setdefault(p, p) is p
-                assert all(values.setdefault(v, v) is v for v in p)
 
 
 def test_base_text_prints_a_pair_built_apart_over_one_radicand():

@@ -115,6 +115,34 @@ def test_pow():
     assert x ** -2 == (x * x).inverse()
 
 
+def test_order_and_reflected_division_agree_with_fraction():
+    values = [Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2)]
+    for a in values:
+        for b in values:
+            x, y = QuadNum.of(a), QuadNum.of(b)
+            expected = (a <= b, a > b, a >= b)
+            assert (x <= y, x > y, x >= y) == expected
+            assert (x <= b, x > b, x >= b) == expected
+            if b:
+                assert a / y == a / b and 3 / y == 3 / b
+    # 1 + sqrt(2) = 2.41421... against Fractions on either side of it
+    r, lo, hi = 1 + QuadNum.sqrt(2), Fraction(2414, 1000), Fraction(2415, 1000)
+    assert (r <= hi, r > lo, r >= lo, r <= r, r >= r) == (True,) * 5
+    assert (r <= lo, r > hi, r >= hi, r > r) == (False,) * 4
+    assert QuadNum.sqrt(3) >= QuadNum.sqrt(2) > Fraction(141, 100)
+    assert 1 / r == QuadNum.sqrt(2) - 1
+    assert Fraction(1, 2) / QuadNum.sqrt(2) == QuadNum.sqrt(2) / 4
+
+
+def test_quadpoint_equals_a_pair_and_not_a_non_point():
+    p = QuadPoint(0, QuadNum.sqrt(2))
+    assert p == (0, QuadNum.sqrt(2)) and (Fraction(0), QuadNum.sqrt(2)) == p
+    assert p != (0, QuadNum.sqrt(3)) and p != (Fraction(0), Fraction(1))
+    # not a pair, or a pair in two fields: unequal, not an error
+    for other in ("p", 3, None, (1, 2, 3), (QuadNum.sqrt(2), QuadNum.sqrt(3))):
+        assert p != other and not p == other
+
+
 def test_quadpoint_field_constraint():
     QuadPoint(QuadNum.sqrt(2), QuadNum(1, 2, 2))
     with pytest.raises(ValueError):
@@ -212,7 +240,6 @@ def test_cleared_parts_over_one_radicand():
     values = (QuadNum(Fraction(1, 2), 1, 8), QuadNum(Fraction(1, 3), -2, 2),
               QuadNum(Fraction(5, 4)))
     assert cleared_parts(values) == (12, 8, [6, 12, 4, -12, 15, 0])
-    assert cleared_parts(values, 5) == (60, 8, [30, 60, 20, -60, 75, 0])
     assert cleared_parts((QuadNum(1), QuadNum(Fraction(1, 2)))) == (2, 0, [2, 0, 1, 0])
     with pytest.raises(ValueError):
         cleared_parts((QuadNum.sqrt(2), QuadNum.sqrt(3)))
