@@ -10,10 +10,10 @@ and defined near n = k^3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import wraps
 
 from .errors import InvalidInput, OutOfDomain
+from .records import FrozenRecord, Record
 
 BOUND_KINDS = ("thm1-count", "thm1-degree", "gk-degree", "mt",
                "pt-circle", "lens-circle")
@@ -111,21 +111,23 @@ def dyadic_degree_sum(n: float, k: float, const: float = 1.0) -> tuple[float, fl
     return total, total / closed
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    j: int
-    n_j: float
-    d_j: float
-    bound_j: float
+class TraceRow(FrozenRecord):
+    _fields = ("j", "n_j", "d_j", "bound_j")
+
+    def __init__(self, j: int, n_j: float, d_j: float, bound_j: float):
+        self.__dict__.update(j=j, n_j=n_j, d_j=d_j, bound_j=bound_j)
 
 
-@dataclass
-class RecurrenceTrace:
-    z: float
-    depth: int
-    rows: list[TraceRow] = field(default_factory=list)
-    checks: list[tuple[str, float, float, bool]] = field(default_factory=list)
-    certificate: float = 0.0
+class RecurrenceTrace(Record):
+    _fields = ("z", "depth", "rows", "checks", "certificate")
+
+    def __init__(self, z: float, depth: int, rows: list[TraceRow] | None = None,
+                 checks: list[tuple[str, float, float, bool]] | None = None,
+                 certificate: float = 0.0):
+        self.z, self.depth = z, depth
+        self.rows = [] if rows is None else rows
+        self.checks = [] if checks is None else checks
+        self.certificate = certificate
 
     @property
     def passed(self) -> bool:

@@ -109,6 +109,15 @@ def cmd_cut(args) -> int:
     return 0 if ok else 1
 
 
+# the inputs each verify property reads, with the defaults of its options
+_VERIFY_READS = {
+    "duality": {"n": 10000, "seed": 0},
+    "coplanarity": {"scene": None, "k": 2},
+    "order-reversal": {"scene": None},
+    "oracle": {"scene": None},
+}
+
+
 def _verify_duality(args) -> int:
     rng = random.Random(args.seed)
     for _ in range(args.n):
@@ -156,6 +165,14 @@ def _verify_on_scene(args, prop) -> int:
 
 
 def cmd_verify(args) -> int:
+    reads = _VERIFY_READS[args.property]
+    for name in ("scene", "k", "n", "seed"):
+        if getattr(args, name) is None:
+            setattr(args, name, reads.get(name))
+        elif name not in reads:
+            what = "a scene file" if name == "scene" else f"--{name}"
+            raise CircleLensError(
+                f"property {args.property} does not read {what}")
     if args.property == "duality":
         return _verify_duality(args)
     if not args.scene:
@@ -233,10 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exact property check")
     p.add_argument("--property", required=True,
                    choices=("duality", "coplanarity", "order-reversal", "oracle"))
+    # None marks an option not given (_VERIFY_READS holds the defaults)
     p.add_argument("scene", nargs="?")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=_count, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_count)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("incidence", help="Szekely-graph statistics of a scene")

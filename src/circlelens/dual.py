@@ -24,7 +24,6 @@ two participation incidences per lifted circle it contains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -33,23 +32,24 @@ from .errors import DegenerateInput
 from .families import LensFamily
 from .pencils import Scene, lens_record, pair_record, scene_frame
 from .quadfield import QuadNum, QuadPoint, cleared, frac
+from .records import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    x: Fraction
-    y: Fraction
-    z: Fraction
+class DualPoint(FrozenRecord):
+    _fields = ("x", "y", "z")
+
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
+        self.__dict__.update(x=x, y=y, z=z)
 
 
-@dataclass(frozen=True)
-class DualPlane:
+class DualPlane(FrozenRecord):
     """The plane z = a*x + b*y + d (never vertical by construction), with
     coefficients in the field of the point it is dual to."""
 
-    a: QuadNum
-    b: QuadNum
-    d: QuadNum
+    _fields = ("a", "b", "d")
+
+    def __init__(self, a: QuadNum, b: QuadNum, d: QuadNum):
+        self.__dict__.update(a=a, b=b, d=d)
 
     def contains(self, point) -> bool:
         """Exact test in one field: the point's coordinates must be rational
@@ -70,18 +70,19 @@ def dual_plane(p) -> DualPlane:
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class DualLine:
+class DualLine(FrozenRecord):
     """Rational line in R^3, canonicalized so equal lines compare equal.
 
     The direction is scaled to make its first nonzero component 1, and the
     anchor is slid along the line to zero out that same component.
     """
 
-    anchor: Vec3
-    direction: Vec3
-    # (s*anchor, s*direction, s) for s the lcm of the six denominators
-    scaled: tuple = field(repr=False, compare=False)
+    _fields = ("anchor", "direction")
+
+    def __init__(self, anchor: Vec3, direction: Vec3, scaled: tuple):
+        # scaled, outside the fields: (s*anchor, s*direction, s) for s the
+        # lcm of the six denominators
+        self.__dict__.update(anchor=anchor, direction=direction, scaled=scaled)
 
     @classmethod
     def of(cls, anchor, direction) -> "DualLine":
@@ -201,10 +202,13 @@ def lines_coplanar(l1: DualLine, l2: DualLine, l3: DualLine) -> bool:
     return True  # no pair spans a plane: all three lines are identical
 
 
-@dataclass
-class AuditReport:
-    coplanar_triples: list = field(default_factory=list)
-    plane_violations: list = field(default_factory=list)
+class AuditReport(Record):
+    _fields = ("coplanar_triples", "plane_violations")
+
+    def __init__(self, coplanar_triples: list | None = None,
+                 plane_violations: list | None = None):
+        self.coplanar_triples = [] if coplanar_triples is None else coplanar_triples
+        self.plane_violations = [] if plane_violations is None else plane_violations
 
     @property
     def clean(self) -> bool:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
 from .geometry import Dir, canonical_dir, cyclic_key, int_dir
 from .pencils import (Lens, Scene, base_ids, enumerate_lenses, lens_vertices,
                       sort_keys)
+from .records import FrozenRecord
 
 
 def _position(keys, key) -> int:
@@ -83,13 +83,15 @@ class _ArcModel:
         return False
 
 
-@dataclass(frozen=True)
-class LensFamily:
+class LensFamily(FrozenRecord):
     """A set of lenses with a verified pairwise-non-overlap certificate."""
 
-    members: tuple[Lens, ...]
-    certificate: bool
-    total_degree: int
+    _fields = ("members", "certificate", "total_degree")
+
+    def __init__(self, members: tuple[Lens, ...], certificate: bool,
+                 total_degree: int):
+        self.__dict__.update(members=members, certificate=certificate,
+                             total_degree=total_degree)
 
     def __len__(self):
         return len(self.members)
@@ -162,26 +164,26 @@ def select_family(lenses, scene: Scene, mode: str = "greedy") -> LensFamily:
 
 # -- lens cutting -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CircleArc:
+class CircleArc(FrozenRecord):
     """A closed arc of a cut circle, CCW from start to end: exact directions
     (geometry.canonical_dir) of lens arc midpoints.  start is None for an
     uncut circle; start == end for a circle with a single cut."""
 
-    circle_id: int
-    start: Dir | None
-    end: Dir | None
+    _fields = ("circle_id", "start", "end")
+
+    def __init__(self, circle_id: int, start: Dir | None, end: Dir | None):
+        self.__dict__.update(circle_id=circle_id, start=start, end=end)
 
     @property
     def is_full(self) -> bool:
         return self.start is None
 
 
-@dataclass(frozen=True)
-class CutResult:
-    arcs: tuple[CircleArc, ...]
-    cut_count: int
-    k: int
+class CutResult(FrozenRecord):
+    _fields = ("arcs", "cut_count", "k")
+
+    def __init__(self, arcs: tuple[CircleArc, ...], cut_count: int, k: int):
+        self.__dict__.update(arcs=arcs, cut_count=cut_count, k=k)
 
 
 def _midpoints(kp, kq, forward: bool) -> tuple[tuple, tuple]:
@@ -226,8 +228,9 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
                     out.append((cid, side))
         return out
 
-    changed = True
-    while changed:
+    # every cut is new and one of the two midpoints of a target lens on one
+    # of its circles, so every pass but the last makes one of those cuts
+    for _ in range(2 * sum(lens.degree for lens in targets) + 1):
         changed = False
         for i, lens in enumerate(targets):
             cov = covering(i)
@@ -237,8 +240,10 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
                     insort(cuts[cid], key)
                     insort(at[cid], _position(model.keys[cid], key))
                 changed = True
-    if any(len(covering(i)) >= k for i in range(len(targets))):
-        raise DegenerateInput("lens cutting failed to reach a fixpoint")
+        if not changed:
+            break
+    else:
+        raise DegenerateInput("lens cutting made more passes than it has cuts")
     arcs = []
     for cid in range(len(scene)):
         ordered = [canonical_dir(key[2].v) for key in cuts.get(cid, ())]

@@ -8,7 +8,6 @@ uniform-random model rarely has a 3-rich lens.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -16,40 +15,40 @@ from .errors import InvalidInput
 from .geometry import Circle
 from .pencils import Scene
 from .quadfield import frac
+from .records import FrozenRecord
 
 MODELS = ("bundle", "uniform-random", "unit-circles-on-grid", "lattice-triples")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    model: str
-    n: int
-    k: int = 0
-    seed: int = 0
-    spread: Fraction = Fraction(10)
+class GeneratorSpec(FrozenRecord):
+    _fields = ("model", "n", "k", "seed", "spread")
 
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise InvalidInput(f"unknown model {self.model!r}")
-        if self.n < 1:
+    def __init__(self, model: str, n: int, k: int = 0, seed: int = 0,
+                 spread: Fraction = Fraction(10)):
+        if model not in MODELS:
+            raise InvalidInput(f"unknown model {model!r}")
+        if n < 1:
             raise InvalidInput("n must be positive")
-        if self.model == "bundle" and (self.k < 2 or self.n % self.k):
+        if model == "bundle" and (k < 2 or n % k):
             raise InvalidInput("bundle model requires k >= 2 and k | n")
         # the spread is the lattice-triples grid side, the uniform-random span
-        least = {"lattice-triples": 3, "uniform-random": 1}.get(self.model)
-        if least and (frac(self.spread).denominator != 1 or self.spread < least):
-            raise InvalidInput(f"{self.model} needs an integer spread of at "
+        least = {"lattice-triples": 3, "uniform-random": 1}.get(model)
+        if least and (frac(spread).denominator != 1 or spread < least):
+            raise InvalidInput(f"{model} needs an integer spread of at "
                                f"least {least}")
-        object.__setattr__(self, "spread", frac(self.spread))
+        self.__dict__.update(model=model, n=n, k=k, seed=seed,
+                             spread=frac(spread))
 
 
-@dataclass(frozen=True)
-class BundleDescriptor:
+class BundleDescriptor(FrozenRecord):
     """What the extremal construction promises: n/k pencils of degree k."""
 
-    pencil_count: int
-    degree: int
-    bases: tuple[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]], ...]
+    _fields = ("pencil_count", "degree", "bases")
+
+    def __init__(self, pencil_count: int, degree: int, bases: tuple[
+            tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]], ...]):
+        self.__dict__.update(pencil_count=pencil_count, degree=degree,
+                             bases=bases)
 
 
 def pencil_bundle_construction(n: int, k: int) -> tuple[Scene, BundleDescriptor]:

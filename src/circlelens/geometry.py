@@ -14,39 +14,34 @@ kept as a test oracle, tests/dir_oracle.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DegenerateInput, NoRadicalAxis
 from .quadfield import (QuadNum, QuadPoint, _quad, cleared_parts, floor_root,
                         frac, sign_q, two_field_sign)
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(FrozenRecord):
     """Circle with center (cx, cy) and squared radius r2 > 0."""
 
-    cx: Fraction
-    cy: Fraction
-    r2: Fraction
+    _fields = ("cx", "cy", "r2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cx", frac(self.cx))
-        object.__setattr__(self, "cy", frac(self.cy))
-        object.__setattr__(self, "r2", frac(self.r2))
+    def __init__(self, cx: Fraction, cy: Fraction, r2: Fraction):
+        self.__dict__.update(cx=frac(cx), cy=frac(cy), r2=frac(r2))
         if self.r2 <= 0:
             raise DegenerateInput("squared radius must be positive")
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(FrozenRecord):
     """Rational line a*x + b*y + c = 0, canonicalized to integer coefficients
     with content 1 and first nonzero coefficient positive."""
 
-    a: int
-    b: int
-    c: int
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        self.__dict__.update(a=a, b=b, c=c)
 
     @classmethod
     def of(cls, a, b, c) -> "Line":

@@ -27,7 +27,6 @@ the frame's integer circles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DegenerateInput, InvalidRichness
@@ -35,6 +34,7 @@ from .families import _ArcModel, _greedy
 from .geometry import cyclic_key
 from .pencils import Scene, _forward, scene_frame
 from .quadfield import cleared, frac
+from .records import FrozenRecord
 
 
 def _scaled(points, scene: Scene) -> tuple[int, list[tuple[int, int]]]:
@@ -64,16 +64,15 @@ def count_incidences(points, scene: Scene) -> int:
     return sum(map(len, _on_sets(scene, *_scaled(points, scene))))
 
 
-@dataclass(frozen=True)
-class SzekelyStats:
-    m: int
-    n: int
-    incidences: int
-    edges: int
-    g0: int
-    g1: int
-    max_multiplicity: int
-    crossings: int
+class SzekelyStats(FrozenRecord):
+    _fields = ("m", "n", "incidences", "edges", "g0", "g1", "max_multiplicity",
+               "crossings")
+
+    def __init__(self, m: int, n: int, incidences: int, edges: int, g0: int,
+                 g1: int, max_multiplicity: int, crossings: int):
+        self.__dict__.update(m=m, n=n, incidences=incidences, edges=edges,
+                             g0=g0, g1=g1, max_multiplicity=max_multiplicity,
+                             crossings=crossings)
 
 
 def _meet_twice(c1, c2) -> bool:

@@ -26,7 +26,6 @@ sorts with Lens.compare, and exists solely to cross-check.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
@@ -37,21 +36,20 @@ from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
                        intersection_points)
 from .quadfield import (QuadPoint, _point, _quad, cleared_parts, floor_root,
                         frac, parts_text, sign_q, two_field_sign)
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(FrozenRecord):
     """An indexed arrangement of distinct circles, with optional marked points."""
 
-    circles: tuple[Circle, ...]
-    points: tuple[tuple[Fraction, Fraction], ...] = ()
+    _fields = ("circles", "points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "circles", tuple(self.circles))
-        object.__setattr__(
-            self, "points",
-            tuple((frac(x), frac(y)) for x, y in self.points))
-        if len(set(self.circles)) != len(self.circles):
+    def __init__(self, circles: tuple[Circle, ...],
+                 points: tuple[tuple[Fraction, Fraction], ...] = ()):
+        circles = tuple(circles)
+        self.__dict__.update(
+            circles=circles, points=tuple((frac(x), frac(y)) for x, y in points))
+        if len(set(circles)) != len(circles):
             raise DegenerateInput("duplicate circles in scene")
 
     def __len__(self):
@@ -218,7 +216,7 @@ def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
     canonical order; InvalidRichness for k < 2.
 
     A Scene is immutable, so its lenses are kept on it (a private attribute
-    outside the dataclass fields): those of the smallest k built so far.
+    outside its fields): those of the smallest k built so far.
     A larger k filters them; a smaller k builds the scene's lenses anew,
     equal to the ones kept, which are no longer its own.  Every call
     returns a fresh list.

@@ -19,23 +19,23 @@ slopes are compared with one sign_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import DegenerateInput, Inconclusive, VerticalTangent
 from .geometry import Circle, point_on_circle
 from .pencils import Lens, Scene, lens_dirs
 from .quadfield import QuadNum, QuadPoint, sign_q
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class GammaPoint:
+class GammaPoint(FrozenRecord):
     """A point of the slope lift: position on the circle plus tangent slope."""
 
-    x: QuadNum
-    y: QuadNum
-    z: QuadNum
-    circle_id: int | None = None
+    _fields = ("x", "y", "z", "circle_id")
+
+    def __init__(self, x: QuadNum, y: QuadNum, z: QuadNum,
+                 circle_id: int | None = None):
+        self.__dict__.update(x=x, y=y, z=z, circle_id=circle_id)
 
 
 def gamma_point(c: Circle, p, circle_id=None) -> GammaPoint:
@@ -48,12 +48,13 @@ def gamma_point(c: Circle, p, circle_id=None) -> GammaPoint:
     return GammaPoint(x=p.x, y=p.y, z=z, circle_id=circle_id)
 
 
-@dataclass(frozen=True)
-class OrderReversal:
-    reversed: bool
-    order_at_p: tuple[int, ...]
-    order_at_q: tuple[int, ...]
-    excluded: tuple[int, ...]
+class OrderReversal(FrozenRecord):
+    _fields = ("reversed", "order_at_p", "order_at_q", "excluded")
+
+    def __init__(self, reversed: bool, order_at_p: tuple[int, ...],
+                 order_at_q: tuple[int, ...], excluded: tuple[int, ...]):
+        self.__dict__.update(reversed=reversed, order_at_p=order_at_p,
+                             order_at_q=order_at_q, excluded=excluded)
 
 
 def _slope(ua, ub, wa, wb, d, delta: int) -> tuple[int, int, int]:

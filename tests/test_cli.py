@@ -80,9 +80,10 @@ def test_verify_scene_properties(tmp_path, capsys):
     scene_file = tmp_path / "s.scene"
     run_cli(["generate", "--model", "bundle", "--n", "12", "--k", "3",
              "--out", str(scene_file)], capsys)
-    for prop in ("oracle", "order-reversal", "coplanarity"):
+    for prop, options in (("oracle", []), ("order-reversal", []),
+                          ("coplanarity", ["--k", "3"])):
         code, out, _ = run_cli(["verify", "--property", prop,
-                                str(scene_file), "--k", "3"], capsys)
+                                str(scene_file), *options], capsys)
         assert code == 0, (prop, out)
 
 
@@ -105,6 +106,24 @@ def test_richness_below_two_is_an_input_error(argv, k, capsys):
     code, out, err = run_cli([*argv, str(scene), "--k", k], capsys)
     assert code == 2 and not out
     assert err == "error: richness k must be at least 2\n"
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["duality", "SCENE", "--n", "5"], "a scene file"),
+    (["duality", "--k", "2"], "--k"),
+    (["coplanarity", "SCENE", "--n", "5"], "--n"),
+    (["coplanarity", "SCENE", "--seed", "1"], "--seed"),
+    (["order-reversal", "SCENE", "--k", "3"], "--k"),
+    (["order-reversal", "SCENE", "--n", "5"], "--n"),
+    (["oracle", "SCENE", "--k", "0"], "--k"),
+    (["oracle", "SCENE", "--seed", "1"], "--seed")])
+def test_verify_options_the_property_does_not_read_are_input_errors(
+        argv, unread, capsys):
+    scene = str(Path(__file__).parent / "data" / "bundle-n12-k3.scene")
+    argv = [scene if arg == "SCENE" else arg for arg in argv]
+    code, out, err = run_cli(["verify", "--property", *argv], capsys)
+    assert code == 2 and not out
+    assert err == f"error: property {argv[0]} does not read {unread}\n"
 
 
 def test_verify_missing_scene_is_input_error(capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from circlelens import pencils
+from circlelens import families, pencils
 from circlelens.dual import coplanarity_audit
 from circlelens.errors import CapExceeded, DegenerateInput, InvalidRichness
 from circlelens.families import (EXACT_CAP, CircleArc, CutResult, lens_cutting,
@@ -261,6 +261,14 @@ def test_cutting_no_rich_lenses_cuts_nothing():
     assert result.cut_count == 0
     assert all(arc.is_full for arc in result.arcs)
     assert verify_cut(scene, result)
+
+
+def test_cutting_that_repeats_its_cuts_stops(worked_pencil, monkeypatch):
+    # cuts on the lens's base points: after the first pass each is one that
+    # exists, and no side of the lens ever stops being covered
+    monkeypatch.setattr(families, "_midpoints", lambda kp, kq, forward: (kp, kq))
+    with pytest.raises(DegenerateInput, match="more passes than it has cuts"):
+        lens_cutting(worked_pencil, 2)
 
 
 def test_cutting_corpus_postcondition(corpus):

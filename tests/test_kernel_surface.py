@@ -20,6 +20,16 @@ def test_import_loads_no_sympy():
                    env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # against a snapshot taken just before, so what site preloads is not counted
+    code = ("import sys; before = set(sys.modules); import circlelens.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("name", ["uniform-n12-s5", "uniform-n16-s9",
                                   "grid-n12-s3", "lattice-n48-g4-s1",
                                   "prefix-tie-n4"])

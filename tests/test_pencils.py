@@ -139,7 +139,7 @@ def test_enumeration_built_once_per_scene(monkeypatch):
     result = lens_cutting(scene, 2)
     assert result.cut_count > 0 and verify_cut(scene, result)
     assert len(builds) == 1 and len(axes) == pairs
-    # the kept lenses are outside the dataclass fields
+    # the kept lenses are outside the record's fields
     assert (repr(scene), hash(scene)) == before
 
     # a returned list is the caller's own, and its lenses cannot change
