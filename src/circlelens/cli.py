@@ -1,6 +1,8 @@
 """Command-line surface tying the modules into reproducible experiments.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error.  An option
+that the chosen verify property, generate model or bound kind does not
+read is an input error (_READS).
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def cmd_generate(args) -> int:
         scene, _ = pencil_bundle_construction(args.n, args.k)
     else:
         scene = random_scene(GeneratorSpec(
-            model=args.model, n=args.n, k=args.k or 0,
+            model=args.model, n=args.n, k=args.k,
             seed=args.seed, spread=args.spread))
     _write(args.out, serialize_scene(scene))
     return 0
@@ -109,13 +111,32 @@ def cmd_cut(args) -> int:
     return 0 if ok else 1
 
 
-# the inputs each verify property reads, with the defaults of its options
-_VERIFY_READS = {
-    "duality": {"n": 10000, "seed": 0},
-    "coplanarity": {"scene": None, "k": 2},
-    "order-reversal": {"scene": None},
-    "oracle": {"scene": None},
+# per subcommand: the option that makes the choice, the defaults of the
+# options a choice may read (None in the parser marks one not given), and
+# the options each choice reads
+_READS = {
+    "verify": ("property", {"scene": None, "k": 2, "n": 10000, "seed": 0}, {
+        "duality": ("n", "seed"), "coplanarity": ("scene", "k"),
+        "order-reversal": ("scene",), "oracle": ("scene",)}),
+    "generate": ("model", {"k": 0, "seed": 0, "spread": Fraction(10)}, {
+        "bundle": ("k",), "uniform-random": ("seed", "spread"),
+        "lattice-triples": ("seed", "spread")}),
+    "bound": ("kind", {"m": 0, "const0": 1.0}, {
+        "pt-circle": ("m",), "lens-circle": ("m",), "recurrence": ("const0",)}),
 }
+
+
+def _check_reads(args) -> None:
+    """Give each option not given (None) its default; an option given that
+    the choice does not read is an input error."""
+    option, defaults, reads = _READS[args.command]
+    choice = getattr(args, option)
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in reads.get(choice, ()):
+            what = "a scene file" if name == "scene" else f"--{name}"
+            raise CircleLensError(f"{option} {choice} does not read {what}")
 
 
 def _verify_duality(args) -> int:
@@ -165,14 +186,6 @@ def _verify_on_scene(args, prop) -> int:
 
 
 def cmd_verify(args) -> int:
-    reads = _VERIFY_READS[args.property]
-    for name in ("scene", "k", "n", "seed"):
-        if getattr(args, name) is None:
-            setattr(args, name, reads.get(name))
-        elif name not in reads:
-            what = "a scene file" if name == "scene" else f"--{name}"
-            raise CircleLensError(
-                f"property {args.property} does not read {what}")
     if args.property == "duality":
         return _verify_duality(args)
     if not args.scene:
@@ -222,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="bundle",
                    choices=MODELS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spread", type=_fraction, default="10")
+    p.add_argument("--k", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--spread", type=_fraction)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
@@ -250,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exact property check")
     p.add_argument("--property", required=True,
                    choices=("duality", "coplanarity", "order-reversal", "oracle"))
-    # None marks an option not given (_VERIFY_READS holds the defaults)
     p.add_argument("scene", nargs="?")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=_count)
@@ -269,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "pt-circle", "lens-circle", "dyadic", "recurrence"))
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--k", type=float, default=2)
-    p.add_argument("--m", type=float, default=0)
+    p.add_argument("--m", type=float)
     p.add_argument("--const", type=float, default=1.0)
-    p.add_argument("--const0", type=float, default=1.0)
+    p.add_argument("--const0", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bound)
     return parser
@@ -281,6 +293,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in _READS:
+            _check_reads(args)
         return args.func(args)
     except (CircleLensError, OSError, UnicodeDecodeError) as exc:
         # a file that cannot be opened, read or decoded is an input error

@@ -8,21 +8,23 @@ between the base points p < q, or for a diameter the CCW half from p; the
 QuadNum direction predicates that state this rule directly (lens_arc,
 arcs_overlap) are the tests' oracle, tests/dir_oracle.py.  Family selection
 is greedy (degree-descending scan) or exact (branch-and-bound maximum
-independent set in the overlap graph), both in lens order.  Lens cutting
-cuts circles until no k-rich lens lies on k arcs; verify_cut re-reads the
-arcs alone.
+independent set in the overlap graph), both on the lenses sorted once into
+lens order: by enumeration index when all are the scene's own, else by
+Lens.compare.  Lens cutting cuts circles until no k-rich lens lies on k
+arcs; verify_cut re-reads the arcs alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from operator import eq, itemgetter
+from functools import cmp_to_key
+from operator import attrgetter, eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
 from .geometry import Dir, canonical_dir, cyclic_key, int_dir
-from .pencils import (Lens, Scene, base_ids, enumerate_lenses, lens_vertices,
-                      sort_keys)
+from .pencils import (Lens, Scene, _own, base_ids, enumerate_lenses,
+                      lens_vertices)
 from .records import FrozenRecord
 
 
@@ -118,11 +120,11 @@ def _max_independent_set(adj: list[int], n: int) -> int:
     return best
 
 
-def _greedy(model: _ArcModel, degrees, keys) -> list[int]:
-    """The degree-descending scan (ties in lens order, by keys): each lens is
-    kept unless it overlaps one kept before it."""
+def _greedy(model: _ArcModel, degrees) -> list[int]:
+    """The degree-descending scan, ties in index order: each lens is kept
+    unless it overlaps one kept before it."""
     kept: list[int] = []
-    for i in sorted(range(len(degrees)), key=lambda i: (-degrees[i], keys[i])):
+    for i in sorted(range(len(degrees)), key=lambda i: -degrees[i]):
         if not any(model.overlap(i, j) for j in kept):
             kept.append(i)
     return kept
@@ -143,18 +145,19 @@ def select_family(lenses, scene: Scene, mode: str = "greedy") -> LensFamily:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and len(lenses) > EXACT_CAP:
         raise CapExceeded(f"exact selection capped at {EXACT_CAP} lenses")
-    model, n = _ArcModel.of(scene, lenses), len(lenses)
-    keys = sort_keys(scene, lenses)
-    if mode == "greedy":
-        kept = _greedy(model, [lens.degree for lens in lenses], keys)
+    # in lens order, so the family does not depend on input order
+    if all(_own(scene, lens) for lens in lenses):
+        lenses.sort(key=attrgetter("_index"))
     else:
-        # branch in key order, so the family does not depend on input order
-        order = sorted(range(n), key=keys.__getitem__)
+        lenses.sort(key=cmp_to_key(Lens.compare))
+    model, n = _ArcModel.of(scene, lenses), len(lenses)
+    if mode == "greedy":
+        kept = sorted(_greedy(model, [lens.degree for lens in lenses]))
+    else:
         mask = _max_independent_set(
-            [sum(1 << b for b, j in enumerate(order)
-                 if j != i and model.overlap(i, j)) for i in order], n)
-        kept = [i for b, i in enumerate(order) if mask >> b & 1]
-    kept.sort(key=keys.__getitem__)
+            [sum(1 << j for j in range(n) if j != i and model.overlap(i, j))
+             for i in range(n)], n)
+        kept = [i for i in range(n) if mask >> i & 1]
     certificate = all(not model.overlap(i, j)
                       for a, i in enumerate(kept) for j in kept[a + 1:])
     members = tuple(lenses[i] for i in kept)

@@ -116,8 +116,7 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
         [{cid: (u, v) if _forward(dirs[cid][u], dirs[cid][v]) else (v, u)
           for cid in through[u, v]} for u, v in pairs])
     g1 = sum(e == (s + 1) % len(model.order[cid])
-             for i in _greedy(model, [len(through[pair]) for pair in pairs],
-                              range(len(pairs)))
+             for i in _greedy(model, [len(through[pair]) for pair in pairs])
              for cid, (s, e) in model.arcs[i].items())
     edges = sum(len(on[cid]) for cid in drawn)
     # two points on a circle make two edges, u -> v and v -> u

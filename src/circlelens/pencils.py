@@ -7,20 +7,19 @@ radical axis, an integer triple, and each bucket is grouped by an integer
 chord key (the chord's midpoint and squared half chord, times a^2 + b^2).
 Groups of at least k circles, the richness a caller asks for, are lenses.
 
-Every lens has one integer record (D, delta, P, Q, build): a denominator D,
-the radicand delta of its base pair (0 when rational), the parts
+Every lens has one integer record (D, delta, P, Q): a denominator D, the
+radicand delta of its base pair (0 when rational), and the parts
 (xa, xb, ya, yb) of p and of q, each point ((xa + xb*sqrt(delta))/D,
 (ya + yb*sqrt(delta))/D), or when delta = 0 the points' keys (X, Y, W) in
-lowest terms, one object per rational point of an enumeration, and a token
-of the enumeration that built the lens (None for a lens built apart, whose
-record is built on first read).  Lenses are sorted by keys read from it:
-per coordinate the prefix floor(2^K * v), then the exact value, compared
-only on a prefix tie.  Later stages read it too, and Lens.base of an
-enumerated lens is built on first read.  The scene's own lenses are those
-of the smallest k built so far, which it keeps with their build's token;
-they keep their index and vertex record, and skip the on-circle tests.
-The brute-force oracle groups pairwise intersections by exact equality,
-sorts with Lens.compare, and exists solely to cross-check.
+lowest terms, one object per rational point of an enumeration.  Lenses
+are sorted by keys read from it: per coordinate the prefix
+floor(2^K * v), then the exact value, compared only on a prefix tie, so
+a lens's index is its place in lens order.  Later stages read the record
+too, and Lens.base and Lens.record are each built on first read from the
+other.  The scene's own lenses are those of the smallest k built so far,
+which it keeps: they keep their index and vertex record, and skip the
+on-circle tests.  The brute-force oracle groups pairwise intersections by
+exact equality, sorts with Lens.compare, and exists solely to cross-check.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from math import gcd, isqrt, lcm
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
 from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
                        intersection_points)
-from .quadfield import (QuadPoint, _point, _quad, cleared_parts, floor_root,
-                        frac, parts_text, sign_q, two_field_sign)
+from .quadfield import (QuadPoint, _point, _quad, cleared_parts, frac,
+                        parts_text, sign_q, two_field_sign)
 from .records import FrozenRecord
 
 
@@ -98,12 +97,12 @@ class Lens:
 
     @property
     def record(self) -> tuple:
-        """The integer record (D, delta, P, Q, build) (module docstring)."""
+        """The integer record (D, delta, P, Q) (module docstring)."""
         if self._record is None:
             d, delta, p, q = pair_record(*self._base)
             if not delta:
                 p, q = (_point_key(x, y, d) for x, _, y, _ in (p, q))
-            _set_record(self, (d, delta, p, q, None))
+            _set_record(self, (d, delta, p, q))
         return self._record
 
     def __setattr__(self, name, value):
@@ -139,7 +138,8 @@ _SETTERS = tuple(getattr(Lens, name).__set__ for name in Lens.__slots__)
 _set_base, _set_circles, _set_record, _set_index, _set_vertices = _SETTERS
 
 
-# bits of the integer prefix floor(2^K * v) that sort keys compare first
+# bits of the integer prefix floor(2^K * v) that sort keys compare first;
+# the key part of a coordinate v is (floor(2^K * v), v as a _Coord)
 _PREFIX_BITS = 32
 
 
@@ -167,17 +167,12 @@ class _Coord(tuple):
         return self._sign(other) < 0
 
 
-def _key_part(a: int, b: int, d: int, n: int) -> tuple:
-    """(floor(2^K*v), v) for the coordinate v = (a + b*sqrt(d))/n."""
-    return floor_root(a, b, d, n, _PREFIX_BITS), _Coord((a, n, b, d))
-
-
 def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
     """The sort key of the point with integer parts p = (xa, xb, ya, yb)
     over D = d and radicand delta and of its conjugate: the key part of each
     coordinate of the one, then of the other.  One isqrt per coordinate
     serves both: floor(2^K*v) is (2^K*a + s)//d for b >= 0, else
-    (2^K*a - s - 1)//d (floor_root)."""
+    (2^K*a - s - 1)//d (quadfield.floor_root)."""
     xa, xb, ya, yb = p
     k = _PREFIX_BITS
     sx, sy = isqrt((xb << k) ** 2 * delta), isqrt((yb << k) ** 2 * delta)
@@ -190,25 +185,6 @@ def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
         py, qy = qy, py
     return (px, _Coord((xa, d, xb, delta)), py, _Coord((ya, d, yb, delta)),
             qx, _Coord((xa, d, -xb, delta)), qy, _Coord((ya, d, -yb, delta)))
-
-
-def lens_keys(lenses) -> list[tuple]:
-    """One sort key per lens, in the order of Lens.compare: the key part of
-    each coordinate of its record (lens_record, so DegenerateInput for two
-    quadratic fields), then its circles."""
-    keys = []
-    for lens in lenses:
-        d, delta, p, q = lens_record(lens)
-        keys.append((*(t for a, b in (p[:2], p[2:], q[:2], q[2:])
-                       for t in _key_part(a, b, delta, d)), lens.circles))
-    return keys
-
-
-def sort_keys(scene: Scene, lenses) -> list:
-    """One key per lens, in the order of Lens.compare: the enumeration index
-    when every lens is the scene's own, which is key order, else lens_keys."""
-    keys = [lens._index if _own(scene, lens) else None for lens in lenses]
-    return lens_keys(lenses) if None in keys else keys
 
 
 def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
@@ -225,7 +201,7 @@ def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
         raise InvalidRichness("richness k must be at least 2")
     kept = vars(scene).get("_kept")
     if kept is None or k < kept[0]:
-        kept = (k, *_build_lenses(scene, k))
+        kept = (k, _build_lenses(scene, k))
         object.__setattr__(scene, "_kept", kept)
     return rich_lenses(kept[1], k)
 
@@ -273,10 +249,10 @@ def _forward(vp: IntDir, vq: IntDir) -> bool:
 
 
 def _own(scene: Scene, lens: Lens) -> bool:
-    """Is the lens one the scene keeps: enumerated, with a record that holds
-    the token of the build the scene keeps (enumerate_lenses)?"""
-    kept = vars(scene).get("_kept", (None,) * 3)
-    return lens._index is not None and lens._record[4] is kept[2]
+    """Is the lens one the scene keeps (enumerate_lenses): the one at its
+    index among them?"""
+    i, kept = lens._index, vars(scene).get("_kept", (None, ()))[1]
+    return i is not None and i < len(kept) and kept[i] is lens
 
 
 def pair_record(p: QuadPoint, q: QuadPoint) -> tuple:
@@ -294,7 +270,7 @@ def pair_record(p: QuadPoint, q: QuadPoint) -> tuple:
 def lens_record(lens: Lens) -> tuple:
     """(D, delta, p parts, q parts) of the lens's record (module docstring);
     DegenerateInput for a base pair in two quadratic fields."""
-    d, delta, p, q, _ = lens.record
+    d, delta, p, q = lens.record
     if not delta:  # from the keys (X, Y, W), W dividing D
         p, q = ((x * (d // w), 0, y * (d // w), 0) for x, y, w in (p, q))
     return d, delta, p, q
@@ -365,7 +341,7 @@ def _point_key(x: int, y: int, d: int) -> tuple[int, int, int]:
 
 def _base_points(record: tuple) -> tuple[QuadPoint, QuadPoint]:
     """The base pair of an enumerated lens, from its integer record."""
-    d, delta, p, q, _ = record
+    d, delta, p, q = record
     if not delta:
         return tuple(_point(*(_quad(Fraction(v, w), 0, 0) for v in (x, y)))
                      for x, y, w in (p, q))
@@ -375,9 +351,8 @@ def _base_points(record: tuple) -> tuple[QuadPoint, QuadPoint]:
             _point(_quad(fx, -u, delta), _quad(fy, -v, delta)))
 
 
-def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
-    """The lenses of degree >= k, in canonical order, and the token in their
-    records."""
+def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
+    """The lenses of degree >= k, in canonical order."""
     scale, scaled = scene_frame(scene)
     buckets: dict = defaultdict(list)  # axis -> the circles of its pairs
     for i, j in combinations(range(len(scaled)), 2):
@@ -386,7 +361,6 @@ def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
             buckets[axis] += i, j
     shared: dict[tuple, tuple] = {}  # see rational
     coords: dict[tuple, tuple] = {}  # (n, d) in lowest terms -> its key part
-    build = object()
 
     def rational(x: int, y: int, d: int) -> tuple:
         """(key, sort key) of the rational point (x/d, y/d): its key, one
@@ -399,10 +373,10 @@ def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
 
     def coord(n: int, d: int) -> tuple:
         h = gcd(n, d)
-        key = (n // h, d // h)
-        if key not in coords:
-            coords[key] = _key_part(key[0], 0, 0, key[1])
-        return coords[key]
+        n, d = n // h, d // h
+        if (n, d) not in coords:
+            coords[n, d] = ((n << _PREFIX_BITS) // d, _Coord((n, d, 0, 0)))
+        return coords[n, d]
 
     lenses, keys = [], []
     for (a, b, c), ids in buckets.items():
@@ -449,12 +423,12 @@ def _build_lenses(scene: Scene, k: int) -> tuple[tuple[Lens, ...], object]:
                 lens_key = _conjugate_key(p, delta, d)
             members = tuple(members)
             keys.append((*lens_key, members))
-            lenses.append(Lens._enumerated(members, (d, delta, p, q, build)))
+            lenses.append(Lens._enumerated(members, (d, delta, p, q)))
     lenses = tuple(lenses[i] for i in sorted(range(len(lenses)),
                                              key=keys.__getitem__))
     for i, lens in enumerate(lenses):
         _set_index(lens, i)
-    return lenses, build
+    return lenses
 
 
 def rich_lenses(lenses, k: int) -> list[Lens]:

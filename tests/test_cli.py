@@ -1,8 +1,12 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from circlelens import cli
 from circlelens.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -87,6 +91,27 @@ def test_verify_scene_properties(tmp_path, capsys):
         assert code == 0, (prop, out)
 
 
+def test_verify_failures_exit_1_with_their_messages(monkeypatch, capsys):
+    # a greedy family never fails the audit, so each check is made to fail
+    scene = str(DATA / "bundle-n12-k3.scene")
+    monkeypatch.setattr(cli, "power_of_point", lambda p, c: 0)
+    code, out, err = run_cli(["verify", "--property", "duality", "--n", "5"],
+                             capsys)
+    assert code == 1 and not out and err.startswith("duality violation: p=(")
+    monkeypatch.setattr(cli, "order_reversal_check",
+                        lambda lens, scene: SimpleNamespace(reversed=False))
+    code, out, _ = run_cli(["verify", "--property", "order-reversal", scene],
+                           capsys)
+    assert code == 1 and out.startswith("order reversal FAILED for Lens(")
+    monkeypatch.setattr(cli, "coplanarity_audit", lambda scene, family: (
+        SimpleNamespace(clean=False, coplanar_triples=[(0, 1, 2)],
+                        plane_violations=[])))
+    code, out, _ = run_cli(["verify", "--property", "coplanarity", scene],
+                           capsys)
+    assert (code, out) == (
+        1, "coplanarity audit FLAGGED: 1 triples, 0 plane violations\n")
+
+
 def test_verify_order_reversal_skips_an_inconclusive_lens(tmp_path, capsys):
     # the circles meet at (1, 0) and (0, 1), each with a vertical tangent
     # at one of them, so the lens's slope order is inconclusive
@@ -126,6 +151,47 @@ def test_verify_options_the_property_does_not_read_are_input_errors(
     assert err == f"error: property {argv[0]} does not read {unread}\n"
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (["--model", "bundle", "--n", "6", "--k", "3", "--seed", "5"], "--seed"),
+    (["--model", "uniform-random", "--n", "3", "--k", "3"], "--k"),
+    (["--model", "unit-circles-on-grid", "--n", "4", "--spread", "2"],
+     "--spread"),
+    (["--model", "lattice-triples", "--n", "4", "--k", "3"], "--k")])
+def test_generate_options_the_model_does_not_read_are_input_errors(
+        argv, unread, capsys):
+    code, out, err = run_cli(["generate", *argv], capsys)
+    assert code == 2 and not out
+    assert err == f"error: model {argv[1]} does not read {unread}\n"
+
+
+@pytest.mark.parametrize("kind,argv,unread", [
+    ("thm1-count", ["--m", "5"], "--m"),
+    ("thm1-degree", ["--const0", "7"], "--const0"),
+    ("gk-degree", ["--m", "5"], "--m"),
+    ("mt", ["--const0", "7"], "--const0"),
+    ("pt-circle", ["--m", "5", "--const0", "7"], "--const0"),
+    ("lens-circle", ["--m", "5", "--const0", "7"], "--const0"),
+    ("dyadic", ["--m", "5"], "--m"),
+    ("recurrence", ["--m", "5"], "--m")])
+def test_bound_options_the_kind_does_not_read_are_input_errors(
+        kind, argv, unread, capsys):
+    code, out, err = run_cli(["bound", "--kind", kind, "--n", "4096", *argv],
+                             capsys)
+    assert code == 2 and not out
+    assert err == f"error: kind {kind} does not read {unread}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--model", "uniform-random", "--n", "3", "--seed", "1",
+     "--spread", "2"],
+    ["bound", "--kind", "pt-circle", "--n", "100", "--m", "5"],
+    ["bound", "--kind", "lens-circle", "--n", "100", "--m", "5"],
+    ["bound", "--kind", "recurrence", "--n", "100", "--const0", "2"]])
+def test_options_the_choice_reads_are_accepted(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out
+
+
 def test_verify_missing_scene_is_input_error(capsys):
     code, _, err = run_cli(["verify", "--property", "oracle"], capsys)
     assert code == 2
@@ -149,7 +215,11 @@ def test_bound_command(capsys):
     code, out, _ = run_cli(["bound", "--kind", "thm1-degree",
                             "--n", "64", "--k", "4"], capsys)
     assert code == 0
-    assert out.splitlines()[1].startswith("thm1-degree,64.0,4.0,")
+    assert out.splitlines()[1].startswith("thm1-degree,64.0,4.0,0,")
+    code, out, _ = run_cli(["bound", "--kind", "dyadic",
+                            "--n", "4096", "--k", "4"], capsys)
+    assert (code, out) == (0, "kind,n,k,sum,ratio\n"
+                              "dyadic,4096.0,4.0,324834,2.31406\n")
     code, out, _ = run_cli(["bound", "--kind", "recurrence",
                             "--n", str(2 ** 20), "--k", "16"], capsys)
     assert code == 0

@@ -175,6 +175,9 @@ def test_lines_coplanar_cases():
     assert not lines_coplanar(a, c, e)
     # all identical
     assert lines_coplanar(a, a, a)
+    # a skew pair: the x axis and a line along y at height 1
+    skew = DualLine.of((F(0), F(0), F(1)), (F(0), F(1), F(0)))
+    assert not lines_coplanar(a, skew, c)
 
 
 def _concurrent_chord_scene():

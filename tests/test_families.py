@@ -104,8 +104,14 @@ def test_select_family_rejects_a_base_point_off_its_circles():
     east = QuadPoint(1, 0)
     assert select_family([Lens((east, QuadPoint(0, 1)), (0, 1))], scene).certificate
     # rational: (3/5, 4/5) is on the unit circle, not on circle 1
+    off = Lens((QuadPoint(F(3, 5), F(4, 5)), east), (0, 1))
     with pytest.raises(DegenerateInput, match="is not on circle 1$"):
-        select_family([Lens((QuadPoint(F(3, 5), F(4, 5)), east), (0, 1))], scene)
+        select_family([off], scene)
+    # of two faulty lenses, the first in lens order is named, in any input order
+    far = Lens((QuadPoint(2, 0), QuadPoint(3, 0)), (0, 1))
+    for pool in ([off, far], [far, off]):
+        with pytest.raises(DegenerateInput, match=r"\(3/5, 4/5\) is not on circle 1$"):
+            select_family(pool, scene)
     # irrational: p on the chord x + y = 1/2 of the unit circle, moved so that
     # only one of the two integer parts of its power vanishes
     p = circle_line_points(unit, Line.of(2, 2, -1))[0]
@@ -382,27 +388,41 @@ def test_cutting_rich_lattice_scenes(n):
         assert family.certificate and coplanarity_audit(scene, family).clean
 
 
+def _copy(lens, square: bool) -> Lens:
+    """The lens built apart on fresh point objects; when square, a base pair
+    over the radicand delta is written over 4*delta."""
+    p, q = lens.base
+    if square and p.delta:
+        p, q = (QuadPoint(QuadNum(u.x.a, u.x.b / 2, 4 * u.delta),
+                          QuadNum(u.y.a, u.y.b / 2, 4 * u.delta)) for u in (p, q))
+    return Lens((QuadPoint(p.x, p.y), QuadPoint(q.x, q.y)), lens.circles)
+
+
 def test_family_does_not_depend_on_lens_objects_or_order():
     # the scene's own lenses are selected in index order, shuffled or not;
-    # fresh copies (new Lens and point objects) go through lens_keys.  The
-    # greedy scan and the exact search's branching both follow that key
-    # order; the exact pools stay within its cap of 30 lenses.
-    rng = random.Random(3)
+    # any other pool (fresh copies, copies over a radicand with a square
+    # factor, or a shuffled mix of own lenses and copies) is sorted by
+    # Lens.compare.  The greedy scan and the exact search's branching both
+    # follow that lens order; the exact pools stay within its cap of 30.
+    rng, radicands = random.Random(3), set()
     for spec, k in ((GeneratorSpec(model="lattice-triples", n=48, seed=1,
                                    spread=F(4)), 3),
                     (GeneratorSpec(model="uniform-random", n=16, seed=9), 2)):
         scene = random_scene(spec)
         own = rich_lenses(enumerate_lenses(scene), k)
         for mode, pool in (("greedy", own), ("exact", own[:30])):
-            copies = [Lens(tuple(QuadPoint(p.x, p.y) for p in l.base), l.circles)
-                      for l in pool]
-            shuffled = list(pool)
-            rng.shuffle(copies)
-            rng.shuffle(shuffled)
             family = select_family(pool, scene, mode)
             assert len(family) > 1
-            assert select_family(shuffled, scene, mode) == family, mode
-            assert select_family(copies, scene, mode) == family, mode
-            assert not _kept_records(copies)  # none for the copies
+            copies = [_copy(lens, False) for lens in pool]
+            squared = [_copy(lens, True) for lens in pool]
+            radicands.update(lens.base[0].delta % 4 for lens in squared
+                             if lens.base[0].delta)
+            mixed = [rng.choice(pair) for pair in zip(pool, copies)]
+            assert {lens._index is None for lens in mixed} == {True, False}
+            for other in (list(pool), copies, squared, mixed):
+                rng.shuffle(other)
+                assert select_family(other, scene, mode) == family, mode
+            assert not _kept_records(copies + squared)  # none for the copies
             assert list(family.members) == sorted(family.members,
                                                   key=cmp_to_key(Lens.compare))
+    assert radicands == {0}  # some copies, all over 4*delta

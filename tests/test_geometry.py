@@ -122,6 +122,12 @@ def test_cyclic_order_of_reference_directions():
     assert cyclic_cmp(dirs[0], dirs[0]) == 0
 
 
+def test_quadrant_of_a_zero_direction_is_degenerate():
+    for v in ((0, 0, 0, 0, 0), (0, 0, 0, 0, 5)):
+        with pytest.raises(DegenerateInput, match="zero direction"):
+            geometry.quadrant(v)
+
+
 def test_cyclic_order_with_irrational_directions():
     u = (QuadNum.sqrt(2), QuadNum.of(1))
     v = (QuadNum.of(1), QuadNum.sqrt(3))

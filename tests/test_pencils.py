@@ -36,6 +36,12 @@ def test_lens_canonical_base_order():
     assert lens.degree == 3
     assert lens == Lens((q, p), (0, 1, 2))
     assert hash(lens) == hash(Lens((q, p), (0, 1, 2)))
+    other = object()
+    assert lens.__eq__(other) is NotImplemented
+    assert lens != other and not lens == other
+    # on one base pair, Lens.compare orders by circles
+    a, b = Lens((p, q), (0, 1)), Lens((p, q), (0, 2))
+    assert (a.compare(b), b.compare(a), a.compare(a)) == (-1, 1, 0)
 
 
 def test_lens_validation():
@@ -247,46 +253,6 @@ def test_large_coprime_denominators():
     assert max(contents) > 1
 
 
-def _near_ties() -> list[Lens]:
-    """Lenses whose first x coordinates are distinct but closer than
-    2^-32, with their y coordinates in the opposite order."""
-    r2, close = QuadNum.sqrt(2), F(665857, 470832)  # |close - sqrt(2)| < 2^-38
-    far = QuadPoint(F(9), F(9))
-    return [Lens((QuadPoint(F(1, 3), F(5)), far), (0, 1)),
-            Lens((QuadPoint(F(1, 3) + F(1, 2 ** 40), F(1)), far), (0, 1)),
-            Lens((QuadPoint(r2, F(0)), far), (0, 2)),
-            Lens((QuadPoint(close, F(3)), far), (0, 2)),
-            Lens((QuadPoint(r2, r2), far), (1, 2))]
-
-
-def test_lens_keys_sort_like_lens_compare():
-    # shuffled enumerations that share base points, plus copies of some
-    # lenses on fresh (not shared) point objects, and a few over a radicand
-    # with a square factor, so prefix ties reach the exact comparison
-    rng = random.Random(5)
-    lens_compare = cmp_to_key(Lens.compare)
-    for spec in (GeneratorSpec(model="lattice-triples", n=40, seed=2, spread=F(4)),
-                 GeneratorSpec(model="uniform-random", n=16, seed=4),
-                 GeneratorSpec(model="unit-circles-on-grid", n=16)):
-        lenses = enumerate_lenses(random_scene(spec))
-        copies = []
-        for lens in rng.sample(lenses, min(30, len(lenses))):
-            p, q = lens.base
-            if p.delta:
-                d = p.delta
-                p, q = (QuadPoint(QuadNum(u.x.a, u.x.b / 2, 4 * d),
-                                  QuadNum(u.y.a, u.y.b / 2, 4 * d))
-                        for u in (p, q))
-            else:
-                p, q = QuadPoint(p.x.a, p.y.a), QuadPoint(q.x.a, q.y.a)
-            copies.append(Lens((p, q), lens.circles))
-        mixed = lenses + copies + _near_ties()
-        rng.shuffle(mixed)
-        keys = pencils.lens_keys(mixed)
-        by_keys = [mixed[i] for i in sorted(range(len(mixed)), key=keys.__getitem__)]
-        assert by_keys == sorted(mixed, key=lens_compare)
-
-
 @pytest.mark.parametrize("centres", [
     ((0, 0, 5), (1, 1, 5)),  # axis x + y - 1 = 0: b > 0
     ((0, 0, 5), (1, -1, 5)),  # x - y - 1 = 0: b < 0
@@ -379,6 +345,10 @@ def test_requests_of_any_k_on_one_scene(order):
     # and every kept vertex record equals a fresh one
     scene = RICH_SCENES["lattice-64-g4-s2"]()
     full = enumerate_lenses(RICH_SCENES["lattice-64-g4-s2"]())
+    # an equal scene's lenses, at the same indices, are not this one's own
+    enumerate_lenses(scene)
+    assert not any(pencils._own(scene, lens) for lens in full)
+    scene = RICH_SCENES["lattice-64-g4-s2"]()
     kept = {}
     for step, k in enumerate(order):
         lenses = enumerate_lenses(scene, k)

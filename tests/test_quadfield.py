@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelens.quadfield import (QuadNum, QuadPoint, _quad, cleared_parts,
-                                  floor_root, sign_q)
+                                  floor_root, sign_q, two_field_sign)
 
 
 def test_canonical_storage_folds_square_radicands():
@@ -46,6 +46,19 @@ def test_cross_field_compare():
     # 1 + sqrt(2) vs sqrt(6): 2.414... vs 2.449...
     assert (1 + QuadNum.sqrt(2)).compare(QuadNum.sqrt(6)) == -1
     assert QuadNum.sqrt(2).compare(QuadNum(0, 2, Fraction(1, 2))) == 0
+
+
+def test_two_field_sign_with_u_zero_is_the_sign_of_v():
+    # U = 0, so U + V*sqrt(3) has the sign of V = -+1 + sqrt(2)
+    zero, one = Fraction(0), Fraction(1)
+    assert two_field_sign(zero, zero, -one, one, 2, 3) == 1
+    assert two_field_sign(zero, zero, one, -one, 2, 3) == -1
+
+
+def test_quadnum_equals_no_non_number():
+    x = QuadNum.sqrt(2)
+    assert x.__eq__("x") is NotImplemented
+    assert x != "x" and not x == "x"
 
 
 def test_inverse_and_division():
