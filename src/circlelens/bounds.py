@@ -13,7 +13,7 @@ import math
 from functools import wraps
 
 from .errors import InvalidInput, OutOfDomain
-from .records import FrozenRecord, Record
+from .records import FrozenRecord
 
 BOUND_KINDS = ("thm1-count", "thm1-degree", "gk-degree", "mt",
                "pt-circle", "lens-circle")
@@ -118,16 +118,16 @@ class TraceRow(FrozenRecord):
         self.__dict__.update(j=j, n_j=n_j, d_j=d_j, bound_j=bound_j)
 
 
-class RecurrenceTrace(Record):
+class RecurrenceTrace(FrozenRecord):
     _fields = ("z", "depth", "rows", "checks", "certificate")
 
     def __init__(self, z: float, depth: int, rows: list[TraceRow] | None = None,
                  checks: list[tuple[str, float, float, bool]] | None = None,
                  certificate: float = 0.0):
-        self.z, self.depth = z, depth
-        self.rows = [] if rows is None else rows
-        self.checks = [] if checks is None else checks
-        self.certificate = certificate
+        self.__dict__.update(z=z, depth=depth,
+                             rows=[] if rows is None else rows,
+                             checks=[] if checks is None else checks,
+                             certificate=certificate)
 
     @property
     def passed(self) -> bool:
@@ -162,7 +162,8 @@ def recurrence_certify(n: float, k: float, a: float = 1.0,
     if a < 1 or a0 < 1:
         raise InvalidInput("constants must be at least 1")
     z, depth = select_z(n, k)
-    trace = RecurrenceTrace(z=z, depth=depth)
+    trace = RecurrenceTrace(z=z, depth=depth, certificate=a0 * math.sqrt(z)
+                            * (3 ** 2.5 * a) ** depth * n ** 1.5 / k ** 1.5)
 
     def n_at(j):
         return k ** 3 * z ** (2 ** j)
@@ -204,7 +205,4 @@ def recurrence_certify(n: float, k: float, a: float = 1.0,
         lhs = rhs + a * dj ** 2 * nj1
         rhs2 = bound_at(j + 1)
         check(f"chain j={j}", lhs, rhs2, lhs <= rhs2 * (1 + 1e-12))
-
-    big_b = 3 ** 2.5 * a
-    trace.certificate = a0 * math.sqrt(z) * big_b ** depth * n ** 1.5 / k ** 1.5
     return trace

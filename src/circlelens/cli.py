@@ -19,8 +19,7 @@ from .bounds import bound_eval, dyadic_degree_sum, recurrence_certify
 from .dual import coplanarity_audit, dual_plane, lift_circle
 from .errors import CircleLensError, Inconclusive
 from .families import lens_cutting, select_family, verify_cut
-from .generators import (MODELS, GeneratorSpec, pencil_bundle_construction,
-                         random_scene)
+from .generators import MODELS, GeneratorSpec, random_scene
 from .geometry import Circle, power_of_point
 from .incidence import szekely_stats
 from .pencils import base_text, brute_force_lenses, enumerate_lenses
@@ -65,13 +64,18 @@ def _count(text: str) -> int:
     return n
 
 
+def _scene_with_circles(path):
+    """The scene at path for a command that bounds its lenses by n, the
+    number of circles; an input error when it has none."""
+    scene = _load_scene(path)
+    if not len(scene):
+        raise CircleLensError(f"scene {path} has no circles")
+    return scene
+
+
 def cmd_generate(args) -> int:
-    if args.model == "bundle":
-        scene, _ = pencil_bundle_construction(args.n, args.k)
-    else:
-        scene = random_scene(GeneratorSpec(
-            model=args.model, n=args.n, k=args.k,
-            seed=args.seed, spread=args.spread))
+    scene = random_scene(GeneratorSpec(model=args.model, n=args.n, k=args.k,
+                                       seed=args.seed, spread=args.spread))
     _write(args.out, serialize_scene(scene))
     return 0
 
@@ -87,7 +91,7 @@ def cmd_lenses(args) -> int:
 
 
 def cmd_family(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = _scene_with_circles(args.scene)
     lenses = enumerate_lenses(scene, args.k)
     family = select_family(lenses, scene, mode=args.mode)
     bound = bound_eval("thm1-degree", n=len(scene), k=args.k)
@@ -100,7 +104,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_cut(args) -> int:
-    scene = _load_scene(args.scene)
+    scene = _scene_with_circles(args.scene)
     result = lens_cutting(scene, args.k)
     ok = verify_cut(scene, result)
     bound = bound_eval("thm1-degree", n=len(scene), k=args.k)
@@ -121,8 +125,10 @@ _READS = {
     "generate": ("model", {"k": 0, "seed": 0, "spread": Fraction(10)}, {
         "bundle": ("k",), "uniform-random": ("seed", "spread"),
         "lattice-triples": ("seed", "spread")}),
-    "bound": ("kind", {"m": 0, "const0": 1.0}, {
-        "pt-circle": ("m",), "lens-circle": ("m",), "recurrence": ("const0",)}),
+    "bound": ("kind", {"k": 2, "m": 0, "const0": 1.0}, {
+        "thm1-count": ("k",), "thm1-degree": ("k",), "gk-degree": ("k",),
+        "pt-circle": ("k", "m"), "lens-circle": ("k", "m"), "dyadic": ("k",),
+        "recurrence": ("k", "const0")}),
 }
 
 
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("thm1-count", "thm1-degree", "gk-degree", "mt",
                             "pt-circle", "lens-circle", "dyadic", "recurrence"))
     p.add_argument("--n", type=float, required=True)
-    p.add_argument("--k", type=float, default=2)
+    p.add_argument("--k", type=float)
     p.add_argument("--m", type=float)
     p.add_argument("--const", type=float, default=1.0)
     p.add_argument("--const0", type=float)

@@ -32,7 +32,7 @@ from .errors import DegenerateInput
 from .families import LensFamily
 from .pencils import Scene, lens_record, pair_record, scene_frame
 from .quadfield import QuadNum, QuadPoint, cleared, frac
-from .records import FrozenRecord, Record
+from .records import FrozenRecord
 
 
 class DualPoint(FrozenRecord):
@@ -202,13 +202,14 @@ def lines_coplanar(l1: DualLine, l2: DualLine, l3: DualLine) -> bool:
     return True  # no pair spans a plane: all three lines are identical
 
 
-class AuditReport(Record):
+class AuditReport(FrozenRecord):
     _fields = ("coplanar_triples", "plane_violations")
 
     def __init__(self, coplanar_triples: list | None = None,
                  plane_violations: list | None = None):
-        self.coplanar_triples = [] if coplanar_triples is None else coplanar_triples
-        self.plane_violations = [] if plane_violations is None else plane_violations
+        self.__dict__.update(
+            coplanar_triples=[] if coplanar_triples is None else coplanar_triples,
+            plane_violations=[] if plane_violations is None else plane_violations)
 
     @property
     def clean(self) -> bool:

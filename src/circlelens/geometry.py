@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DegenerateInput, NoRadicalAxis
-from .quadfield import (QuadNum, QuadPoint, _quad, cleared_parts, floor_root,
-                        frac, sign_q, two_field_sign)
+from .quadfield import (PREFIX_BITS, QuadNum, QuadPoint, _quad, cleared_parts,
+                        floor_root, frac, sign_q, two_field_sign)
 from .records import FrozenRecord
 
 
@@ -149,10 +149,6 @@ Dir = tuple[QuadNum, QuadNum]
 # integers, d a non-square or 0; a positive multiple is the same direction
 IntDir = tuple[int, int, int, int, int]
 
-# bits of the integer slope prefix floor(2^K * y/x) that cyclic_key compares first
-_SLOPE_BITS = 32
-
-
 def int_dir(d: Dir) -> IntDir:
     """The direction d = (x, y) over one radicand, scaled by a positive
     integer so that every part is an integer."""
@@ -228,7 +224,7 @@ def cyclic_key(v: IntDir) -> tuple:
     prefix = 0
     if q & 1:
         p, s, n = _slope(v)
-        prefix = floor_root(p, s, v[4], n, _SLOPE_BITS)
+        prefix = floor_root(p, s, v[4], n, PREFIX_BITS)
     return (q, prefix, _Ray(v))
 
 

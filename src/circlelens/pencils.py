@@ -12,14 +12,14 @@ radicand delta of its base pair (0 when rational), and the parts
 (xa, xb, ya, yb) of p and of q, each point ((xa + xb*sqrt(delta))/D,
 (ya + yb*sqrt(delta))/D), or when delta = 0 the points' keys (X, Y, W) in
 lowest terms, one object per rational point of an enumeration.  Lenses
-are sorted by keys read from it: per coordinate the prefix
-floor(2^K * v), then the exact value, compared only on a prefix tie, so
-a lens's index is its place in lens order.  Later stages read the record
-too, and Lens.base and Lens.record are each built on first read from the
-other.  The scene's own lenses are those of the smallest k built so far,
-which it keeps: they keep their index and vertex record, and skip the
-on-circle tests.  The brute-force oracle groups pairwise intersections by
-exact equality, sorts with Lens.compare, and exists solely to cross-check.
+are sorted by keys read from it: per coordinate the prefix floor(2^K * v),
+then the exact value as a quadfield.Surd, compared only on a prefix tie,
+so a lens's index is its place in lens order.  Later stages read the
+record too, and Lens.base and Lens.record are each built on first read
+from the other.  The scene's own lenses are those of the smallest k built
+so far, which it keeps: they keep their index and vertex record, and skip
+the on-circle tests.  The brute-force oracle groups pairwise intersections
+by exact equality and sorts with Lens.compare, solely to cross-check.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from math import gcd, isqrt, lcm
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
 from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
                        intersection_points)
-from .quadfield import (QuadPoint, _point, _quad, cleared_parts, frac,
-                        parts_text, sign_q, two_field_sign)
+from .quadfield import (PREFIX_BITS, QuadPoint, Surd, _point, _quad,
+                        cleared_parts, frac, parts_text)
 from .records import FrozenRecord
 
 
@@ -138,43 +138,15 @@ _SETTERS = tuple(getattr(Lens, name).__set__ for name in Lens.__slots__)
 _set_base, _set_circles, _set_record, _set_index, _set_vertices = _SETTERS
 
 
-# bits of the integer prefix floor(2^K * v) that sort keys compare first;
-# the key part of a coordinate v is (floor(2^K * v), v as a _Coord)
-_PREFIX_BITS = 32
-
-
-class _Coord(tuple):
-    """(a, n, b, d): the coordinate (a + b*sqrt(d))/n, integers, n > 0, that
-    a sort key compares exactly when its prefixes floor(2^K*v) tie."""
-
-    __slots__ = ()
-
-    def _sign(self, other: "_Coord") -> int:
-        """The sign of self - other."""
-        a, n, b, d = self
-        oa, on, ob, od = other
-        a, b, c = a * on - oa * n, b * on, ob * n
-        if not c:
-            return sign_q(a, b, d)
-        if not b or d == od:
-            return sign_q(a, b - c, od)
-        return two_field_sign(a, b, -c, 0, d, od)
-
-    def __eq__(self, other):
-        return not self._sign(other)
-
-    def __lt__(self, other):
-        return self._sign(other) < 0
-
-
 def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
     """The sort key of the point with integer parts p = (xa, xb, ya, yb)
-    over D = d and radicand delta and of its conjugate: the key part of each
-    coordinate of the one, then of the other.  One isqrt per coordinate
-    serves both: floor(2^K*v) is (2^K*a + s)//d for b >= 0, else
-    (2^K*a - s - 1)//d (quadfield.floor_root)."""
+    over D = d and radicand delta and of its conjugate: the key part
+    (floor(2^K*v), v as a Surd) of each coordinate v of the one, then of
+    the other.  One isqrt per coordinate serves both: floor(2^K*v) is
+    (2^K*a + s)//d for b >= 0, else (2^K*a - s - 1)//d
+    (quadfield.floor_root)."""
     xa, xb, ya, yb = p
-    k = _PREFIX_BITS
+    k = PREFIX_BITS
     sx, sy = isqrt((xb << k) ** 2 * delta), isqrt((yb << k) ** 2 * delta)
     x, y = xa << k, ya << k
     px, qx = (x + sx) // d, (x - sx - (sx > 0)) // d
@@ -183,8 +155,8 @@ def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
         px, qx = qx, px
     if yb < 0:
         py, qy = qy, py
-    return (px, _Coord((xa, d, xb, delta)), py, _Coord((ya, d, yb, delta)),
-            qx, _Coord((xa, d, -xb, delta)), qy, _Coord((ya, d, -yb, delta)))
+    return (px, Surd((xa, d, xb, delta)), py, Surd((ya, d, yb, delta)),
+            qx, Surd((xa, d, -xb, delta)), qy, Surd((ya, d, -yb, delta)))
 
 
 def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
@@ -375,7 +347,7 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
         h = gcd(n, d)
         n, d = n // h, d // h
         if (n, d) not in coords:
-            coords[n, d] = ((n << _PREFIX_BITS) // d, _Coord((n, d, 0, 0)))
+            coords[n, d] = ((n << PREFIX_BITS) // d, Surd((n, d, 0, 0)))
         return coords[n, d]
 
     lenses, keys = [], []

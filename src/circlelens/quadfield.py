@@ -12,6 +12,8 @@ is a perfect square, and equality and hashing go through
 Signs over two different radicands are decided by squaring once
 (:func:`two_field_sign`), which uses only real-number reasoning and so stays
 sound when the two radicands turn out to name the same field.
+:func:`surd_sign` is the one sign of a + b*sqrt(d) + c*sqrt(e) that
+QuadNum.compare and the integer :class:`Surd` (a + b*sqrt(d))/n share.
 """
 
 from __future__ import annotations
@@ -65,6 +67,19 @@ def two_field_sign(u0, u1, v0, v1, m1: int, m2: int) -> int:
                       for x in (u0, u1, v0, v1))
     return su * sign_q(u0 * u0 + u1 * u1 * m1 - m2 * (v0 * v0 + v1 * v1 * m1),
                        2 * (u0 * u1 - m2 * v0 * v1), m1)
+
+
+def surd_sign(a, b, d: int, c, e: int) -> int:
+    """Exact sign of a + b*sqrt(d) + c*sqrt(e) for rationals a, b, c and
+    integers d, e >= 0: one sign_q when a term vanishes or d == e, else
+    two_field_sign."""
+    if not c or not e:
+        return sign_q(a, b, d)
+    if not b or not d:
+        return sign_q(a, c, e)
+    if d == e:
+        return sign_q(a, b + c, d)
+    return two_field_sign(a, b, c, 0, d, e)
 
 
 def _quad(a: Fraction, b: Fraction, delta: int) -> "QuadNum":
@@ -209,14 +224,8 @@ class QuadNum:
     def compare(self, other) -> int:
         """Exact three-way comparison; works across different radicands."""
         other = QuadNum.of(other)
-        if not self.delta and not other.delta:
-            return (self.a > other.a) - (self.a < other.a)
-        if self.delta == other.delta or not self.delta or not other.delta:
-            d, ob = self._join(other)
-            return sign_q(self.a - other.a, self.b - ob, d)
-        # (a1 - a2 + b1*sqrt(d1)) + (-b2)*sqrt(d2)
-        return two_field_sign(self.a - other.a, self.b, -other.b, _ZERO,
-                              self.delta, other.delta)
+        return surd_sign(self.a - other.a, self.b, self.delta,
+                         -other.b, other.delta)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -295,8 +304,31 @@ def floor_root(p: int, q: int, d: int, n: int, k: int) -> int:
     return (p + s) // n if q >= 0 else (p - s - 1) // n
 
 
+# bits of the integer prefix floor(2^K * v) that sort keys compare first
+PREFIX_BITS = 32
+
+
+class Surd(tuple):
+    """(a, n, b, d): the integer surd (a + b*sqrt(d))/n, with n > 0 and d 0
+    or not a square, ordered exactly; a sort key compares it when the
+    prefixes floor(2^K * v) before it tie."""
+
+    __slots__ = ()
+
+    def _sign(self, other: "Surd") -> int:
+        """The sign of self - other."""
+        a, n, b, d = self
+        oa, on, ob, od = other
+        return surd_sign(a * on - oa * n, b * on, d, -ob * n, od)
+
+    def __eq__(self, other):
+        return not self._sign(other)
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+
 ZERO = QuadNum(0)
-ONE = QuadNum(1)
 
 
 def cleared_parts(values) -> tuple[int, int, list[int]]:

@@ -4,8 +4,9 @@ Every command-line call imports the package, so the records are plain
 classes: the standard library's record decorator cost each fresh process
 about 14 ms, for its module's import (which pulls in inspect and ast) and
 for the code it compiles per class.  A record names its fields in _fields,
-which give its repr, == and hash.  Each class writes its own __init__, no
-slower than a generated one.
+which give its repr, == and hash; one base serves them all, and a list
+field (AuditReport, RecurrenceTrace) is appended to, never reassigned.
+Each class writes its own __init__, no slower than a generated one.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-class Record:
-    """A mutable record: repr Name(field=value, ...), == only with a record
-    of the same class, field by field, and no hash."""
+class FrozenRecord:
+    """An immutable record: repr Name(field=value, ...), == only with a
+    record of the same class, field by field, and hashed as the tuple of its
+    fields.  Assigning or deleting an attribute raises AttributeError, so
+    its __init__ updates self.__dict__."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -23,8 +26,8 @@ class Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         # the tuple of the field values: attrgetter gives a tuple for two
-        # names or more, as every record has (FrozenRecord itself has none)
-        cls._values = attrgetter(*cls._fields) if cls._fields else None
+        # names or more, as every record has
+        cls._values = attrgetter(*cls._fields)
 
     def __repr__(self):
         values = ", ".join(f"{name}={value!r}" for name, value
@@ -35,16 +38,6 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values(self) == self._values(other)
-
-    __hash__ = None
-
-
-class FrozenRecord(Record):
-    """An immutable record, hashed as the tuple of its fields.  Assigning or
-    deleting an attribute raises AttributeError, so its __init__ updates
-    self.__dict__."""
-
-    __slots__ = ()
 
     def __hash__(self):
         return hash(self._values(self))

@@ -10,21 +10,19 @@ the tangent direction at the point is u turned a quarter, and the slope is
 its component along d over its component across d.
 
 The check runs on integers.  It reads each circle's radii to the base
-points from the lens's integer record (pencils.lens_dirs), scaled with the
-scene frame by one denominator and over the one radicand delta of the base
-pair, so every quantity lies in Z[sqrt(delta)], the base chord d included.
-A slope is A/n with A in Z[sqrt(delta)] and an integer n > 0, and two
-slopes are compared with one sign_q.
+points from the lens's vertex record (pencils.lens_vertices, kept on the
+scene's own lenses), scaled with the scene frame by one denominator and
+over the one radicand delta of the base pair, so every quantity lies in
+Z[sqrt(delta)], the base chord d included.  A slope is the integer surd
+A/n (quadfield.Surd) with A in Z[sqrt(delta)] and n > 0.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-
 from .errors import DegenerateInput, Inconclusive, VerticalTangent
 from .geometry import Circle, point_on_circle
-from .pencils import Lens, Scene, lens_dirs
-from .quadfield import QuadNum, QuadPoint, sign_q
+from .pencils import Lens, Scene, lens_vertices
+from .quadfield import QuadNum, QuadPoint, Surd
 from .records import FrozenRecord
 
 
@@ -57,12 +55,12 @@ class OrderReversal(FrozenRecord):
                              order_at_q=order_at_q, excluded=excluded)
 
 
-def _slope(ua, ub, wa, wb, d, delta: int) -> tuple[int, int, int]:
+def _slope(ua, ub, wa, wb, d, delta: int) -> Surd:
     """The chord-frame slope -(u x d)/(u . d) at a point with
-    u = (ua + ub*sqrt(delta), wa + wb*sqrt(delta)), as (A0, A1, n) for
-    (A0 + A1*sqrt(delta))/n with n > 0.  On a circle through both base
-    points u . d = -|d|^2/2, so the zero and negative norm cases need a point
-    that is not on the circle."""
+    u = (ua + ub*sqrt(delta), wa + wb*sqrt(delta)), as the surd
+    (A0, n, A1, delta) = (A0 + A1*sqrt(delta))/n with n > 0.  On a circle
+    through both base points u . d = -|d|^2/2, so the zero and negative norm
+    cases need a point that is not on the circle."""
     dxa, dxb, dya, dyb = d
     na = ua * dya + ub * dyb * delta - wa * dxa - wb * dxb * delta
     nb = ua * dyb + ub * dya - wa * dxb - wb * dxa
@@ -73,7 +71,7 @@ def _slope(ua, ub, wa, wb, d, delta: int) -> tuple[int, int, int]:
         raise ZeroDivisionError("QuadNum division by zero")
     # -N/E = -N*conj(E)/norm(E)
     a0, a1 = nb * eb * delta - na * ea, na * eb - nb * ea
-    return (a0, a1, norm) if norm > 0 else (-a0, -a1, -norm)
+    return Surd((a0, norm, a1, delta) if norm > 0 else (-a0, -norm, -a1, delta))
 
 
 def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
@@ -85,7 +83,7 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
     Inconclusive when fewer than two circles remain, and DegenerateInput for
     base points in two quadratic fields.
     """
-    dirs = lens_dirs(scene, lens)
+    dirs = [(kp[2].v, kq[2].v) for kp, kq, _ in lens_vertices(scene, lens)]
     # vq - vp is q - p, the base chord, in the same scale
     vp, vq = dirs[0]
     d, delta = [b - a for a, b in zip(vp[:4], vq[:4])], vp[4]
@@ -97,16 +95,8 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
             slopes[cid] = (_slope(*vp[:4], d, delta), _slope(*vq[:4], d, delta))
     if len(slopes) < 2:
         raise Inconclusive("fewer than two circles with finite slopes")
-
-    def at(i):
-        def cmp(a, b):
-            a0, a1, m = slopes[a][i]
-            b0, b1, n = slopes[b][i]
-            return sign_q(a0 * n - b0 * m, a1 * n - b1 * m, delta)
-        return cmp_to_key(cmp)
-
-    by_p = sorted(slopes, key=at(0))
-    by_q = sorted(slopes, key=at(1))
+    by_p = sorted(slopes, key=lambda cid: slopes[cid][0])
+    by_q = sorted(slopes, key=lambda cid: slopes[cid][1])
     return OrderReversal(reversed=by_q == list(reversed(by_p)),
                          order_at_p=tuple(by_p),
                          order_at_q=tuple(by_q),

@@ -172,7 +172,8 @@ def test_generate_options_the_model_does_not_read_are_input_errors(
     ("pt-circle", ["--m", "5", "--const0", "7"], "--const0"),
     ("lens-circle", ["--m", "5", "--const0", "7"], "--const0"),
     ("dyadic", ["--m", "5"], "--m"),
-    ("recurrence", ["--m", "5"], "--m")])
+    ("recurrence", ["--m", "5"], "--m"),
+    ("mt", ["--k", "7"], "--k")])
 def test_bound_options_the_kind_does_not_read_are_input_errors(
         kind, argv, unread, capsys):
     code, out, err = run_cli(["bound", "--kind", kind, "--n", "4096", *argv],
@@ -190,6 +191,27 @@ def test_bound_options_the_kind_does_not_read_are_input_errors(
 def test_options_the_choice_reads_are_accepted(argv, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and out
+
+
+def test_bundle_generate_checks_k_through_its_spec(capsys):
+    code, out, err = run_cli(["generate", "--model", "bundle", "--n", "12",
+                              "--k", "5"], capsys)
+    assert code == 2 and not out
+    assert err == "error: bundle model requires k >= 2 and k | n\n"
+
+
+def test_family_and_cut_reject_a_scene_with_no_circles(tmp_path, capsys):
+    empty = tmp_path / "empty.scene"
+    empty.write_text("# no circles\n")
+    for command in ("family", "cut"):
+        code, out, err = run_cli([command, str(empty)], capsys)
+        assert code == 2 and not out
+        assert err == f"error: scene {empty} has no circles\n"
+    # the commands that bound nothing by n accept it
+    for argv in (["lenses", str(empty)], ["incidence", str(empty)],
+                 ["verify", "--property", "coplanarity", str(empty)]):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out, argv
 
 
 def test_verify_missing_scene_is_input_error(capsys):
@@ -216,6 +238,9 @@ def test_bound_command(capsys):
                             "--n", "64", "--k", "4"], capsys)
     assert code == 0
     assert out.splitlines()[1].startswith("thm1-degree,64.0,4.0,0,")
+    # mt reads no --k, and its row prints the default
+    code, out, _ = run_cli(["bound", "--kind", "mt", "--n", "100"], capsys)
+    assert (code, out) == (0, "kind,n,k,m,value\nmt,100.0,2,0,4605.17\n")
     code, out, _ = run_cli(["bound", "--kind", "dyadic",
                             "--n", "4096", "--k", "4"], capsys)
     assert (code, out) == (0, "kind,n,k,sum,ratio\n"

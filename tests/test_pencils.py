@@ -17,7 +17,7 @@ from circlelens.geometry import Circle, circle_line_points, radical_axis
 from circlelens.pencils import (ORACLE_CAP, Lens, Scene, base_text,
                                 brute_force_lenses, enumerate_lenses,
                                 lens_dirs, lens_vertices, rich_lenses)
-from circlelens.quadfield import QuadNum, QuadPoint
+from circlelens.quadfield import QuadNum, QuadPoint, Surd
 from circlelens.sceneio import parse_scene
 
 
@@ -377,13 +377,13 @@ def test_enumeration_breaks_a_prefix_tie_exactly(monkeypatch):
     # lower, so an order read from the prefixes alone would put it first
     scene = parse_scene((DATA / "prefix-tie-n4.scene").read_text())
     compared = []
-    real = pencils._Coord._sign
+    real = Surd._sign
 
     def counted(self, other):
         compared.append((self, other))
         return real(self, other)
 
-    monkeypatch.setattr(pencils._Coord, "_sign", counted)
+    monkeypatch.setattr(Surd, "_sign", counted)
     lenses = enumerate_lenses(scene)
     assert compared
     assert [l.circles for l in lenses] == [(0, 3), (0, 1), (2, 3), (1, 2)]

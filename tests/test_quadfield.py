@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelens.quadfield import (QuadNum, QuadPoint, _quad, cleared_parts,
-                                  floor_root, sign_q, two_field_sign)
+from circlelens.quadfield import (QuadNum, QuadPoint, Surd, _quad,
+                                  cleared_parts, floor_root, sign_q,
+                                  two_field_sign)
 
 
 def test_canonical_storage_folds_square_radicands():
@@ -256,3 +257,46 @@ def test_cleared_parts_over_one_radicand():
     assert cleared_parts((QuadNum(1), QuadNum(Fraction(1, 2)))) == (2, 0, [2, 0, 1, 0])
     with pytest.raises(ValueError):
         cleared_parts((QuadNum.sqrt(2), QuadNum.sqrt(3)))
+
+
+# radicands: rational, one field written two ways (sqrt(8) = 2*sqrt(2)), and
+# a second field
+@st.composite
+def surds(draw):
+    d = draw(st.sampled_from((0, 2, 3, 8)))
+    return Surd((draw(st.integers(-300, 300)), draw(st.integers(1, 40)),
+                 draw(st.integers(-40, 40)) if d else 0, d))
+
+
+def _surd_value(s: Surd) -> QuadNum:
+    a, n, b, d = s
+    return QuadNum(Fraction(a, n), Fraction(b, n), d)
+
+
+def _rewritten(s: Surd, m: int) -> Surd:
+    """s over m times its denominator, and over sqrt(8) when it is over
+    sqrt(2): the same value written another way."""
+    a, n, b, d = s
+    if d == 2:
+        return Surd((2 * m * a, 2 * m * n, m * b, 8))
+    return Surd((m * a, m * n, m * b, d))
+
+
+# one example per case of surd_sign: the other rational, this one rational,
+# one radicand, two representatives of one field, two fields
+@example(Surd((1, 1, 1, 2)), Surd((3, 2, 0, 0)), 1)
+@example(Surd((1, 1, 0, 0)), Surd((1, 1, 1, 3)), 1)
+@example(Surd((7, 5, 1, 2)), Surd((3, 2, 1, 2)), 2)
+@example(Surd((0, 1, 1, 2)), Surd((0, 1, 1, 8)), 1)
+@example(Surd((1, 1, 1, 2)), Surd((1, 1, 1, 3)), 1)
+@given(surds(), surds(), st.integers(1, 5))
+@settings(max_examples=300)
+def test_surd_order_matches_fraction_and_quadnum(x, y, m):
+    for other in (y, _rewritten(x, m)):
+        want = _surd_value(x).compare(_surd_value(other))
+        if not (x[2] or other[2]):
+            ratio = Fraction(x[0], x[1]) - Fraction(other[0], other[1])
+            assert want == (ratio > 0) - (ratio < 0)
+        assert x._sign(other) == want == -other._sign(x)
+        assert (x < other, x == other) == (want < 0, want == 0)
+    assert x == _rewritten(x, m)

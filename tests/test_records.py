@@ -1,6 +1,7 @@
-"""The value records keep the behaviour of the frozen and mutable records
+"""The value records, all on one base, keep the behaviour of the records
 they replaced: repr, equality with their own class only, hash as the tuple
-of their fields, immutability, and a fresh list per list default."""
+of their fields, no assignment or deletion, and a fresh list per list
+default, which makes a record with a list field unhashable."""
 
 from fractions import Fraction as F
 
@@ -52,7 +53,7 @@ FROZEN = [
      "TraceRow(j=0, n_j=1.0, d_j=2.0, bound_j=3.0)"),
 ]
 
-MUTABLE = [
+LISTED = [
     (AuditReport(), ([], []),
      "AuditReport(coplanar_triples=[], plane_violations=[])"),
     (RecurrenceTrace(1.5, 2), (1.5, 2, [], [], 0.0),
@@ -64,8 +65,8 @@ def _id(case):
     return type(case[0]).__name__
 
 
-@pytest.mark.parametrize("record,values,text", FROZEN + MUTABLE,
-                         ids=map(_id, FROZEN + MUTABLE))
+@pytest.mark.parametrize("record,values,text", FROZEN + LISTED,
+                         ids=map(_id, FROZEN + LISTED))
 def test_repr_and_equality(record, values, text):
     assert repr(record) == text
     assert record != values and values != record
@@ -73,17 +74,21 @@ def test_repr_and_equality(record, values, text):
     assert record == type(record)(*values, *extra)
 
 
+def _cannot_change(record):
+    for name in vars(record):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, "other", None)
+
+
 @pytest.mark.parametrize("record,values,text", FROZEN, ids=map(_id, FROZEN))
 def test_frozen_records_hash_as_their_fields_and_cannot_change(
         record, values, text):
     assert hash(record) == hash(values)
-    name = next(iter(vars(record)))
-    with pytest.raises(AttributeError):
-        setattr(record, name, None)
-    with pytest.raises(AttributeError):
-        setattr(record, "other", None)
-    with pytest.raises(AttributeError):
-        delattr(record, name)
+    _cannot_change(record)
     assert repr(record) == text
 
 
@@ -94,8 +99,10 @@ def test_dual_line_scaled_is_not_a_field():
     assert line == other and hash(line) == hash(other)
 
 
-@pytest.mark.parametrize("make", [AuditReport, lambda: RecurrenceTrace(1.5, 2)])
-def test_mutable_records_get_fresh_lists_and_no_hash(make):
+@pytest.mark.parametrize("make", [AuditReport, lambda: RecurrenceTrace(1.5, 2)],
+                         ids=["AuditReport", "RecurrenceTrace"])
+def test_list_records_get_fresh_lists_no_hash_and_cannot_change(make):
+    # their builders append to the lists; the fields themselves stay put
     a, b = make(), make()
     for name, value in vars(a).items():
         if isinstance(value, list):
@@ -104,3 +111,4 @@ def test_mutable_records_get_fresh_lists_and_no_hash(make):
     assert a != b
     with pytest.raises(TypeError):
         hash(a)
+    _cannot_change(a)

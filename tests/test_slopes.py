@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelens import slopes
+from circlelens import pencils, slopes
 from circlelens.errors import (CircleLensError, DegenerateInput, Inconclusive,
                                VerticalTangent)
 from circlelens.families import select_family
@@ -178,6 +178,29 @@ def test_order_reversal_rejects_circle_off_the_base():
         order_reversal_check(forged, scene)
 
 
+def test_order_reversal_reads_the_kept_vertex_record(monkeypatch):
+    # family selection keeps each own lens's vertex record, and the check
+    # reads its directions from it: no lens is scaled again
+    scene = random_scene(GeneratorSpec(model="lattice-triples", n=24, seed=3,
+                                       spread=F(4)))
+    lenses = enumerate_lenses(scene)
+    select_family(lenses, scene)
+    calls = []
+    real = pencils.lens_dirs
+    monkeypatch.setattr(pencils, "lens_dirs",
+                        lambda *args: calls.append(args) or real(*args))
+    for lens in lenses:
+        _agrees_with_reference(lens, scene)
+    assert len(lenses) > 10 and calls == []
+    # a lens built apart goes through lens_dirs and its on-circle checks
+    forged = Lens(lenses[0].base, (*lenses[0].circles,
+                                   next(i for i in range(len(scene))
+                                        if i not in lenses[0].circles)))
+    with pytest.raises(DegenerateInput, match="is not on circle"):
+        order_reversal_check(forged, scene)
+    assert len(calls) == 1
+
+
 # -- differential tests against the QuadNum reference -------------------------
 
 uniform_scenes = st.builds(
@@ -309,6 +332,6 @@ def test_slope_denominator_cases():
     # through both base points gets here, since u . d = -|d|^2/2 for it.
     with pytest.raises(ZeroDivisionError):
         slopes._slope(1, 0, 0, 0, (0, 0, 1, 0), 0)
-    assert slopes._slope(1, 0, 0, 0, (1, 0, 1, 0), 0) == (-1, 0, 1)
+    assert tuple(slopes._slope(1, 0, 0, 0, (1, 0, 1, 0), 0)) == (-1, 1, 0, 0)
     # u . d = sqrt(2) has norm -2: -1/sqrt(2) = -sqrt(2)/2, kept over n = 2
-    assert slopes._slope(1, 0, 0, 0, (0, 1, 1, 0), 2) == (0, -1, 2)
+    assert tuple(slopes._slope(1, 0, 0, 0, (0, 1, 1, 0), 2)) == (0, 2, -1, 2)
