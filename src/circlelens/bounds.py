@@ -138,6 +138,8 @@ class RecurrenceTrace(FrozenRecord):
 def select_z(n: float, k: float) -> tuple[float, int]:
     """Iterate z_j = (n/k^3)^(1/2^j) until sqrt(2) < z_j <= 2."""
     _finite(n=n, k=k)
+    if k < 2:
+        raise InvalidInput("recurrence needs k >= 2")
     if n <= k ** 3 * math.sqrt(2):
         raise OutOfDomain("recurrence needs n > k^3 * sqrt(2)")
     z = n / k ** 3

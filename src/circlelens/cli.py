@@ -188,7 +188,19 @@ def _verify_on_scene(args, prop) -> int:
         return 0
     print(f"coplanarity audit FLAGGED: {len(report.coplanar_triples)} triples, "
           f"{len(report.plane_violations)} plane violations")
+    for cid, trio in report.coplanar_triples[:1]:
+        print(f"first coplanar triple, on circle {cid}: "
+              + "; ".join(map(_lens_text, trio)))
+    for pair, incidences, circles in report.plane_violations[:1]:
+        print(f"first plane violation: {'; '.join(map(_lens_text, pair))}: "
+              f"{incidences} incidences on {circles} circles in the plane")
     return 1
+
+
+def _lens_text(lens) -> str:
+    """A lens as its circles and its base points' coordinates px,py,qx,qy."""
+    return (f"lens on circles {' '.join(map(str, lens.circles))} "
+            f"at {','.join(base_text(lens))}")
 
 
 def cmd_verify(args) -> int:

@@ -1,17 +1,18 @@
-"""Non-overlapping lens families and lens cutting, on one arc model.
+"""Non-overlapping lens families and lens cutting, on integer cyclic keys.
 
 A lens's vertices are its base points on each of its circles, as the integer
-cyclic keys of pencils.lens_vertices.  The model sorts the vertices on each
-circle once, so a lens arc is a pair of vertex indices, and angular order,
-overlap and covering tests are all integer.  A lens arc is the shorter arc
-between the base points p < q, or for a diameter the CCW half from p; the
-QuadNum direction predicates that state this rule directly (lens_arc,
-arcs_overlap) are the tests' oracle, tests/dir_oracle.py.  Family selection
-is greedy (degree-descending scan) or exact (branch-and-bound maximum
-independent set in the overlap graph), both on the lenses sorted once into
-lens order: by enumeration index when all are the scene's own, else by
-Lens.compare.  Lens cutting cuts circles until no k-rich lens lies on k
-arcs; verify_cut re-reads the arcs alone.
+cyclic keys of pencils.lens_vertices.  Family selection sorts the vertices on
+each circle once (the arc model), so a lens arc is a pair of vertex indices
+and overlap is an integer test.  A lens arc is the shorter arc between the
+base points p < q, or for a diameter the CCW half from p; the QuadNum
+direction predicates that state this rule directly (lens_arc, arcs_overlap)
+are the tests' oracle, tests/dir_oracle.py.  Family selection is greedy
+(degree-descending scan) or exact (branch-and-bound maximum independent set
+in the overlap graph), both on the lenses sorted once into lens order: by
+enumeration index when all are the scene's own, else by Lens.compare.  Lens
+cutting cuts circles until no k-rich lens lies on k arcs, and verify_cut
+re-reads the arcs alone; both keep each circle's cuts as sorted cyclic keys
+and count covering arcs by one rule, _covered.
 """
 
 from __future__ import annotations
@@ -28,33 +29,25 @@ from .pencils import (Lens, Scene, _own, base_ids, enumerate_lenses,
 from .records import FrozenRecord
 
 
-def _position(keys, key) -> int:
-    """Doubled index of a cyclic key among sorted cyclic keys: 2i at key i,
-    2i + 1 strictly between keys i and i + 1 (cyclically)."""
-    i = bisect_left(keys, key)
-    return 2 * i if i < len(keys) and keys[i] == key else (2 * i - 1) % (2 * len(keys))
-
-
 class _ArcModel:
     """The vertices of each circle in CCW order from angle 0, and lens arcs
     as pairs of vertex indices.  on[cid] maps the ids of the vertices on
     circle cid to their cyclic keys, and ends[i] maps each circle of lens i
-    to the ids (s, e) of its lens arc's start and end.  order[cid] and
-    keys[cid] are the ids and keys in order, one per ray, so ids with equal
-    keys share a vertex; arcs[i][cid] = (s, e): the lens arc of lens i runs
-    CCW from vertex s to e.  Extra vertices leave overlap unchanged, since
-    they keep which arcs hold which starts."""
+    to the ids (s, e) of its lens arc's start and end.  order[cid] holds the
+    ids in order, one per ray, so ids with equal keys share a vertex;
+    arcs[i][cid] = (s, e): the lens arc of lens i runs CCW from vertex s to
+    e.  Extra vertices leave overlap unchanged, since they keep which arcs
+    hold which starts."""
 
     def __init__(self, on: dict, ends):
-        self.order, self.keys, index = {}, {}, {}
+        self.order, index = {}, {}
         for cid, keys in on.items():
-            order, ordered, at = [], [], {}
+            order, at = [], {}
             for pid in sorted(keys, key=keys.get):
-                if not ordered or ordered[-1] != keys[pid]:
+                if not order or keys[order[-1]] != keys[pid]:
                     order.append(pid)
-                    ordered.append(keys[pid])
                 at[pid] = len(order) - 1
-            self.order[cid], self.keys[cid], index[cid] = order, ordered, at
+            self.order[cid], index[cid] = order, at
         self.arcs = [{cid: (index[cid][s], index[cid][e])
                       for cid, (s, e) in arcs.items()} for arcs in ends]
 
@@ -201,6 +194,23 @@ def _midpoints(kp, kq, forward: bool) -> tuple[tuple, tuple]:
     return cyclic_key((*m, s[4])), cyclic_key((*(-a for a in m), s[4]))
 
 
+def _covered(cuts: list, s, e) -> list:
+    """The sides of the base pair (s, e) that one arc of a circle cut at the
+    sorted keys cuts covers, in order from angle 0: 0 for the side CCW from
+    s to e, 1 for the other.  A side is covered iff no cut lies strictly
+    inside it, and then one arc holds it and both base points.  With at most
+    one cut, [None]: one arc covers the whole circle."""
+    if len(cuts) <= 1:
+        return [None]
+    out = []
+    for side in ((0, 1) if s < e else (1, 0)):
+        a, b = (s, e)[::1 - 2 * side]
+        inside = bisect_left(cuts, b) - bisect_right(cuts, a)
+        if inside + (len(cuts) if a > b else 0) == 0:
+            out.append(side)
+    return out
+
+
 def lens_cutting(scene: Scene, k: int) -> CutResult:
     """Cut circles into arcs until no point pair lies on k arcs.
 
@@ -208,40 +218,22 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
     then from angle 0) is cut at the midpoint of the side of the base pair it
     covers; an uncut circle is cut at both sides' midpoints.  A circle thus
     holds no cut or at least two, and a covered side has no cut strictly
-    inside it, so every cut is new.  A cut sits at a doubled index: 2i on
-    vertex i, 2i + 1 in the gap after it."""
+    inside it, so every cut is new."""
     targets = enumerate_lenses(scene, k)  # InvalidRichness if k < 2
-    model = _ArcModel.of(scene, targets)
     cuts: dict[int, list] = defaultdict(list)  # cid -> cut keys, sorted
-    at: dict[int, list] = defaultdict(list)  # cid -> their doubled indices
-
-    def covering(i) -> list:
-        """(cid, side) per covering arc: side 0 over the lens arc, 1 over the
-        rest (covered iff no cut is strictly inside), None for no cut."""
-        out = []
-        for cid, (s, e) in model.arcs[i].items():
-            if len(at[cid]) <= 1:
-                out.append((cid, None))
-                continue
-            # both sides free: arcs from cuts on vertices s and e, in order
-            for side in ((0, 1) if s < e else (1, 0)):
-                a, b = (2 * s, 2 * e)[::1 - 2 * side]
-                inside = bisect_left(at[cid], b) - bisect_right(at[cid], a)
-                if inside + (len(at[cid]) if a > b else 0) == 0:
-                    out.append((cid, side))
-        return out
-
     # every cut is new and one of the two midpoints of a target lens on one
     # of its circles, so every pass but the last makes one of those cuts
     for _ in range(2 * sum(lens.degree for lens in targets) + 1):
         changed = False
-        for i, lens in enumerate(targets):
-            cov = covering(i)
-            for cid, side in cov[k - 1:] if len(cov) >= k else ():
-                mids = _midpoints(*lens_vertices(scene, lens)[lens.circles.index(cid)])
+        for lens in targets:
+            cov = []  # (cid, side, vertex triple) per covering arc
+            for cid, vertex in zip(lens.circles, lens_vertices(scene, lens)):
+                s, e = vertex[:2] if vertex[2] else vertex[1::-1]
+                cov += [(cid, side, vertex) for side in _covered(cuts[cid], s, e)]
+            for cid, side, vertex in cov[k - 1:] if len(cov) >= k else ():
+                mids = _midpoints(*vertex)
                 for key in mids if side is None else (mids[side],):
                     insort(cuts[cid], key)
-                    insort(at[cid], _position(model.keys[cid], key))
                 changed = True
         if not changed:
             break
@@ -278,21 +270,9 @@ def _covering_counts(scene: Scene, result: CutResult) -> list[int] | None:
                 or any(map(eq, keys, keys[1:]))):
             return None
         cut_keys.append(keys)
-    counts = []
-    for lens in enumerate_lenses(scene, result.k):
-        count = 0
-        for cid, (kp, kq, _) in zip(lens.circles, lens_vertices(scene, lens)):
-            t = len(cut_keys[cid])
-            if t <= 1:
-                count += 1
-                continue
-            held = []  # per base point, the arcs holding it
-            for key in (kp, kq):
-                j, odd = divmod(_position(cut_keys[cid], key), 2)
-                held.append({j} if odd else {j, (j - 1) % t})
-            count += len(held[0] & held[1])
-        counts.append(count)
-    return counts
+    return [sum(len(_covered(cut_keys[cid], kp, kq))
+                for cid, (kp, kq, _) in zip(lens.circles, lens_vertices(scene, lens)))
+            for lens in enumerate_lenses(scene, result.k)]
 
 
 def verify_cut(scene: Scene, result: CutResult) -> bool:

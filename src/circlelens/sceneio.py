@@ -23,7 +23,7 @@ def _parse_fraction(token: str, lineno: int) -> Fraction:
 
 
 def parse_scene(text: str) -> Scene:
-    circles = []
+    circles: dict[Circle, int] = {}  # circle -> the line that gave it
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -37,7 +37,9 @@ def parse_scene(text: str) -> Scene:
             cx, cy, r2 = (_parse_fraction(a, lineno) for a in args)
             if r2 <= 0:
                 raise SceneFormatError("squared radius must be positive", lineno)
-            circles.append(Circle(cx, cy, r2))
+            first = circles.setdefault(Circle(cx, cy, r2), lineno)
+            if first != lineno:
+                raise SceneFormatError(f"circle repeats line {first}", lineno)
         elif kind == "point":
             if len(args) != 2:
                 raise SceneFormatError("point needs x y", lineno)
@@ -45,10 +47,7 @@ def parse_scene(text: str) -> Scene:
             points.append((x, y))
         else:
             raise SceneFormatError(f"unknown record {kind!r}", lineno)
-    try:
-        return Scene(circles=tuple(circles), points=tuple(points))
-    except Exception as exc:
-        raise SceneFormatError(str(exc), 0) from exc
+    return Scene(circles=tuple(circles), points=tuple(points))
 
 
 def serialize_scene(scene: Scene) -> str:

@@ -4,7 +4,8 @@ lattice-triple scenes:
 
 - lens overlap and greedy families against arcs_overlap;
 - lens cutting against the direction-based greedy cutting, and covering
-  counts against dir_in_ccw_arc over the sorted cut arcs;
+  counts against dir_in_ccw_arc over the sorted cut arcs, both of cutting's
+  results and of tilings cut at base points, their midpoints and between;
 - Szekely edges, G1 and edge multiplicity against edges between
   direction-sorted marked points and lens_arc directions.
 """
@@ -17,8 +18,9 @@ from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelens.families import (_ArcModel, _covering_counts, lens_cutting,
-                                 select_family)
+from circlelens.families import (CircleArc, CutResult, _ArcModel,
+                                 _covering_counts, lens_cutting, select_family,
+                                 verify_cut)
 from circlelens.generators import GeneratorSpec, random_scene
 from circlelens.geometry import power_of_point
 from circlelens.incidence import szekely_stats
@@ -134,6 +136,43 @@ def covering_oracle(scene, result) -> list[int]:
     return counts
 
 
+def lens_cuts(scene, lens, cid) -> list:
+    """Directions to cut circle cid at for a lens through it: its base points
+    dp and dq, the midpoints of its lens arc and of the rest, and dp plus
+    the first midpoint, strictly inside the lens arc."""
+    dp, dq = (centered(p, scene.circles[cid]) for p in lens.base)
+    if opposite_direction(dp, dq):  # the lens arc is the CCW half from dp
+        m = (-dp[1], dp[0])
+    else:
+        m = (dp[0] + dq[0], dp[1] + dq[1])
+    return [canonical_dir(d) for d in (
+        dp, dq, m, (-m[0], -m[1]), (dp[0] + m[0], dp[1] + m[1]))]
+
+
+def cut_pool(scene) -> dict:
+    """Per circle, the lens_cuts of each lens through it."""
+    pool = defaultdict(list)
+    for lens in enumerate_lenses(scene):
+        for cid in lens.circles:
+            pool[cid].append(lens_cuts(scene, lens, cid))
+    return pool
+
+
+def tiling(scene, k, cuts) -> CutResult:
+    """The arcs of a scene whose circle cid is cut at the directions
+    cuts[cid] (repeats dropped)."""
+    arcs, count = [], 0
+    for cid in range(len(scene)):
+        distinct = []
+        for d in cuts.get(cid, ()):
+            if not any(same_direction(d, c) for c in distinct):
+                distinct.append(d)
+        arcs += [CircleArc(cid, *(arc or (None, None)))
+                 for arc in cut_arcs(distinct)]
+        count += len(distinct)
+    return CutResult(tuple(arcs), count, k)
+
+
 def szekely_oracle(points, scene, k) -> tuple[int, int, int]:
     """(edges, g1, max multiplicity) from the edges between cyclically
     consecutive marked points, sorted by direction on each circle, and the
@@ -201,6 +240,56 @@ def test_cutting_matches_direction_cutting(scene, k):
     counts = covering_oracle(scene, result)
     assert _covering_counts(scene, result) == counts
     assert all(n < k for n in counts)
+
+
+@given(scenes, st.sampled_from((2, 3)), st.data())
+@settings(max_examples=12, deadline=None)
+def test_covering_counts_of_drawn_tilings_match_the_direction_oracle(
+        scene, k, data):
+    # each circle is left whole or cut at a drawn subset of its lenses'
+    # base points, midpoints and points inside their lens arcs
+    cuts = {}
+    for cid, lenses in sorted(cut_pool(scene).items()):
+        picks = data.draw(st.lists(st.tuples(
+            st.integers(0, len(lenses) - 1), st.integers(0, 4)), max_size=5))
+        cuts[cid] = [lenses[i][j] for i, j in picks]
+    result = tiling(scene, k, cuts)
+    assert _covering_counts(scene, result) == covering_oracle(scene, result)
+
+
+def test_covering_counts_on_one_cut_base_point_cuts_and_a_shared_gap():
+    scene = lattice(8, 0, 3)
+    lenses = enumerate_lenses(scene)
+    i, lens = next((i, lens) for i, lens in enumerate(lenses) if lens.degree == 3)
+    one, both, gap = lens.circles
+    short, _, inner = lens_cuts(scene, lens, gap)[2:]
+    result = tiling(scene, 2, {
+        one: lens_cuts(scene, lens, one)[2:3],  # a single cut: one arc
+        both: lens_cuts(scene, lens, both)[:2],  # both arcs hold p and q
+        gap: [inner, short]})  # both inside the lens arc: the rest is held
+    counts = _covering_counts(scene, result)
+    assert counts == covering_oracle(scene, result)
+    assert counts[i] == 1 + 2 + 1
+    assert not verify_cut(scene, result)
+
+
+def test_only_family_selection_builds_an_arc_model(monkeypatch):
+    # cutting and its re-check read sorted cut keys, not vertex indices
+    built = []
+    real = _ArcModel.__init__
+
+    def counted(self, on, ends):
+        built.append(len(ends))
+        real(self, on, ends)
+
+    monkeypatch.setattr(_ArcModel, "__init__", counted)
+    scene = lattice(14, 3, 3)
+    result = lens_cutting(scene, 2)
+    assert result.cut_count and verify_cut(scene, result)
+    assert not built
+    rich = enumerate_lenses(scene, 2)
+    assert select_family(rich, scene).certificate
+    assert built == [len(rich)]
 
 
 # a uniform scene with a rational lens, whose two arcs join G1 at k = 2; a

@@ -76,6 +76,14 @@ def test_select_z():
         select_z(8.0, 2.0)  # n = k^3, below the sqrt(2) threshold
 
 
+@pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+def test_recurrence_rejects_richness_below_two(k):
+    # k = 0 divided by zero and k = -1 took a square root of a negative z
+    for call in (select_z, recurrence_certify):
+        with pytest.raises(InvalidInput, match=r"recurrence needs k >= 2"):
+            call(100.0, k)
+
+
 def test_recurrence_reference_trace():
     trace = recurrence_certify(2.0 ** 20, 16.0)
     assert trace.z == 2.0 and trace.depth == 3

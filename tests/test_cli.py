@@ -5,6 +5,8 @@ import pytest
 
 from circlelens import cli
 from circlelens.cli import main
+from circlelens.pencils import enumerate_lenses
+from circlelens.sceneio import parse_scene
 
 DATA = Path(__file__).parent / "data"
 
@@ -103,13 +105,46 @@ def test_verify_failures_exit_1_with_their_messages(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "--property", "order-reversal", scene],
                            capsys)
     assert code == 1 and out.startswith("order reversal FAILED for Lens(")
+    lenses = enumerate_lenses(parse_scene(Path(scene).read_text()), 3)
     monkeypatch.setattr(cli, "coplanarity_audit", lambda scene, family: (
-        SimpleNamespace(clean=False, coplanar_triples=[(0, 1, 2)],
+        SimpleNamespace(clean=False, coplanar_triples=[(1, tuple(lenses[:3]))],
                         plane_violations=[])))
     code, out, _ = run_cli(["verify", "--property", "coplanarity", scene],
                            capsys)
     assert (code, out) == (
-        1, "coplanarity audit FLAGGED: 1 triples, 0 plane violations\n")
+        1, "coplanarity audit FLAGGED: 1 triples, 0 plane violations\n"
+        "first coplanar triple, on circle 1: lens on circles 0 1 2 at "
+        "0,-1,0,1; lens on circles 3 4 5 at 12,-1,12,1; lens on circles "
+        "6 7 8 at 24,-1,24,1\n")
+
+
+def test_a_flagged_audit_names_its_first_triple_and_plane_violation(
+        monkeypatch, capsys):
+    scene = str(DATA / "bundle-n12-k3.scene")
+    a, b, c, d = enumerate_lenses(parse_scene(Path(scene).read_text()), 3)
+    monkeypatch.setattr(cli, "coplanarity_audit", lambda scene, family: (
+        SimpleNamespace(clean=False,
+                        coplanar_triples=[(4, (a, b, c)), (5, (b, c, d))],
+                        plane_violations=[((b, d), 7, 3), ((a, c), 9, 4)])))
+    code, out, _ = run_cli(["verify", "--property", "coplanarity", scene],
+                           capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "coplanarity audit FLAGGED: 2 triples, 2 plane violations",
+        "first coplanar triple, on circle 4: lens on circles 0 1 2 at "
+        "0,-1,0,1; lens on circles 3 4 5 at 12,-1,12,1; lens on circles "
+        "6 7 8 at 24,-1,24,1",
+        "first plane violation: lens on circles 3 4 5 at 12,-1,12,1; lens on "
+        "circles 9 10 11 at 36,-1,36,1: 7 incidences on 3 circles in the plane"]
+    # with plane violations alone, no triple line
+    monkeypatch.setattr(cli, "coplanarity_audit", lambda scene, family: (
+        SimpleNamespace(clean=False, coplanar_triples=[],
+                        plane_violations=[((a, b), 5, 2)])))
+    code, out, _ = run_cli(["verify", "--property", "coplanarity", scene],
+                           capsys)
+    assert (code, out.splitlines()[1:]) == (1, [
+        "first plane violation: lens on circles 0 1 2 at 0,-1,0,1; lens on "
+        "circles 3 4 5 at 12,-1,12,1: 5 incidences on 2 circles in the plane"])
 
 
 def test_verify_order_reversal_skips_an_inconclusive_lens(tmp_path, capsys):
@@ -131,6 +166,17 @@ def test_richness_below_two_is_an_input_error(argv, k, capsys):
     code, out, err = run_cli([*argv, str(scene), "--k", k], capsys)
     assert code == 2 and not out
     assert err == "error: richness k must be at least 2\n"
+
+
+@pytest.mark.parametrize("k", ["-1", "0", "1"])
+def test_recurrence_richness_below_two_is_an_input_error(k, capsys):
+    code, out, err = run_cli(["bound", "--kind", "recurrence", "--n", "100",
+                              "--k", k], capsys)
+    assert (code, out, err) == (2, "", "error: recurrence needs k >= 2\n")
+    code, out, _ = run_cli(["bound", "--kind", "recurrence", "--n", "100",
+                            "--k", "2"], capsys)
+    assert (code, out) == (0, "kind,n,k,z,depth,certificate,passed\n"
+                              "recurrence,100.0,2.0,1.8803,2,117808,True\n")
 
 
 @pytest.mark.parametrize("argv,unread", [

@@ -58,5 +58,11 @@ def test_errors_carry_line_numbers(text, line):
 
 
 def test_duplicate_circles_rejected():
-    with pytest.raises(SceneFormatError):
-        parse_scene("circle 0 0 1\ncircle 0 0 1\n")
+    # a repeat names its line and the line it repeats; equal values in other
+    # spellings are the same circle
+    for text, line in (("circle 0 0 1\ncircle 0 0 1\n", 2),
+                       ("circle 0 0 1\n# c\ncircle 1 0 1\ncircle 0/3 0 2/2\n", 4)):
+        with pytest.raises(SceneFormatError) as exc:
+            parse_scene(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: circle repeats line 1"
