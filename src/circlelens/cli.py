@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 input error.  An option
 that the chosen verify property, generate model or bound kind does not
 read is an input error (_READS).
+
+Every call is a fresh process, so the module imports at the top only what
+the parser and `lenses` run; each other command imports its own modules.
 """
 
 from __future__ import annotations
@@ -10,21 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import random
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .bounds import bound_eval, dyadic_degree_sum, recurrence_certify
-from .dual import coplanarity_audit, dual_plane, lift_circle
 from .errors import CircleLensError, Inconclusive
-from .families import lens_cutting, select_family, verify_cut
-from .generators import MODELS, GeneratorSpec, random_scene
-from .geometry import Circle, power_of_point
-from .incidence import szekely_stats
 from .pencils import base_text, brute_force_lenses, enumerate_lenses
-from .sceneio import parse_scene, serialize_scene
-from .slopes import order_reversal_check
+from .sceneio import MODELS, parse_scene, serialize_scene
 
 
 def _write(path, text: str) -> None:
@@ -74,6 +69,7 @@ def _scene_with_circles(path):
 
 
 def cmd_generate(args) -> int:
+    from .generators import GeneratorSpec, random_scene
     scene = random_scene(GeneratorSpec(model=args.model, n=args.n, k=args.k,
                                        seed=args.seed, spread=args.spread))
     _write(args.out, serialize_scene(scene))
@@ -91,6 +87,8 @@ def cmd_lenses(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from .bounds import bound_eval
+    from .families import select_family
     scene = _scene_with_circles(args.scene)
     lenses = enumerate_lenses(scene, args.k)
     family = select_family(lenses, scene, mode=args.mode)
@@ -104,6 +102,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_cut(args) -> int:
+    from .bounds import bound_eval
+    from .families import lens_cutting, verify_cut
     scene = _scene_with_circles(args.scene)
     result = lens_cutting(scene, args.k)
     ok = verify_cut(scene, result)
@@ -146,6 +146,10 @@ def _check_reads(args) -> None:
 
 
 def _verify_duality(args) -> int:
+    import random
+
+    from .dual import dual_plane, lift_circle
+    from .geometry import Circle, power_of_point
     rng = random.Random(args.seed)
     for _ in range(args.n):
         p = (Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
@@ -170,6 +174,7 @@ def _verify_on_scene(args, prop) -> int:
         print(f"oracle {'ok' if ok else 'MISMATCH'}")
         return 0 if ok else 1
     if prop == "order-reversal":
+        from .slopes import order_reversal_check
         for lens in enumerate_lenses(scene):
             try:
                 if not order_reversal_check(lens, scene).reversed:
@@ -180,6 +185,8 @@ def _verify_on_scene(args, prop) -> int:
         print("order reversal ok")
         return 0
     # coplanarity
+    from .dual import coplanarity_audit
+    from .families import select_family
     lenses = enumerate_lenses(scene, args.k)
     family = select_family(lenses, scene, mode="greedy")
     report = coplanarity_audit(scene, family)
@@ -212,6 +219,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_incidence(args) -> int:
+    from .incidence import szekely_stats
     scene = _load_scene(args.scene)
     stats = szekely_stats(scene.points, scene, args.k)
     rows = [(stats.m, stats.n, args.k, stats.incidences, stats.edges,
@@ -222,6 +230,7 @@ def cmd_incidence(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .bounds import bound_eval, dyadic_degree_sum, recurrence_certify
     code = 0
     if args.kind == "dyadic":
         total, ratio = dyadic_degree_sum(args.n, args.k, const=args.const)

@@ -16,8 +16,7 @@ from .geometry import Circle
 from .pencils import Scene
 from .quadfield import frac
 from .records import FrozenRecord
-
-MODELS = ("bundle", "uniform-random", "unit-circles-on-grid", "lattice-triples")
+from .sceneio import MODELS
 
 
 class GeneratorSpec(FrozenRecord):

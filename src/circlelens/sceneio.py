@@ -2,8 +2,9 @@
 
 Lines are `circle <cx> <cy> <r2>` or `point <x> <y>` with values written as
 integers or `p/q` fractions; `#` starts a comment and blank lines are
-ignored.  Serialization is canonical, so parse-then-serialize round-trips
-canonical files byte for byte.
+ignored.  A circle or point given twice, in any spelling, is an error that
+names both lines.  Serialization is canonical, so parse-then-serialize
+round-trips canonical files byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from fractions import Fraction
 from .errors import SceneFormatError
 from .geometry import Circle
 from .pencils import Scene
+
+# the models `circlelens generate` draws scenes from (generators.py), named
+# here so that the command line's parser need not load the generators
+MODELS = ("bundle", "uniform-random", "unit-circles-on-grid", "lattice-triples")
 
 
 def _parse_fraction(token: str, lineno: int) -> Fraction:
@@ -24,7 +29,7 @@ def _parse_fraction(token: str, lineno: int) -> Fraction:
 
 def parse_scene(text: str) -> Scene:
     circles: dict[Circle, int] = {}  # circle -> the line that gave it
-    points = []
+    points: dict[tuple[Fraction, Fraction], int] = {}  # likewise
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -37,16 +42,16 @@ def parse_scene(text: str) -> Scene:
             cx, cy, r2 = (_parse_fraction(a, lineno) for a in args)
             if r2 <= 0:
                 raise SceneFormatError("squared radius must be positive", lineno)
-            first = circles.setdefault(Circle(cx, cy, r2), lineno)
-            if first != lineno:
-                raise SceneFormatError(f"circle repeats line {first}", lineno)
+            seen, key = circles, Circle(cx, cy, r2)
         elif kind == "point":
             if len(args) != 2:
                 raise SceneFormatError("point needs x y", lineno)
-            x, y = (_parse_fraction(a, lineno) for a in args)
-            points.append((x, y))
+            seen, key = points, tuple(_parse_fraction(a, lineno) for a in args)
         else:
             raise SceneFormatError(f"unknown record {kind!r}", lineno)
+        first = seen.setdefault(key, lineno)
+        if first != lineno:
+            raise SceneFormatError(f"{kind} repeats line {first}", lineno)
     return Scene(circles=tuple(circles), points=tuple(points))
 
 

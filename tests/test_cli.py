@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from circlelens import cli
+from circlelens import dual, geometry, slopes
 from circlelens.cli import main
 from circlelens.pencils import enumerate_lenses
 from circlelens.sceneio import parse_scene
@@ -94,19 +94,21 @@ def test_verify_scene_properties(tmp_path, capsys):
 
 
 def test_verify_failures_exit_1_with_their_messages(monkeypatch, capsys):
-    # a greedy family never fails the audit, so each check is made to fail
+    # a greedy family never fails the audit, so each check is made to fail;
+    # the fakes go on the modules that the commands import them from when
+    # they run
     scene = str(DATA / "bundle-n12-k3.scene")
-    monkeypatch.setattr(cli, "power_of_point", lambda p, c: 0)
+    monkeypatch.setattr(geometry, "power_of_point", lambda p, c: 0)
     code, out, err = run_cli(["verify", "--property", "duality", "--n", "5"],
                              capsys)
     assert code == 1 and not out and err.startswith("duality violation: p=(")
-    monkeypatch.setattr(cli, "order_reversal_check",
+    monkeypatch.setattr(slopes, "order_reversal_check",
                         lambda lens, scene: SimpleNamespace(reversed=False))
     code, out, _ = run_cli(["verify", "--property", "order-reversal", scene],
                            capsys)
     assert code == 1 and out.startswith("order reversal FAILED for Lens(")
     lenses = enumerate_lenses(parse_scene(Path(scene).read_text()), 3)
-    monkeypatch.setattr(cli, "coplanarity_audit", lambda scene, family: (
+    monkeypatch.setattr(dual, "coplanarity_audit", lambda scene, family: (
         SimpleNamespace(clean=False, coplanar_triples=[(1, tuple(lenses[:3]))],
                         plane_violations=[])))
     code, out, _ = run_cli(["verify", "--property", "coplanarity", scene],
@@ -122,7 +124,7 @@ def test_a_flagged_audit_names_its_first_triple_and_plane_violation(
         monkeypatch, capsys):
     scene = str(DATA / "bundle-n12-k3.scene")
     a, b, c, d = enumerate_lenses(parse_scene(Path(scene).read_text()), 3)
-    monkeypatch.setattr(cli, "coplanarity_audit", lambda scene, family: (
+    monkeypatch.setattr(dual, "coplanarity_audit", lambda scene, family: (
         SimpleNamespace(clean=False,
                         coplanar_triples=[(4, (a, b, c)), (5, (b, c, d))],
                         plane_violations=[((b, d), 7, 3), ((a, c), 9, 4)])))
@@ -137,7 +139,7 @@ def test_a_flagged_audit_names_its_first_triple_and_plane_violation(
         "first plane violation: lens on circles 3 4 5 at 12,-1,12,1; lens on "
         "circles 9 10 11 at 36,-1,36,1: 7 incidences on 3 circles in the plane"]
     # with plane violations alone, no triple line
-    monkeypatch.setattr(cli, "coplanarity_audit", lambda scene, family: (
+    monkeypatch.setattr(dual, "coplanarity_audit", lambda scene, family: (
         SimpleNamespace(clean=False, coplanar_triples=[],
                         plane_violations=[((a, b), 5, 2)])))
     code, out, _ = run_cli(["verify", "--property", "coplanarity", scene],

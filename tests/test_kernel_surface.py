@@ -13,21 +13,72 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _fresh(code: str) -> str:
+    """Stdout of code run in a fresh interpreter that compiles from source."""
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC),
+                              "PYTHONDONTWRITEBYTECODE": "1"})
+    return run.stdout
+
+
 def test_import_loads_no_sympy():
-    code = ("import sys, circlelens, circlelens.cli; "
-            "assert 'sympy' not in sys.modules, 'sympy was imported'")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": str(SRC)})
+    # reading a public name loads the whole API, not just the facade
+    _fresh("import sys, circlelens, circlelens.cli; circlelens.Scene; "
+           "assert 'sympy' not in sys.modules, 'sympy was imported'")
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # against a snapshot taken just before, so what site preloads is not counted
-    code = ("import sys; before = set(sys.modules); import circlelens.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    run = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert run.stdout == "[]\n"
+    assert _fresh(
+        "import sys; before = set(sys.modules); import circlelens.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    ) == "[]\n"
+
+
+def test_bare_import_loads_no_submodule():
+    # nor does a dunder probe, as decorators and test tools make
+    assert _fresh(
+        "import sys; before = set(sys.modules); import circlelens; "
+        "assert not hasattr(circlelens, '__wrapped__'); "
+        "print(sorted(n for n in set(sys.modules) - before "
+        "if n.startswith('circlelens.')))") == "[]\n"
+
+
+def test_lenses_command_loads_only_what_it_runs():
+    scene = DATA / "bundle-n12-k3.scene"
+    out = _fresh(
+        # as the console script does; `from circlelens import cli` would read
+        # a name the bare package lacks and so load the whole API
+        "import sys; before = set(sys.modules); from circlelens.cli import main; "
+        f"code = main(['lenses', {str(scene)!r}, '--k', '3']); "
+        "print(code, sorted(set(sys.modules) - before))")
+    code, loaded = out.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    for name in ("families", "dual", "slopes", "incidence", "bounds",
+                 "generators"):
+        assert f"'circlelens.{name}'" not in loaded, name
+    assert "'circlelens.pencils'" in loaded
+
+
+def test_first_name_read_loads_the_whole_api():
+    # one read loads every submodule of the API: each exported name is the
+    # object that every submodule binding the name holds, submodules
+    # resolve, dir lists both, and a star import binds every exported name
+    assert _fresh("""
+import sys
+import circlelens as cl
+cl.parse_scene
+mods = {n: m for n, m in sys.modules.items() if n.startswith('circlelens.')}
+for name in cl.__all__[1:]:
+    held = [vars(m)[name] for m in mods.values() if name in vars(m)]
+    assert held and all(v is getattr(cl, name) for v in held), name
+assert cl.pencils is mods['circlelens.pencils']
+assert set(cl.__all__) | {n.split('.')[1] for n in mods} <= set(dir(cl))
+star = {}
+exec('from circlelens import *', star)
+print(sorted(set(cl.__all__) - set(star)))
+""") == "[]\n"
 
 
 @pytest.mark.parametrize("name", ["uniform-n12-s5", "uniform-n16-s9",

@@ -66,3 +66,17 @@ def test_duplicate_circles_rejected():
             parse_scene(text)
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: circle repeats line 1"
+
+
+def test_duplicate_points_rejected():
+    # as for circles: a repeat names its line and the line it repeats, in
+    # any spelling of equal values
+    for text, line, first in (
+            ("circle 0 0 25\ncircle 8 0 25\npoint 4 3\npoint 4 -3\n"
+             "point 4 3\n", 5, 3),
+            ("point 1/2 0\n# p\npoint 0 1/2\npoint 2/4 0/3\n", 4, 1),
+            ("point 4 3\npoint 4/1 6/2\n", 2, 1)):
+        with pytest.raises(SceneFormatError) as exc:
+            parse_scene(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: point repeats line {first}"
