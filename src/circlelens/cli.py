@@ -258,6 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def on_scene(name, help, func):  # a command reading a scene and --k
+        p = sub.add_parser(name, help=help)
+        p.add_argument("scene")
+        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
+
     p = sub.add_parser("generate", help="emit a scene file")
     p.add_argument("--model", default="bundle",
                    choices=MODELS)
@@ -268,24 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("lenses", help="enumerate lenses of a scene")
-    p.add_argument("scene")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lenses)
-
-    p = sub.add_parser("family", help="select a non-overlapping lens family")
-    p.add_argument("scene")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--mode", default="greedy", choices=("greedy", "exact"))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("cut", help="cut circles until no k-rich lens remains")
-    p.add_argument("scene")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cut)
+    on_scene("lenses", "enumerate lenses of a scene", cmd_lenses)
+    on_scene("family", "select a non-overlapping lens family", cmd_family
+             ).add_argument("--mode", default="greedy", choices=("greedy", "exact"))
+    on_scene("cut", "cut circles until no k-rich lens remains", cmd_cut)
 
     p = sub.add_parser("verify", help="run an exact property check")
     p.add_argument("--property", required=True,
@@ -296,11 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("incidence", help="Szekely-graph statistics of a scene")
-    p.add_argument("scene")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_incidence)
+    on_scene("incidence", "Szekely-graph statistics of a scene", cmd_incidence)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
     p.add_argument("--kind", required=True,

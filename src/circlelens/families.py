@@ -1,18 +1,16 @@
 """Non-overlapping lens families and lens cutting, on integer cyclic keys.
 
 A lens's vertices are its base points on each of its circles, as the integer
-cyclic keys of pencils.lens_vertices.  Family selection sorts the vertices on
-each circle once (the arc model), so a lens arc is a pair of vertex indices
-and overlap is an integer test.  A lens arc is the shorter arc between the
-base points p < q, or for a diameter the CCW half from p; the QuadNum
-direction predicates that state this rule directly (lens_arc, arcs_overlap)
-are the tests' oracle, tests/dir_oracle.py.  Family selection is greedy
-(degree-descending scan) or exact (branch-and-bound maximum independent set
-in the overlap graph), both on the lenses sorted once into lens order: by
-enumeration index when all are the scene's own, else by Lens.compare.  Lens
-cutting cuts circles until no k-rich lens lies on k arcs, and verify_cut
-re-reads the arcs alone; both keep each circle's cuts as sorted cyclic keys
-and count covering arcs by one rule, _covered.
+cyclic keys of pencils.lens_vertices.  A lens arc is the shorter arc between
+the base points p < q, or for a diameter the CCW half from p.  Family
+selection sorts each circle's vertices once (the arc model), so a lens arc
+is a pair of vertex indices; it is greedy (a degree-descending scan that
+bisects each circle's kept arcs) or exact (branch-and-bound maximum
+independent set in the overlap graph), in lens order: by enumeration index
+when all are the scene's own, else by Lens.compare.  Lens cutting cuts
+circles until no k-rich lens lies on k arcs, and its arcs keep their end
+keys; verify_cut re-reads the arcs alone.  Both keep each circle's cuts as
+sorted cyclic keys and count covering arcs by one rule, _covered.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from functools import cmp_to_key
 from operator import attrgetter, eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
-from .geometry import Dir, canonical_dir, cyclic_key, int_dir
+from .geometry import Dir, canonical_dir, cyclic_key, int_dir, paired_keys
 from .pencils import (Lens, Scene, _own, base_ids, enumerate_lenses,
                       lens_vertices)
 from .records import FrozenRecord
@@ -32,12 +30,11 @@ from .records import FrozenRecord
 class _ArcModel:
     """The vertices of each circle in CCW order from angle 0, and lens arcs
     as pairs of vertex indices.  on[cid] maps the ids of the vertices on
-    circle cid to their cyclic keys, and ends[i] maps each circle of lens i
-    to the ids (s, e) of its lens arc's start and end.  order[cid] holds the
-    ids in order, one per ray, so ids with equal keys share a vertex;
-    arcs[i][cid] = (s, e): the lens arc of lens i runs CCW from vertex s to
-    e.  Extra vertices leave overlap unchanged, since they keep which arcs
-    hold which starts."""
+    circle cid to their cyclic keys, and ends[i] each circle of lens i to
+    the ids (s, e) of its lens arc's ends.  order[cid] holds the ids in
+    order, one per ray (equal keys share a vertex), and the lens arc of
+    lens i runs CCW from vertex s to e, arcs[i][cid] = (s, e).  Extra
+    vertices leave overlap unchanged."""
 
     def __init__(self, on: dict, ends):
         self.order, index = {}, {}
@@ -114,12 +111,23 @@ def _max_independent_set(adj: list[int], n: int) -> int:
 
 
 def _greedy(model: _ArcModel, degrees) -> list[int]:
-    """The degree-descending scan, ties in index order: each lens is kept
-    unless it overlaps one kept before it."""
-    kept: list[int] = []
+    """The degree-descending scan, ties in index order, keeps each lens that
+    overlaps none kept before it.  Kept arcs on a circle are disjoint, so an
+    arc (s, e) meets one iff the first kept start from s on lies in it or
+    the last kept arc to start before s holds s: one bisect per circle."""
+    kept, held = [], defaultdict(list)  # cid -> kept (s, e), sorted
     for i in sorted(range(len(degrees)), key=lambda i: -degrees[i]):
-        if not any(model.overlap(i, j) for j in kept):
+        for cid, (s, e) in model.arcs[i].items():
+            if arcs := held[cid]:
+                m, j = len(model.order[cid]), bisect_left(arcs, (s,))
+                s2, e2 = arcs[j - 1]
+                if ((arcs[j % len(arcs)][0] - s) % m <= (e - s) % m
+                        or (s - s2) % m <= (e2 - s2) % m):
+                    break
+        else:
             kept.append(i)
+            for cid, arc in model.arcs[i].items():
+                insort(held[cid], arc)
     return kept
 
 
@@ -162,17 +170,37 @@ def select_family(lenses, scene: Scene, mode: str = "greedy") -> LensFamily:
 
 class CircleArc(FrozenRecord):
     """A closed arc of a cut circle, CCW from start to end: exact directions
-    (geometry.canonical_dir) of lens arc midpoints.  start is None for an
-    uncut circle; start == end for a circle with a single cut."""
+    (geometry.canonical_dir) of lens arc midpoints, None for an uncut
+    circle; start == end for a circle with a single cut.  keys holds their
+    cyclic keys, or None; an arc is built from either (lens_cutting's from
+    keys), and the other is built on first read."""
 
     _fields = ("circle_id", "start", "end")
 
     def __init__(self, circle_id: int, start: Dir | None, end: Dir | None):
         self.__dict__.update(circle_id=circle_id, start=start, end=end)
 
+    def __getattr__(self, name):
+        values = vars(self)
+        if name == "keys":
+            values[name] = self.start and tuple(
+                cyclic_key(int_dir(d)) for d in (self.start, self.end))
+        elif name in ("start", "end"):
+            values["start"], values["end"] = (canonical_dir(key[2].v)
+                                              for key in self.keys)
+        else:
+            raise AttributeError(name)
+        return values[name]
+
     @property
     def is_full(self) -> bool:
-        return self.start is None
+        return self.keys is None
+
+
+def _keyed(circle_id: int, keys: tuple) -> CircleArc:
+    arc = object.__new__(CircleArc)
+    arc.__dict__.update(circle_id=circle_id, keys=keys)
+    return arc
 
 
 class CutResult(FrozenRecord):
@@ -185,21 +213,20 @@ class CutResult(FrozenRecord):
 def _midpoints(kp, kq, forward: bool) -> tuple[tuple, tuple]:
     """Cyclic keys of the midpoint directions of a lens arc and of the rest
     of the circle, from lens_vertices.  The base points' directions share one
-    scale and one radicand, so their sum bisects the lens arc; only a
-    diameter's lens arc is a half circle, and it starts at s."""
+    scale and one radicand, so their sum bisects the lens arc, unless it is a
+    diameter's half circle from s."""
     s, e = (kp[2].v, kq[2].v) if forward else (kq[2].v, kp[2].v)
     m = [a + b for a, b in zip(s[:4], e[:4])]
     if not any(m):
         m = [-s[2], -s[3], s[0], s[1]]
-    return cyclic_key((*m, s[4])), cyclic_key((*(-a for a in m), s[4]))
+    return paired_keys((*m, s[4]), False)
 
 
 def _covered(cuts: list, s, e) -> list:
     """The sides of the base pair (s, e) that one arc of a circle cut at the
     sorted keys cuts covers, in order from angle 0: 0 for the side CCW from
-    s to e, 1 for the other.  A side is covered iff no cut lies strictly
-    inside it, and then one arc holds it and both base points.  With at most
-    one cut, [None]: one arc covers the whole circle."""
+    s to e, 1 for the other, each iff no cut lies strictly inside it.  With
+    at most one cut, [None]: one arc covers the whole circle."""
     if len(cuts) <= 1:
         return [None]
     out = []
@@ -241,9 +268,9 @@ def lens_cutting(scene: Scene, k: int) -> CutResult:
         raise DegenerateInput("lens cutting made more passes than it has cuts")
     arcs = []
     for cid in range(len(scene)):
-        ordered = [canonical_dir(key[2].v) for key in cuts.get(cid, ())]
-        arcs += [CircleArc(cid, d, ordered[(j + 1) % len(ordered)])
-                 for j, d in enumerate(ordered)] or [CircleArc(cid, None, None)]
+        keys = cuts.get(cid, [])
+        arcs += [_keyed(cid, ends) for ends in zip(keys, keys[1:] + keys[:1])
+                 ] or [CircleArc(cid, None, None)]
     return CutResult(tuple(arcs), sum(map(len, cuts.values())), k)
 
 
@@ -258,13 +285,13 @@ def _covering_counts(scene: Scene, result: CutResult) -> list[int] | None:
         by_circle[arc.circle_id].append(arc)
     cut_keys = []  # per circle, the sorted keys of its cuts (arc j: j -> j + 1)
     for arcs in by_circle:
-        if len(arcs) == 1 and arcs[0].is_full:
+        ends = [arc.keys for arc in arcs]
+        if ends == [None]:
             cut_keys.append([])
             continue
-        if not arcs or any(arc.is_full for arc in arcs):
+        if not ends or None in ends:
             return None
-        ends = sorted(((cyclic_key(int_dir(arc.start)), cyclic_key(int_dir(arc.end)))
-                       for arc in arcs), key=itemgetter(0))
+        ends.sort(key=itemgetter(0))
         keys = [start for start, _ in ends]
         if ([end for _, end in ends] != keys[1:] + keys[:1]
                 or any(map(eq, keys, keys[1:]))):
@@ -276,8 +303,9 @@ def _covering_counts(scene: Scene, result: CutResult) -> list[int] | None:
 
 
 def verify_cut(scene: Scene, result: CutResult) -> bool:
-    """Re-check a cut from its arcs alone: they tile every circle, and no
-    k-rich lens lies on k of them.  An arc on a circle the scene lacks
-    raises DegenerateInput."""
+    """Re-check a cut from its arcs alone: they tile every circle, no k-rich
+    lens lies on k of them, and cut_count is the number of arcs on cut
+    circles.  An arc on a circle the scene lacks raises DegenerateInput."""
     counts = _covering_counts(scene, result)
-    return counts is not None and all(n < result.k for n in counts)
+    return (counts is not None and all(n < result.k for n in counts)
+            and result.cut_count == sum(not arc.is_full for arc in result.arcs))

@@ -3,13 +3,10 @@
 Circles carry rational centers and rational *squared* radii, so pencils such
 as r = sqrt(2) stay expressible with rational input data.  Intersection points
 live in a quadratic field with one radicand shared per circle/line pair.
-Angular order is integer and never touches floating point.  A direction is
-an IntDir (xa, xb, ya, yb, d), the vector (xa + xb*sqrt(d), ya + yb*sqrt(d))
-with integer parts, so it is scaled once and not at every comparison.
-cyclic_key orders directions by quadrant and an integer slope prefix, with an
-exact cross sign only on ties.  The predicates on QuadNum directions that
-this order replaced (cyclic_cmp, arcs_overlap, lens_arc and the rest) are
-kept as a test oracle, tests/dir_oracle.py.
+Angular order is on integers: a direction is an IntDir (xa, xb, ya, yb, d),
+the vector (xa + xb*sqrt(d), ya + yb*sqrt(d)), and cyclic_key orders
+directions by quadrant and an integer slope prefix, with an exact cross sign
+only on ties; tests/dir_oracle.py checks it on QuadNums.
 """
 
 from __future__ import annotations
@@ -18,8 +15,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DegenerateInput, NoRadicalAxis
-from .quadfield import (PREFIX_BITS, QuadNum, QuadPoint, _quad, cleared_parts,
-                        floor_root, frac, sign_q, two_field_sign)
+from .quadfield import (PREFIX_BITS, QuadNum, QuadPoint, _quad, cleared,
+                        cleared_parts, conjugate_floors, frac, sign_q,
+                        two_field_sign)
 from .records import FrozenRecord
 
 
@@ -45,17 +43,11 @@ class Line(FrozenRecord):
 
     @classmethod
     def of(cls, a, b, c) -> "Line":
-        a, b, c = frac(a), frac(b), frac(c)
-        if a == 0 and b == 0:
+        _, (a, b, c) = cleared((frac(a), frac(b), frac(c)))
+        if not a and not b:
             raise DegenerateInput("line needs a nonzero normal")
-        scale = a.denominator * b.denominator * c.denominator
-        ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
-        g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-        ai, bi, ci = ai // g, bi // g, ci // g
-        lead = ai if ai else bi
-        if lead < 0:
-            ai, bi, ci = -ai, -bi, -ci
-        return cls(ai, bi, ci)
+        g = gcd(a, b, c) if (a or b) > 0 else -gcd(a, b, c)
+        return cls(a // g, b // g, c // g)
 
 
 def power_of_point(w, c: Circle) -> Fraction:
@@ -68,20 +60,17 @@ def radical_axis(c1: Circle, c2: Circle) -> Line:
     """Locus of equal power with respect to two non-concentric circles."""
     a = 2 * (c2.cx - c1.cx)
     b = 2 * (c2.cy - c1.cy)
-    if a == 0 and b == 0:
+    if not a and not b:
         raise NoRadicalAxis("concentric circles have no radical axis")
     c = (c1.cx ** 2 + c1.cy ** 2 - c1.r2) - (c2.cx ** 2 + c2.cy ** 2 - c2.r2)
     return Line.of(a, b, c)
 
 
 def chord_of(c: Circle, line: Line) -> tuple[Fraction, Fraction, Fraction]:
-    """The chord a rational line cuts from a circle, in rational terms.
-
-    Returns (fx, fy, x): (fx, fy) is the foot of the perpendicular from the
-    center (the chord midpoint) and x = h2 * (a^2 + b^2), with h2 the squared
-    half chord.  The line misses the circle iff x < 0 and touches it iff
-    x == 0; otherwise it meets it at foot +- sqrt(x)/(a^2 + b^2) * (-b, a).
-    """
+    """(fx, fy, x): the midpoint of the chord a rational line cuts from a
+    circle, and x = h2 * (a^2 + b^2) for the squared half chord h2.  The
+    line misses the circle iff x < 0 and touches it iff x == 0; else it
+    meets it at (fx, fy) +- sqrt(x)/(a^2 + b^2) * (-b, a)."""
     a, b = line.a, line.b
     d2 = a * a + b * b
     n = a * c.cx + b * c.cy + line.c
@@ -128,13 +117,10 @@ def intersection_points(c1: Circle, c2: Circle) -> tuple[QuadPoint, ...]:
 
 
 def point_on_circle(p: QuadPoint, c: Circle) -> bool:
-    """Exact containment test in the quadratic field of p.
-
-    With p = (xa + xb*sqrt(d), ya + yb*sqrt(d)), u = xa - cx and w = ya - cy,
-    the power of p is u^2 + w^2 - r^2 + (xb^2 + yb^2)*d plus
-    2*(u*xb + w*yb)*sqrt(d); it is zero iff both parts are, since d is never
-    a square.
-    """
+    """Exact containment test in the quadratic field of p: with
+    p = (xa + xb*sqrt(d), ya + yb*sqrt(d)), u = xa - cx and w = ya - cy, the
+    power of p is u^2 + w^2 - r^2 + (xb^2 + yb^2)*d plus
+    2*(u*xb + w*yb)*sqrt(d), zero iff both parts are (d is no square)."""
     p = QuadPoint.of(p)
     x, y, d = p.x, p.y, p.delta
     u, w = x.a - c.cx, y.a - c.cy
@@ -145,8 +131,8 @@ def point_on_circle(p: QuadPoint, c: Circle) -> bool:
 # -- exact angular order, on integers -----------------------------------------
 
 Dir = tuple[QuadNum, QuadNum]
-# (xa, xb, ya, yb, d): the direction (xa + xb*sqrt(d), ya + yb*sqrt(d)), all
-# integers, d a non-square or 0; a positive multiple is the same direction
+# integer parts (module docstring), d a non-square or 0; a positive
+# multiple is the same direction
 IntDir = tuple[int, int, int, int, int]
 
 def int_dir(d: Dir) -> IntDir:
@@ -156,19 +142,17 @@ def int_dir(d: Dir) -> IntDir:
     return (*ints, delta)
 
 
+# quadrant() by the signs of x and y, as indices (-1 is the last)
+_QUADRANT = ((None, 2, 6), (0, 1, 7), (4, 3, 5))
+
+
 def quadrant(v: IntDir) -> int:
     """Index of the direction in counterclockwise order from the +x axis:
     even on an axis, odd inside a quadrant."""
-    sx, sy = sign_q(v[0], v[1], v[4]), sign_q(v[2], v[3], v[4])
-    if sx == 0 and sy == 0:
+    q = _QUADRANT[sign_q(v[0], v[1], v[4])][sign_q(v[2], v[3], v[4])]
+    if q is None:
         raise DegenerateInput("zero direction")
-    if sy == 0:
-        return 0 if sx > 0 else 4
-    if sx == 0:
-        return 2 if sy > 0 else 6
-    if sx > 0:
-        return 1 if sy > 0 else 7
-    return 3 if sy > 0 else 5
+    return q
 
 
 def cross_sign(u: IntDir, v: IntDir) -> int:
@@ -198,7 +182,7 @@ def _slope(v: IntDir) -> tuple[int, int, int]:
 
 class _Ray:
     """The last part of a cyclic key: a direction compared by exact cross
-    sign, which only keys tied on quadrant and slope prefix reach."""
+    sign, reached only by keys tied on quadrant and slope prefix."""
 
     __slots__ = ("v",)
 
@@ -214,6 +198,15 @@ class _Ray:
     __hash__ = None
 
 
+def _prefixes(v: IntDir, q: int) -> tuple[int, int]:
+    """floor(2^K * y/x) of v, in quadrant q, and of its conjugate; 0, 0 on
+    an axis."""
+    if not q & 1:
+        return 0, 0
+    p, s, n = _slope(v)
+    return conjugate_floors(p, s, v[4], n, PREFIX_BITS)
+
+
 def cyclic_key(v: IntDir) -> tuple:
     """Sort key for the counterclockwise order from angle 0, equal for equal
     rays: (quadrant, floor(2^K * y/x), ray).  Inside each open quadrant the
@@ -221,11 +214,20 @@ def cyclic_key(v: IntDir) -> tuple:
     exact cross sign is taken only when two prefixes tie (Fortune and Van
     Wyk 1996, Shewchuk 1997).  An axis quadrant holds one ray."""
     q = quadrant(v)
-    prefix = 0
-    if q & 1:
-        p, s, n = _slope(v)
-        prefix = floor_root(p, s, v[4], n, PREFIX_BITS)
-    return (q, prefix, _Ray(v))
+    return (q, _prefixes(v, q)[0], _Ray(v))
+
+
+def paired_keys(v: IntDir, conjugate: bool) -> tuple[tuple, tuple]:
+    """The cyclic keys of v and of its conjugate (xa, -xb, ya, -yb, d), or
+    else of -v, from one isqrt: the conjugate is on an axis iff v is, with
+    slope (P - Q*sqrt(d))/N (_slope); -v has v's slope four quadrants on."""
+    xa, xb, ya, yb, d = v
+    q = quadrant(v)
+    prefix, other = _prefixes(v, q)
+    if conjugate:
+        w = (xa, -xb, ya, -yb, d)
+        return (q, prefix, _Ray(v)), (quadrant(w), other, _Ray(w))
+    return (q, prefix, _Ray(v)), ((q + 4) % 8, prefix, _Ray((-xa, -xb, -ya, -yb, d)))
 
 
 def canonical_dir(v: IntDir) -> Dir:

@@ -14,12 +14,10 @@ radicand delta of its base pair (0 when rational), and the parts
 lowest terms, one object per rational point of an enumeration.  Lenses
 are sorted by keys read from it: per coordinate the prefix floor(2^K * v),
 then the exact value as a quadfield.Surd, compared only on a prefix tie,
-so a lens's index is its place in lens order.  Later stages read the
-record too, and Lens.base and Lens.record are each built on first read
-from the other.  The scene's own lenses are those of the smallest k built
-so far, which it keeps: they keep their index and vertex record, and skip
-the on-circle tests.  The brute-force oracle groups pairwise intersections
-by exact equality and sorts with Lens.compare, solely to cross-check.
+so a lens's index is its place in lens order.  Lens.base and Lens.record
+are each built on first read from the other.  The scene's own lenses, of
+the smallest k built so far, keep their index and vertex record, and skip
+the on-circle tests.
 """
 
 from __future__ import annotations
@@ -28,13 +26,13 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
 from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
-                       intersection_points)
-from .quadfield import (PREFIX_BITS, QuadPoint, Surd, _point, _quad,
-                        cleared_parts, frac, parts_text)
+                       intersection_points, paired_keys)
+from .quadfield import (PREFIX_BITS, QuadPoint, Surd, _point, _quad, cleared,
+                        cleared_parts, conjugate_floors, frac, parts_text)
 from .records import FrozenRecord
 
 
@@ -56,11 +54,10 @@ class Scene(FrozenRecord):
 
 
 class Lens:
-    """A base point pair plus the circles passing through both points.
-
-    Immutable, since every caller of enumerate_lenses on a scene gets the same
-    Lens objects.  Its base or its integer record, whichever it was not
-    built with, is built on first read."""
+    """A base point pair plus the circles passing through both points;
+    immutable, as the callers of enumerate_lenses on a scene share them.
+    Its base or its integer record, whichever it was not built with, is
+    built on first read."""
 
     __slots__ = ("_base", "circles", "_record", "_index", "_vertices")
 
@@ -113,13 +110,9 @@ class Lens:
         return len(self.circles)
 
     def compare(self, other: "Lens") -> int:
-        c = self.base[0].compare(other.base[0])
-        if c:
-            return c
-        c = self.base[1].compare(other.base[1])
-        if c:
-            return c
-        return (self.circles > other.circles) - (self.circles < other.circles)
+        return (self.base[0].compare(other.base[0])
+                or self.base[1].compare(other.base[1])
+                or (self.circles > other.circles) - (self.circles < other.circles))
 
     def __eq__(self, other):
         if not isinstance(other, Lens):
@@ -139,36 +132,22 @@ _set_base, _set_circles, _set_record, _set_index, _set_vertices = _SETTERS
 
 
 def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
-    """The sort key of the point with integer parts p = (xa, xb, ya, yb)
-    over D = d and radicand delta and of its conjugate: the key part
-    (floor(2^K*v), v as a Surd) of each coordinate v of the one, then of
-    the other.  One isqrt per coordinate serves both: floor(2^K*v) is
-    (2^K*a + s)//d for b >= 0, else (2^K*a - s - 1)//d
-    (quadfield.floor_root)."""
+    """The sort keys of the point with integer parts p = (xa, xb, ya, yb)
+    over D = d and radicand delta and of its conjugate: per coordinate v,
+    (floor(2^K*v), v as a Surd), the floors paired (conjugate_floors)."""
     xa, xb, ya, yb = p
-    k = PREFIX_BITS
-    sx, sy = isqrt((xb << k) ** 2 * delta), isqrt((yb << k) ** 2 * delta)
-    x, y = xa << k, ya << k
-    px, qx = (x + sx) // d, (x - sx - (sx > 0)) // d
-    py, qy = (y + sy) // d, (y - sy - (sy > 0)) // d
-    if xb < 0:
-        px, qx = qx, px
-    if yb < 0:
-        py, qy = qy, py
+    px, qx = conjugate_floors(xa, xb, delta, d, PREFIX_BITS)
+    py, qy = conjugate_floors(ya, yb, delta, d, PREFIX_BITS)
     return (px, Surd((xa, d, xb, delta)), py, Surd((ya, d, yb, delta)),
             qx, Surd((xa, d, -xb, delta)), qy, Surd((ya, d, -yb, delta)))
 
 
 def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
     """The lenses of degree >= k of the scene, merged by base pair, in
-    canonical order; InvalidRichness for k < 2.
-
-    A Scene is immutable, so its lenses are kept on it (a private attribute
-    outside its fields): those of the smallest k built so far.
-    A larger k filters them; a smaller k builds the scene's lenses anew,
-    equal to the ones kept, which are no longer its own.  Every call
-    returns a fresh list.
-    """
+    canonical order, as a fresh list; InvalidRichness for k < 2.  The scene
+    keeps (outside its fields) those of the smallest k built so far, which
+    a larger k filters; a smaller k builds its lenses anew, equal to the
+    ones kept, which are no longer its own."""
     if k < 2:
         raise InvalidRichness("richness k must be at least 2")
     kept = vars(scene).get("_kept")
@@ -193,23 +172,14 @@ def _scaled_axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
 
 
 def scene_frame(scene: Scene) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The scene cleared of denominators: (L, per circle (X, Y, R, X^2 + Y^2 - R)).
-
-    L is the lcm of the denominators of every cx, cy and r^2, and
-    (X, Y, R) = (L*cx, L*cy, L^2*r^2).  Built once and kept on the Scene,
-    like its lenses.
-    """
+    """The scene cleared of denominators: (L, per circle (X, Y, R, X^2 + Y^2 - R)),
+    with L the lcm of the denominators of every cx, cy and r^2 and
+    (X, Y, R) = (L*cx, L*cy, L^2*r^2); kept on the Scene, like its lenses."""
     frame = vars(scene).get("_frame")
     if frame is None:
-        circles = scene.circles
-        scale = lcm(*(q.denominator for c in circles for q in (c.cx, c.cy, c.r2)))
-        scaled = []
-        for c in circles:
-            x = c.cx.numerator * (scale // c.cx.denominator)
-            y = c.cy.numerator * (scale // c.cy.denominator)
-            r = c.r2.numerator * (scale * scale // c.r2.denominator)
-            scaled.append((x, y, r, x * x + y * y - r))
-        frame = (scale, tuple(scaled))
+        scale, ints = cleared([q for c in scene.circles for q in (c.cx, c.cy, c.r2)])
+        frame = (scale, tuple((x, y, r * scale, x * x + y * y - r * scale)
+                              for x, y, r in zip(ints[::3], ints[1::3], ints[2::3])))
         object.__setattr__(scene, "_frame", frame)
     return frame
 
@@ -264,10 +234,9 @@ def base_ids(lens: Lens) -> tuple[int, int]:
 def lens_dirs(scene: Scene, lens: Lens) -> tuple:
     """Per circle of the lens, in the order of lens.circles, (vp, vq): the
     directions (IntDir) of its base points p < q from the circle's center,
-    the points and the scene frame scaled by the lcm of the record's D and
-    L, over one radicand.  The points of a lens not the scene's own are
-    tested on each circle (DegenerateInput for two quadratic fields or a
-    point off a circle)."""
+    scaled with the scene frame by lcm(D, L), over one radicand.  A lens
+    not the scene's own has its points tested on each circle
+    (DegenerateInput for two quadratic fields or a point off a circle)."""
     scale, frame = scene_frame(scene)
     d, delta, (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = lens_record(lens)
     t = scale // gcd(d, scale)
@@ -287,17 +256,18 @@ def lens_dirs(scene: Scene, lens: Lens) -> tuple:
 
 
 def _vertices(scene: Scene, lens: Lens) -> tuple:
-    """The record of lens_vertices, built anew."""
-    return tuple((cyclic_key(vp), cyclic_key(vq), _forward(vp, vq))
-                 for vp, vq in lens_dirs(scene, lens))
+    """The record of lens_vertices, built anew; irrational base points on
+    two circles are conjugates, and so are vp and vq."""
+    return tuple((*(paired_keys(vp, True) if vp[4] else map(cyclic_key, (vp, vq))),
+                  _forward(vp, vq)) for vp, vq in lens_dirs(scene, lens))
 
 
 def lens_vertices(scene: Scene, lens: Lens) -> tuple:
     """Per circle of the lens, in the order of lens.circles, (key of p, key
     of q, forward): the cyclic keys of the base points' directions
     (lens_dirs; a direction is key[2].v), and whether the lens arc runs CCW
-    from p to q.  This vertex record is kept on a lens of the scene's own
-    and built for the call for any other, with the checks of lens_dirs."""
+    from p to q.  Kept on a lens of the scene's own, and built for the call,
+    with the checks of lens_dirs, for any other."""
     if not _own(scene, lens):
         return _vertices(scene, lens)
     if lens._vertices is None:

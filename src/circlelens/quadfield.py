@@ -128,10 +128,7 @@ class QuadNum:
             r = isqrt(d)
             if r * r == d:
                 a, d = a + b * r, 0
-        if d:
-            self.a, self.b, self.delta = a, b, d
-        else:
-            self.a, self.b, self.delta = a, _ZERO, 0
+        self.a, self.b, self.delta = (a, b, d) if d else (a, _ZERO, 0)
 
     # -- construction helpers -------------------------------------------------
 
@@ -294,14 +291,15 @@ def parts_text(parts, delta: int, n: int) -> list[str]:
     return out
 
 
-def floor_root(p: int, q: int, d: int, n: int, k: int) -> int:
-    """The integer floor(2^k * (p + q*sqrt(d))/n) for integers p, q, d >= 0
-    and n > 0, from one isqrt: with s = isqrt(q^2*d*4^k) it is
-    floor((2^k*p + s)/n) for q >= 0 and floor((2^k*p - s - 1)/n) for q < 0,
-    since q^2*d is a square only when it is 0 (d is 0 or not a square)."""
+def conjugate_floors(p: int, q: int, d: int, n: int, k: int) -> tuple[int, int]:
+    """floor(2^k * (p +- q*sqrt(d))/n), + first, for integers p, q, d >= 0
+    and n > 0, from s = isqrt(q^2*d*4^k): floor((2^k*p + s)/n) and
+    floor((2^k*p - s - 1)/n), swapped for q < 0.  q^2*d is 0 (and the - 1
+    goes) or not a square, as d is 0 or not a square."""
     s = isqrt((q << k) ** 2 * d)
     p <<= k
-    return (p + s) // n if q >= 0 else (p - s - 1) // n
+    hi, lo = (p + s) // n, (p - s - (s > 0)) // n
+    return (hi, lo) if q >= 0 else (lo, hi)
 
 
 # bits of the integer prefix floor(2^K * v) that sort keys compare first
@@ -378,8 +376,7 @@ class QuadPoint:
         return self.x.is_rational and self.y.is_rational
 
     def compare(self, other: "QuadPoint") -> int:
-        c = self.x.compare(other.x)
-        return c if c else self.y.compare(other.y)
+        return self.x.compare(other.x) or self.y.compare(other.y)
 
     def __eq__(self, other):
         if not isinstance(other, QuadPoint):

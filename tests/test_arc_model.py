@@ -2,29 +2,35 @@
 the direction predicates it replaced (dir_oracle), on uniform-random and
 lattice-triple scenes:
 
-- lens overlap and greedy families against arcs_overlap;
+- lens overlap and greedy families against arcs_overlap, and the greedy
+  scan's bisection against the pairwise scan on drawn arc models;
 - lens cutting against the direction-based greedy cutting, and covering
   counts against dir_in_ccw_arc over the sorted cut arcs, both of cutting's
   results and of tilings cut at base points, their midpoints and between;
 - Szekely edges, G1 and edge multiplicity against edges between
-  direction-sorted marked points and lens_arc directions.
+  direction-sorted marked points and lens_arc directions;
+- cut arcs that keep their keys: the pipeline builds no QuadNum direction,
+  and arcs rebuilt from their directions are equal and verified alike.
 """
 
 from collections import Counter, defaultdict
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import combinations
+from random import Random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circlelens import families, geometry
 from circlelens.families import (CircleArc, CutResult, _ArcModel,
-                                 _covering_counts, lens_cutting, select_family,
-                                 verify_cut)
+                                 _covering_counts, _greedy, lens_cutting,
+                                 select_family, verify_cut)
 from circlelens.generators import GeneratorSpec, random_scene
-from circlelens.geometry import power_of_point
+from circlelens.geometry import Circle, power_of_point
 from circlelens.incidence import szekely_stats
-from circlelens.pencils import Lens, enumerate_lenses, rich_lenses
+from circlelens.pencils import (Lens, Scene, enumerate_lenses, lens_vertices,
+                               rich_lenses)
 from circlelens.quadfield import QuadPoint
 from dir_oracle import (canonical_dir, centered, cyclic_key, dir_in_ccw_arc,
                         lens_arc, lenses_overlap, opposite_direction,
@@ -210,9 +216,19 @@ def marked_points(scene) -> list:
     return sorted(points) + [(F(1, 7), F(-2, 3)), (F(100), F(3, 5))]
 
 
+def diameters() -> Scene:
+    """Pencils through (+-1, 0) and (0, +-1), both with the unit circle, whose
+    two lenses are diameters of it, and circles crossing them."""
+    return Scene(circles=tuple(Circle(F(x), F(y), F(r2)) for x, y, r2 in (
+        (0, 0, 1), (0, 1, 2), (0, 2, 5), (1, 0, 2), (2, 0, 5), (1, 1, 1),
+        (-1, 1, 2))))
+
+
 # -- checks -------------------------------------------------------------------
 
+# a scene whose unit circle is cut by two diameter lenses
 @given(scenes, st.randoms(use_true_random=False))
+@example(diameters(), Random(0))
 @settings(max_examples=8, deadline=None)
 def test_overlap_and_greedy_family_match_arcs_overlap(scene, rnd):
     lenses = enumerate_lenses(scene)
@@ -303,3 +319,104 @@ def test_szekely_g1_matches_lens_arc_directions(scene, k):
     stats = szekely_stats(points, scene, k)
     assert (stats.edges, stats.g1, stats.max_multiplicity) == \
         szekely_oracle(points, scene, k)
+
+
+def pairwise_greedy(model, degrees) -> list:
+    """The greedy scan testing each lens against every kept one."""
+    kept = []
+    for i in sorted(range(len(degrees)), key=lambda i: -degrees[i]):
+        if not any(model.overlap(i, j) for j in kept):
+            kept.append(i)
+    return kept
+
+
+def arc_model(sizes, ends) -> _ArcModel:
+    """The model of circles with sizes[cid] vertices 0, 1, ... in order and
+    lens arcs ends[i] = {cid: (s, e)}."""
+    return _ArcModel({cid: {v: v for v in range(m)}
+                      for cid, m in enumerate(sizes)}, ends)
+
+
+@st.composite
+def arc_models(draw):
+    """(model, degrees): circles of 2 to 8 vertices and lenses on one to
+    three of them, each arc (s, e) with s != e, so many wrap past vertex 0
+    (s > e) and share an end vertex with another."""
+    sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    ends = []
+    for _ in range(draw(st.integers(0, 20))):
+        cids = draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1,
+                            max_size=3))
+        ends.append({cid: tuple(draw(st.lists(
+            st.integers(0, sizes[cid] - 1), min_size=2, max_size=2, unique=True)))
+            for cid in sorted(cids)})
+    degrees = draw(st.lists(st.integers(2, 4), min_size=len(ends),
+                            max_size=len(ends)))
+    return arc_model(sizes, ends), degrees
+
+
+# after kept arcs (0, 1) and (2, 3), an arc from 5 past vertex 0 meets the
+# first kept arc; after kept arcs (2, 3) and (5, 1), the one wrapping past
+# vertex 0 holds the start of (0, 1)
+@given(arc_models())
+@example((arc_model([7], [{0: (0, 1)}, {0: (2, 3)}, {0: (5, 0)}]), [2, 2, 2]))
+@example((arc_model([7], [{0: (2, 3)}, {0: (5, 1)}, {0: (0, 1)}]), [2, 2, 2]))
+@settings(max_examples=300, deadline=None)
+def test_bisecting_greedy_matches_the_pairwise_scan(drawn):
+    model, degrees = drawn
+    assert _greedy(model, degrees) == pairwise_greedy(model, degrees)
+
+
+def test_the_diameter_scene_has_diameters():
+    scene = diameters()
+    unit = [kq[2].v == tuple(-a for a in kp[2].v[:4]) + (kp[2].v[4],)
+            for lens in enumerate_lenses(scene) if 0 in lens.circles
+            for kp, kq, _ in lens_vertices(scene, lens)[:1]]
+    assert unit.count(True) >= 2
+
+
+def test_the_pipeline_builds_no_quadnum_directions(monkeypatch):
+    # enumerate, family, cut and verify stay on cyclic keys; the directions
+    # of a cut's arcs are built only when read
+    calls = Counter()
+    for name in ("canonical_dir", "int_dir"):
+        def counted(*args, name=name, real=getattr(geometry, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(geometry, name, counted)
+        monkeypatch.setattr(families, name, counted)
+    scene = lattice(14, 3, 3)
+    results = []
+    for k in (2, 3):
+        assert select_family(enumerate_lenses(scene, k), scene).certificate
+        results.append(lens_cutting(scene, k))
+        assert results[-1].cut_count and verify_cut(scene, results[-1])
+    assert not calls
+    for result in results:
+        for arc in result.arcs:
+            twin = CircleArc(arc.circle_id, arc.start, arc.end)
+            assert (arc == twin and hash(arc) == hash(twin)
+                    and repr(arc) == repr(twin))
+    # start and end, once each, for every arc on a cut circle
+    assert calls["canonical_dir"] == 2 * sum(
+        not arc.is_full for result in results for arc in result.arcs)
+    assert not calls["int_dir"]
+
+
+def test_verify_cut_reads_arcs_rebuilt_from_directions_alike():
+    scene = lattice(14, 3, 3)
+    for k in (2, 3):
+        result = lens_cutting(scene, k)
+        arcs = result.arcs
+        cut = next(i for i, arc in enumerate(arcs) if not arc.is_full)
+        for variant in (result, CutResult(arcs, result.cut_count - 1, k),
+                        CutResult(arcs[:cut] + arcs[cut + 1:], result.cut_count, k),
+                        CutResult(arcs, result.cut_count, k + 1)):
+            rebuilt = CutResult(tuple(CircleArc(a.circle_id, a.start, a.end)
+                                      for a in variant.arcs),
+                                variant.cut_count, variant.k)
+            assert rebuilt == variant
+            assert verify_cut(scene, rebuilt) == verify_cut(scene, variant)
+        assert verify_cut(scene, result)
+        # names other than start, end and keys are still missing
+        assert not hasattr(arcs[cut], "midpoint")

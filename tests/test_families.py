@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -323,8 +324,10 @@ def test_verify_cut_needs_arcs_that_chain_around_the_circle():
     rest = tuple(arc for arc in result.arcs if arc.circle_id != cut)
 
     def verdict(*circle_arcs):
-        return verify_cut(scene, CutResult(rest + circle_arcs,
-                                           result.cut_count, 3))
+        # with the count of arcs on cut circles that these arcs hold
+        arcs = rest + circle_arcs
+        return verify_cut(scene, CutResult(
+            arcs, sum(not arc.is_full for arc in arcs), 3))
 
     assert verdict(*arcs) and verdict(*reversed(arcs))
     assert not verdict(*arcs[1:])  # a gap
@@ -336,6 +339,17 @@ def test_verify_cut_needs_arcs_that_chain_around_the_circle():
     assert not verdict(first)
     assert verdict(CircleArc(cut, first.start, first.start)) == \
         verdict(CircleArc(cut, None, None))
+
+
+def test_verify_cut_checks_the_cut_count():
+    # the count is the number of arcs on cut circles, which the cut CLI
+    # prints with its ratio to the Theorem 1 degree bound
+    scene = parse_scene((DATA / "lattice-n48-g4-s1.scene").read_text())
+    result = lens_cutting(scene, 3)
+    assert verify_cut(scene, result)
+    for count in (0, result.cut_count - 1, result.cut_count + 1,
+                  len(result.arcs)):
+        assert not verify_cut(scene, CutResult(result.arcs, count, 3)), count
 
 
 def test_verify_cut_counts_both_arcs_through_a_cut_base_pair(worked_pencil):
@@ -426,3 +440,32 @@ def test_family_does_not_depend_on_lens_objects_or_order():
             assert list(family.members) == sorted(family.members,
                                                   key=cmp_to_key(Lens.compare))
     assert radicands == {0}  # some copies, all over 4*delta
+
+
+def _pinned_reprs(scene_path: Path) -> list[str]:
+    """The reprs of the greedy and (within EXACT_CAP) exact families, the
+    cut, its verdict and the greedy family's audit, at k = 2 and 3."""
+    scene, out = parse_scene(scene_path.read_text()), []
+    for k in (2, 3):
+        pool = enumerate_lenses(scene, k)
+        family = select_family(pool, scene)
+        out += [repr(family), repr(coplanarity_audit(scene, family))]
+        if len(pool) <= EXACT_CAP:
+            out.append(repr(select_family(pool, scene, mode="exact")))
+        cut = lens_cutting(scene, k)
+        out += [repr(cut), repr(verify_cut(scene, cut))]
+    return out
+
+
+# the sha256 of _pinned_reprs over the tests/data scenes: a change to any
+# family, audit, cut or verdict they give changes it
+PINNED_SHA256 = \
+    "47904f85654f3f1fe5c148aa5d4ef44dc61d508e986369e9bad2cd160463524a"
+
+
+def test_families_cuts_verdicts_and_audits_match_their_pinned_hash():
+    digest = hashlib.sha256()
+    for path in sorted(DATA.glob("*.scene")):
+        for text in _pinned_reprs(path):
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_SHA256

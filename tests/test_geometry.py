@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circlelens import geometry
@@ -256,6 +256,46 @@ def int_dirs(draw):
 @settings(max_examples=150, deadline=None)
 def test_cyclic_key_matches_cyclic_cmp_on_mixed_radicands(pairs):
     _assert_key_order([v for pair in pairs for v in pair])
+
+
+@st.composite
+def paired_dirs(draw):
+    """A nonzero direction: general, on an axis, or with a zero sqrt(d)
+    part in x, in y or in both."""
+    d = draw(st.sampled_from(RADICANDS))
+    xa, xb, ya, yb = (draw(parts) for _ in range(4))
+    form = draw(st.sampled_from(("general", "x = 0", "y = 0", "xb = 0",
+                                 "yb = 0", "xb = yb = 0")))
+    if form == "x = 0":
+        xa = xb = 0
+    if form == "y = 0":
+        ya = yb = 0
+    if form in ("xb = 0", "xb = yb = 0"):
+        xb = 0
+    if form in ("yb = 0", "xb = yb = 0") or not d:
+        yb = 0
+    if not d:
+        xb = 0
+    assume(xa or xb or ya or yb)
+    return xa, xb, ya, yb, d
+
+
+def _exact(key):
+    return key[0], key[1], key[2].v
+
+
+# slopes (P, Q, N) with Q < 0, with P < 0, and with both
+@given(paired_dirs())
+@example((1, 0, 3, -1, 2))
+@example((1, 0, -3, 1, 2))
+@example((-1, 1, -3, -1, 3))
+@settings(max_examples=200, deadline=None)
+def test_paired_keys_equal_the_cyclic_keys_of_each_direction(v):
+    xa, xb, ya, yb, d = v
+    for conjugate, w in ((True, (xa, -xb, ya, -yb, d)),
+                         (False, (-xa, -xb, -ya, -yb, d))):
+        assert [_exact(key) for key in geometry.paired_keys(v, conjugate)] \
+            == [_exact(geometry.cyclic_key(u)) for u in (v, w)]
 
 
 def _on_unit(x, y):

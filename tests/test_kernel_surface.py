@@ -107,14 +107,17 @@ def test_rich_lenses_output_is_byte_identical(name, capsys):
 
 @pytest.mark.parametrize("name,k", [("uniform-n12-s5", 2), ("uniform-n16-s9", 2),
                                     ("grid-n12-s3", 2), ("bundle-n12-k3", 3),
-                                    ("lattice-n48-g4-s1", 3)])
+                                    ("lattice-n48-g4-s1", 3),
+                                    ("lattice-n48-g4-s1", 2)])
 def test_cut_output_is_byte_identical(name, k, capsys):
     # expected files were written by the kernel that enumerated once per
     # stage, except lattice-n48-g4-s1.cut-k3.csv, written by the cutting
     # that compared directions, before the arc model of vertex indices;
     # bundle-n12-k3.scene is `circlelens generate --model bundle --n 12
     # --k 3`, and lattice-n48-g4-s1.scene is `circlelens generate --model
-    # lattice-triples --n 48 --seed 1 --spread 4` (80 cuts at k = 3)
+    # lattice-triples --n 48 --seed 1 --spread 4` (80 cuts at k = 3);
+    # lattice-n48-g4-s1.cut-k2.csv by the cutting that wrote its cuts as
+    # QuadNum directions and read them back
     assert main(["cut", str(DATA / f"{name}.scene"), "--k", str(k)]) == 0
     out, _ = capsys.readouterr()
     assert out == (DATA / f"{name}.cut-k{k}.csv").read_text()
@@ -134,15 +137,18 @@ def test_incidence_output_is_byte_identical(k, capsys):
 
 @pytest.mark.parametrize("name,k,mode", [("lattice-n48-g4-s1", 3, "greedy"),
                                          ("uniform-n16-s9", 2, "greedy"),
-                                         ("uniform-n16-s9", 2, "exact")],
+                                         ("uniform-n16-s9", 2, "exact"),
+                                         ("lattice-n48-g4-s1", 2, "greedy")],
                          ids=["lattice-n48-g4-s1-3", "uniform-n16-s9-2",
-                              "uniform-n16-s9-2-exact"])
+                              "uniform-n16-s9-2-exact", "lattice-n48-g4-s1-2"])
 def test_family_output_is_byte_identical(name, k, mode, capsys):
     # family-k3 was written by select_family before its greedy scan was
     # shared with the Szekely statistics, uniform-n16-s9.family-k2 by the
     # family selection that sorted vertices by QuadNum cross signs, before
-    # the integer arc model, and family-exact-k2 by the exact selection that
-    # kept its vertex records apart from the order check's base pairs
+    # the integer arc model, family-exact-k2 by the exact selection that
+    # kept its vertex records apart from the order check's base pairs, and
+    # lattice-n48-g4-s1.family-k2 (806 lenses, shared rational vertices) by
+    # the greedy scan that tested each lens against every kept one
     assert main(["family", str(DATA / f"{name}.scene"), "--k", str(k),
                  "--mode", mode]) == 0
     out, _ = capsys.readouterr()

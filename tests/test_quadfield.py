@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelens.quadfield import (QuadNum, QuadPoint, Surd, _quad,
-                                  cleared_parts, floor_root, sign_q,
+                                  cleared_parts, conjugate_floors, sign_q,
                                   two_field_sign)
 
 
@@ -222,22 +222,28 @@ big_rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
 
 
 def _scaled_floor(x: QuadNum, k: int) -> int:
-    """floor(2^k * x) by floor_root, on x written over its own denominator."""
+    """floor(2^k * x) by conjugate_floors, on x written over its own
+    denominator."""
     d, delta, (a, b) = cleared_parts((x,))
-    return floor_root(a, b, delta, d, k)
+    return conjugate_floors(a, b, delta, d, k)[0]
 
 
 @given(big_rationals, big_rationals, st.integers(2, 10 ** 15),
        st.sampled_from([0, 1, 7, 32, 64]))
 @settings(max_examples=150)
 def test_floor_root_brackets_the_value(a, b, delta, k):
-    # f <= 2^k * x < f + 1, decided exactly by sign_q
+    # f <= 2^k * x < f + 1, decided exactly by sign_q, for x and for its
+    # conjugate, whose floor conjugate_floors gives second
     x = QuadNum(a, b, delta)
-    f = _scaled_floor(x, k)
-    assert isinstance(f, int)
-    scaled_a, scaled_b = x.a * 2 ** k, x.b * 2 ** k
-    assert sign_q(scaled_a - f, scaled_b, x.delta) >= 0
-    assert sign_q(scaled_a - f - 1, scaled_b, x.delta) < 0
+    d, _, (ia, ib) = cleared_parts((x,))
+    assert conjugate_floors(ia, -ib, x.delta, d, k) == \
+        conjugate_floors(ia, ib, x.delta, d, k)[::-1]
+    for y in (x, QuadNum(x.a, -x.b, x.delta)):
+        f = _scaled_floor(y, k)
+        assert isinstance(f, int)
+        scaled_a, scaled_b = y.a * 2 ** k, y.b * 2 ** k
+        assert sign_q(scaled_a - f, scaled_b, y.delta) >= 0
+        assert sign_q(scaled_a - f - 1, scaled_b, y.delta) < 0
 
 
 def test_floor_root_cases():
