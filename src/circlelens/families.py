@@ -2,15 +2,16 @@
 
 A lens's vertices are its base points on each of its circles, as the integer
 cyclic keys of pencils.lens_vertices.  A lens arc is the shorter arc between
-the base points p < q, or for a diameter the CCW half from p.  Family
-selection sorts each circle's vertices once (the arc model), so a lens arc
-is a pair of vertex indices; it is greedy (a degree-descending scan that
-bisects each circle's kept arcs) or exact (branch-and-bound maximum
-independent set in the overlap graph), in lens order: by enumeration index
-when all are the scene's own, else by Lens.compare.  Lens cutting cuts
-circles until no k-rich lens lies on k arcs, and its arcs keep their end
-keys; verify_cut re-reads the arcs alone.  Both keep each circle's cuts as
-sorted cyclic keys and count covering arcs by one rule, _covered.
+the base points p < q, or for a diameter the CCW half from p; every stage
+holds it as a closed CCW interval of keys (s, e), and two arcs meet iff one
+holds the other's start (_holds).  Family selection is greedy (a
+degree-descending scan that bisects each circle's kept arcs) or exact
+(branch-and-bound maximum independent set in the overlap graph), in lens
+order: by enumeration index when all are the scene's own, else by
+Lens.compare.  Lens cutting cuts circles until no k-rich lens lies on k
+arcs, and its arcs keep their end keys; verify_cut re-reads the arcs alone.
+Both keep each circle's cuts as sorted cyclic keys and count covering arcs
+by one rule, _covered.
 """
 
 from __future__ import annotations
@@ -22,57 +23,8 @@ from operator import attrgetter, eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
 from .geometry import Dir, canonical_dir, cyclic_key, int_dir, paired_keys
-from .pencils import (Lens, Scene, _own, base_ids, enumerate_lenses,
-                      lens_vertices)
+from .pencils import Lens, Scene, _own, enumerate_lenses, lens_vertices
 from .records import FrozenRecord
-
-
-class _ArcModel:
-    """The vertices of each circle in CCW order from angle 0, and lens arcs
-    as pairs of vertex indices.  on[cid] maps the ids of the vertices on
-    circle cid to their cyclic keys, and ends[i] each circle of lens i to
-    the ids (s, e) of its lens arc's ends.  order[cid] holds the ids in
-    order, one per ray (equal keys share a vertex), and the lens arc of
-    lens i runs CCW from vertex s to e, arcs[i][cid] = (s, e).  Extra
-    vertices leave overlap unchanged."""
-
-    def __init__(self, on: dict, ends):
-        self.order, index = {}, {}
-        for cid, keys in on.items():
-            order, at = [], {}
-            for pid in sorted(keys, key=keys.get):
-                if not order or keys[order[-1]] != keys[pid]:
-                    order.append(pid)
-                at[pid] = len(order) - 1
-            self.order[cid], index[cid] = order, at
-        self.arcs = [{cid: (index[cid][s], index[cid][e])
-                      for cid, (s, e) in arcs.items()} for arcs in ends]
-
-    @classmethod
-    def of(cls, scene: Scene, lenses) -> "_ArcModel":
-        """The model whose vertices are the lenses' base points
-        (pencils.lens_vertices), with pencils.base_ids as vertex ids."""
-        on: dict[int, dict] = defaultdict(dict)  # cid -> {point id: key}
-        ends = []
-        for lens in lenses:
-            p, q = base_ids(lens)
-            arcs = {}
-            for cid, (kp, kq, forward) in zip(lens.circles,
-                                              lens_vertices(scene, lens)):
-                on[cid][p], on[cid][q] = kp, kq
-                arcs[cid] = (p, q) if forward else (q, p)
-            ends.append(arcs)
-        return cls(on, ends)
-
-    def overlap(self, i: int, j: int) -> bool:
-        """Two closed CCW index intervals meet iff one holds the other's
-        start; lenses overlap iff their lens arcs meet on a shared circle."""
-        for cid, (s, e) in self.arcs[i].items():
-            if cid in self.arcs[j]:
-                m, (s2, e2) = len(self.order[cid]), self.arcs[j][cid]
-                if (s2 - s) % m <= (e - s) % m or (s - s2) % m <= (e2 - s2) % m:
-                    return True
-        return False
 
 
 class LensFamily(FrozenRecord):
@@ -110,23 +62,44 @@ def _max_independent_set(adj: list[int], n: int) -> int:
     return best
 
 
-def _greedy(model: _ArcModel, degrees) -> list[int]:
+def _lens_arcs(scene: Scene, lenses) -> list[dict]:
+    """Per lens, {cid: (s, e)} on each of its circles: the cyclic keys of
+    its base points (pencils.lens_vertices), its lens arc CCW from s to e."""
+    return [{cid: (kp, kq) if forward else (kq, kp) for cid, (kp, kq, forward)
+             in zip(lens.circles, lens_vertices(scene, lens))} for lens in lenses]
+
+
+def _holds(s, e, x) -> bool:
+    """Does the closed CCW arc from key s to key e, past angle 0 when e < s,
+    hold the key x?  Keys tied on quadrant and prefix end in a
+    geometry._Ray, which has only < and ==, so this uses < alone."""
+    if e < s:
+        return not (x < s and e < x)
+    return not (x < s or e < x)
+
+
+def _overlap(a: dict, b: dict) -> bool:
+    """Two closed CCW arcs meet iff one holds the other's start; lenses
+    overlap iff their lens arcs (_lens_arcs) meet on a shared circle."""
+    return any(cid in b and (_holds(s, e, b[cid][0]) or _holds(*b[cid], s))
+               for cid, (s, e) in a.items())
+
+
+def _greedy(arcs: list[dict], degrees) -> list[int]:
     """The degree-descending scan, ties in index order, keeps each lens that
     overlaps none kept before it.  Kept arcs on a circle are disjoint, so an
     arc (s, e) meets one iff the first kept start from s on lies in it or
     the last kept arc to start before s holds s: one bisect per circle."""
     kept, held = [], defaultdict(list)  # cid -> kept (s, e), sorted
     for i in sorted(range(len(degrees)), key=lambda i: -degrees[i]):
-        for cid, (s, e) in model.arcs[i].items():
-            if arcs := held[cid]:
-                m, j = len(model.order[cid]), bisect_left(arcs, (s,))
-                s2, e2 = arcs[j - 1]
-                if ((arcs[j % len(arcs)][0] - s) % m <= (e - s) % m
-                        or (s - s2) % m <= (e2 - s2) % m):
+        for cid, (s, e) in arcs[i].items():
+            if ring := held[cid]:
+                j = bisect_left(ring, (s,))
+                if _holds(s, e, ring[j % len(ring)][0]) or _holds(*ring[j - 1], s):
                     break
         else:
             kept.append(i)
-            for cid, arc in model.arcs[i].items():
+            for cid, arc in arcs[i].items():
                 insort(held[cid], arc)
     return kept
 
@@ -151,15 +124,15 @@ def select_family(lenses, scene: Scene, mode: str = "greedy") -> LensFamily:
         lenses.sort(key=attrgetter("_index"))
     else:
         lenses.sort(key=cmp_to_key(Lens.compare))
-    model, n = _ArcModel.of(scene, lenses), len(lenses)
+    arcs, n = _lens_arcs(scene, lenses), len(lenses)
     if mode == "greedy":
-        kept = sorted(_greedy(model, [lens.degree for lens in lenses]))
+        kept = sorted(_greedy(arcs, [lens.degree for lens in lenses]))
     else:
         mask = _max_independent_set(
-            [sum(1 << j for j in range(n) if j != i and model.overlap(i, j))
+            [sum(1 << j for j in range(n) if j != i and _overlap(arcs[i], arcs[j]))
              for i in range(n)], n)
         kept = [i for i in range(n) if mask >> i & 1]
-    certificate = all(not model.overlap(i, j)
+    certificate = all(not _overlap(arcs[i], arcs[j])
                       for a, i in enumerate(kept) for j in kept[a + 1:])
     members = tuple(lenses[i] for i in kept)
     return LensFamily(members=members, certificate=certificate,

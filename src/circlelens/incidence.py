@@ -2,13 +2,14 @@
 
 The graph has the marked points as vertices; each circle through at least two
 of them contributes one cyclic run of consecutive-point edges, drawn along
-its arcs.  The edges are read from the arc model of families (_ArcModel),
-built once with every drawn circle's marked points as its vertices: an edge
-is a pair of cyclically consecutive vertices of one circle.  The lens pool is
-every marked pair (u, v), u < v in sorted point order, with at least k
-circles through both; the model gives each its lens arcs (pencils._forward),
-and the greedy scan of select_family runs on them in (u, v) order, which is
-lens order.  An arc of a kept lens joining consecutive vertices is in G1.
+its arcs: an edge joins two marked points that follow each other in the
+circle's marked points sorted by cyclic key.  The lens pool is every marked
+pair (u, v), u < v in sorted point order, with at least k circles through
+both; each gets its lens arcs as closed CCW key intervals (families,
+pencils._forward), and the greedy scan of select_family runs on them in
+(u, v) order, which is lens order.  A kept lens arc is in G1 iff no marked
+point lies strictly inside it, the covering rule of lens cutting
+(families._covered).
 
 Crossings are counted in this drawing, between edges of distinct circles and
 away from graph vertices.  The edges of a drawn circle cover all of it, so
@@ -19,8 +20,8 @@ crossings = sum over pairs of drawn circles that meet twice of
 Incidences are found on integers: the marked points and the scene frame
 (pencils.scene_frame) are scaled by one common denominator, and a point is
 on a circle iff its scaled power is 0.  The same scaled points give each
-vertex's integer direction from a drawn circle's center, which the model
-orders by geometry.cyclic_key.  Whether two circles meet twice is decided on
+vertex's integer direction from a drawn circle's center, ordered by
+geometry.cyclic_key.  Whether two circles meet twice is decided on
 the frame's integer circles.
 """
 
@@ -30,7 +31,7 @@ from collections import Counter
 from itertools import combinations
 
 from .errors import DegenerateInput, InvalidRichness
-from .families import _ArcModel, _greedy
+from .families import _covered, _greedy
 from .geometry import cyclic_key
 from .pencils import Scene, _forward, scene_frame
 from .quadfield import cleared, frac
@@ -109,20 +110,21 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
             through.setdefault(pair, []).append(cid)
     # in lens order: the marked points are sorted and distinct
     pairs = sorted(pair for pair, cids in through.items() if len(cids) >= k)
-    # the model's vertices are every drawn circle's marked points, so an
-    # edge is a pair of cyclically consecutive vertices
-    model = _ArcModel(
-        {cid: {i: cyclic_key(v) for i, v in dirs[cid].items()} for cid in drawn},
-        [{cid: (u, v) if _forward(dirs[cid][u], dirs[cid][v]) else (v, u)
-          for cid in through[u, v]} for u, v in pairs])
-    g1 = sum(e == (s + 1) % len(model.order[cid])
-             for i in _greedy(model, [len(through[pair]) for pair in pairs])
-             for cid, (s, e) in model.arcs[i].items())
+    keys = {cid: {i: cyclic_key(v) for i, v in dirs[cid].items()} for cid in drawn}
+    order = {cid: sorted(at, key=at.get) for cid, at in keys.items()}
+    ring = {cid: [keys[cid][i] for i in ids] for cid, ids in order.items()}
+    arcs = [{cid: (keys[cid][u], keys[cid][v])
+             if _forward(dirs[cid][u], dirs[cid][v])
+             else (keys[cid][v], keys[cid][u]) for cid in through[u, v]}
+            for u, v in pairs]
+    # a kept lens arc is an edge iff no marked point lies strictly inside it
+    g1 = sum(0 in _covered(ring[cid], s, e)
+             for i in _greedy(arcs, [len(through[pair]) for pair in pairs])
+             for cid, (s, e) in arcs[i].items())
     edges = sum(len(on[cid]) for cid in drawn)
     # two points on a circle make two edges, u -> v and v -> u
     multiplicity = Counter(frozenset((ids[j - 1], u))
-                           for ids in model.order.values()
-                           for j, u in enumerate(ids))
+                           for ids in order.values() for j, u in enumerate(ids))
     max_mult = max(multiplicity.values(), default=0)
 
     crossings = sum(2 - len(on[i] & on[j]) for i, j in combinations(drawn, 2)

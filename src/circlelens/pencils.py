@@ -17,7 +17,7 @@ then the exact value as a quadfield.Surd, compared only on a prefix tie,
 so a lens's index is its place in lens order.  Lens.base and Lens.record
 are each built on first read from the other.  The scene's own lenses, of
 the smallest k built so far, keep their index and vertex record, and skip
-the on-circle tests.
+the circle-id and on-circle tests.
 """
 
 from __future__ import annotations
@@ -225,26 +225,27 @@ def base_text(lens: Lens) -> list[str]:
     return parts_text((p[:2], p[2:], q[:2], q[2:]), delta, d)
 
 
-def base_ids(lens: Lens) -> tuple[int, int]:
-    """Ids of two live objects that stand for the lens's base points: its
-    record's P and Q, one object per rational point of an enumeration."""
-    return tuple(map(id, lens.record[2:4]))
-
-
 def lens_dirs(scene: Scene, lens: Lens) -> tuple:
     """Per circle of the lens, in the order of lens.circles, (vp, vq): the
     directions (IntDir) of its base points p < q from the circle's center,
     scaled with the scene frame by lcm(D, L), over one radicand.  A lens
-    not the scene's own has its points tested on each circle
-    (DegenerateInput for two quadratic fields or a point off a circle)."""
+    not the scene's own has its circle ids and its points tested on each
+    circle (DegenerateInput for an id outside 0..n-1, two quadratic fields
+    or a point off a circle)."""
     scale, frame = scene_frame(scene)
+    own = _own(scene, lens)
+    bad = () if own else [cid for cid in lens.circles
+                          if not 0 <= cid < len(frame)]
+    if bad:
+        raise DegenerateInput(f"lens on circle {bad[0]}, but the scene has "
+                              f"circles 0..{len(frame) - 1}")
     d, delta, (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = lens_record(lens)
     t = scale // gcd(d, scale)
     g = d * t // scale  # the centers times lcm(D, L) = D*t are g*(X, Y)
     dirs = tuple(((pxa * t - g * x, pxb * t, pya * t - g * y, pyb * t, delta),
                   (qxa * t - g * x, qxb * t, qya * t - g * y, qyb * t, delta))
                  for x, y, _, _ in (frame[cid] for cid in lens.circles))
-    for cid, pair in () if _own(scene, lens) else zip(lens.circles, dirs):
+    for cid, pair in () if own else zip(lens.circles, dirs):
         r = frame[cid][2]
         for pt, (u, xb, w, yb, _) in zip(lens.base, pair):
             # the power of pt times D^2 is (u^2 + w^2 + (xb^2 + yb^2)*delta

@@ -1,9 +1,10 @@
-"""Differential checks of the arc model of vertex indices (families) against
-the direction predicates it replaced (dir_oracle), on uniform-random and
-lattice-triple scenes:
+"""Differential checks of the lens arcs of families, closed CCW intervals of
+cyclic keys, against the direction predicates they replaced (dir_oracle), on
+uniform-random and lattice-triple scenes:
 
 - lens overlap and greedy families against arcs_overlap, and the greedy
-  scan's bisection against the pairwise scan on drawn arc models;
+  scan's bisection against the pairwise scan on drawn arcs whose keys all
+  tie on quadrant and prefix;
 - lens cutting against the direction-based greedy cutting, and covering
   counts against dir_in_ccw_arc over the sorted cut arcs, both of cutting's
   results and of tilings cut at base points, their midpoints and between;
@@ -23,8 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelens import families, geometry
-from circlelens.families import (CircleArc, CutResult, _ArcModel,
-                                 _covering_counts, _greedy, lens_cutting,
+from circlelens.families import (CircleArc, CutResult, _covering_counts,
+                                 _greedy, _lens_arcs, _overlap, lens_cutting,
                                  select_family, verify_cut)
 from circlelens.generators import GeneratorSpec, random_scene
 from circlelens.geometry import Circle, power_of_point
@@ -235,7 +236,7 @@ def test_overlap_and_greedy_family_match_arcs_overlap(scene, rnd):
     pairs = [(a, b) for a, b in combinations(lenses, 2)
              if set(a.circles) & set(b.circles)]
     for a, b in rnd.sample(pairs, min(len(pairs), 100)):
-        assert _ArcModel.of(scene, (a, b)).overlap(0, 1) == \
+        assert _overlap(*_lens_arcs(scene, (a, b))) == \
             lenses_overlap(a, b, scene)
     for k in (2, 3):
         rich = rich_lenses(lenses, k)
@@ -290,15 +291,14 @@ def test_covering_counts_on_one_cut_base_point_cuts_and_a_shared_gap():
 
 
 def test_only_family_selection_builds_an_arc_model(monkeypatch):
-    # cutting and its re-check read sorted cut keys, not vertex indices
+    # cutting and its re-check read the base pairs' keys, not lens arcs
     built = []
-    real = _ArcModel.__init__
 
-    def counted(self, on, ends):
-        built.append(len(ends))
-        real(self, on, ends)
+    def counted(scene, lenses):
+        built.append(len(lenses))
+        return _lens_arcs(scene, lenses)
 
-    monkeypatch.setattr(_ArcModel, "__init__", counted)
+    monkeypatch.setattr(families, "_lens_arcs", counted)
     scene = lattice(14, 3, 3)
     result = lens_cutting(scene, 2)
     assert result.cut_count and verify_cut(scene, result)
@@ -321,25 +321,31 @@ def test_szekely_g1_matches_lens_arc_directions(scene, k):
         szekely_oracle(points, scene, k)
 
 
-def pairwise_greedy(model, degrees) -> list:
+def pairwise_greedy(arcs, degrees) -> list:
     """The greedy scan testing each lens against every kept one."""
     kept = []
     for i in sorted(range(len(degrees)), key=lambda i: -degrees[i]):
-        if not any(model.overlap(i, j) for j in kept):
+        if not any(_overlap(arcs[i], arcs[j]) for j in kept):
             kept.append(i)
     return kept
 
 
-def arc_model(sizes, ends) -> _ArcModel:
-    """The model of circles with sizes[cid] vertices 0, 1, ... in order and
-    lens arcs ends[i] = {cid: (s, e)}."""
-    return _ArcModel({cid: {v: v for v in range(m)}
-                      for cid, m in enumerate(sizes)}, ends)
+# cyclic keys of directions in the first quadrant, ordered by v, that all
+# share the slope prefix floor(2^32 * y/x) = 2^32: every comparison between
+# two of them reaches the exact cross sign of geometry._Ray
+TIED = [geometry.cyclic_key((2 ** 40, 0, 2 ** 40 + v, 0, 0)) for v in range(8)]
+
+
+def keyed(ends) -> list:
+    """Lens arcs ends[i] = {cid: (s, e)} of vertices s, e, each vertex v of
+    a circle at the key TIED[v]."""
+    return [{cid: (TIED[s], TIED[e]) for cid, (s, e) in arcs.items()}
+            for arcs in ends]
 
 
 @st.composite
-def arc_models(draw):
-    """(model, degrees): circles of 2 to 8 vertices and lenses on one to
+def key_arcs(draw):
+    """(arcs, degrees): circles of 2 to 8 vertices and lenses on one to
     three of them, each arc (s, e) with s != e, so many wrap past vertex 0
     (s > e) and share an end vertex with another."""
     sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
@@ -352,19 +358,19 @@ def arc_models(draw):
             for cid in sorted(cids)})
     degrees = draw(st.lists(st.integers(2, 4), min_size=len(ends),
                             max_size=len(ends)))
-    return arc_model(sizes, ends), degrees
+    return keyed(ends), degrees
 
 
 # after kept arcs (0, 1) and (2, 3), an arc from 5 past vertex 0 meets the
 # first kept arc; after kept arcs (2, 3) and (5, 1), the one wrapping past
 # vertex 0 holds the start of (0, 1)
-@given(arc_models())
-@example((arc_model([7], [{0: (0, 1)}, {0: (2, 3)}, {0: (5, 0)}]), [2, 2, 2]))
-@example((arc_model([7], [{0: (2, 3)}, {0: (5, 1)}, {0: (0, 1)}]), [2, 2, 2]))
+@given(key_arcs())
+@example((keyed([{0: (0, 1)}, {0: (2, 3)}, {0: (5, 0)}]), [2, 2, 2]))
+@example((keyed([{0: (2, 3)}, {0: (5, 1)}, {0: (0, 1)}]), [2, 2, 2]))
 @settings(max_examples=300, deadline=None)
 def test_bisecting_greedy_matches_the_pairwise_scan(drawn):
-    model, degrees = drawn
-    assert _greedy(model, degrees) == pairwise_greedy(model, degrees)
+    arcs, degrees = drawn
+    assert _greedy(arcs, degrees) == pairwise_greedy(arcs, degrees)
 
 
 def test_the_diameter_scene_has_diameters():

@@ -125,6 +125,18 @@ def test_select_family_rejects_a_base_point_off_its_circles():
             select_family([Lens((moved, east), (0, 1))], scene)
 
 
+def test_select_family_rejects_a_circle_id_outside_the_scene():
+    # -1 would read the last circle's frame entry: with it, two lenses with
+    # identical arcs on circle 2 passed as non-overlapping
+    scene = Scene(circles=(Circle(F(0), F(0), F(1)), Circle(F(1), F(0), F(2)),
+                           Circle(F(-1), F(0), F(2))))
+    base = next(lens for lens in enumerate_lenses(scene) if lens.degree == 3).base
+    for bad, cid in (((-1, 1), -1), ((0, 3), 3)):
+        with pytest.raises(DegenerateInput, match=f"^lens on circle {cid}, "
+                           "but the scene has circles 0..2$"):
+            select_family([Lens(base, (0, 2)), Lens(base, bad)], scene)
+
+
 def test_select_family_checks_each_point_over_one_radicand():
     # p = (-sqrt(8), 1) is on both circles; q = (sqrt(2), 1) is on neither.
     # Each over its own radicand, their parts look conjugate: x is -1*sqrt(8)

@@ -138,9 +138,11 @@ def test_incidence_output_is_byte_identical(k, capsys):
 @pytest.mark.parametrize("name,k,mode", [("lattice-n48-g4-s1", 3, "greedy"),
                                          ("uniform-n16-s9", 2, "greedy"),
                                          ("uniform-n16-s9", 2, "exact"),
-                                         ("lattice-n48-g4-s1", 2, "greedy")],
+                                         ("lattice-n48-g4-s1", 2, "greedy"),
+                                         ("grid-n12-s3", 2, "exact")],
                          ids=["lattice-n48-g4-s1-3", "uniform-n16-s9-2",
-                              "uniform-n16-s9-2-exact", "lattice-n48-g4-s1-2"])
+                              "uniform-n16-s9-2-exact", "lattice-n48-g4-s1-2",
+                              "grid-n12-s3-2-exact"])
 def test_family_output_is_byte_identical(name, k, mode, capsys):
     # family-k3 was written by select_family before its greedy scan was
     # shared with the Szekely statistics, uniform-n16-s9.family-k2 by the
@@ -148,7 +150,10 @@ def test_family_output_is_byte_identical(name, k, mode, capsys):
     # the integer arc model, family-exact-k2 by the exact selection that
     # kept its vertex records apart from the order check's base pairs, and
     # lattice-n48-g4-s1.family-k2 (806 lenses, shared rational vertices) by
-    # the greedy scan that tested each lens against every kept one
+    # the greedy scan that tested each lens against every kept one, and
+    # grid-n12-s3.family-exact-k2 (29 lenses on shared rational vertices;
+    # exact keeps 9 where greedy keeps 8) by the exact selection that tested
+    # overlap on vertex indices, before lens arcs became cyclic-key intervals
     assert main(["family", str(DATA / f"{name}.scene"), "--k", str(k),
                  "--mode", mode]) == 0
     out, _ = capsys.readouterr()
