@@ -114,9 +114,6 @@ def dyadic_degree_sum(n: float, k: float, const: float = 1.0) -> tuple[float, fl
 class TraceRow(FrozenRecord):
     _fields = ("j", "n_j", "d_j", "bound_j")
 
-    def __init__(self, j: int, n_j: float, d_j: float, bound_j: float):
-        self.__dict__.update(j=j, n_j=n_j, d_j=d_j, bound_j=bound_j)
-
 
 class RecurrenceTrace(FrozenRecord):
     _fields = ("z", "depth", "rows", "checks", "certificate")

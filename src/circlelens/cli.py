@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import CircleLensError, Inconclusive
 from .pencils import base_text, brute_force_lenses, enumerate_lenses
-from .sceneio import MODELS, parse_scene, serialize_scene
+from .sceneio import parse_scene, serialize_scene
 
 
 def _write(path, text: str) -> None:
@@ -124,11 +124,11 @@ _READS = {
         "order-reversal": ("scene",), "oracle": ("scene",)}),
     "generate": ("model", {"k": 0, "seed": 0, "spread": Fraction(10)}, {
         "bundle": ("k",), "uniform-random": ("seed", "spread"),
-        "lattice-triples": ("seed", "spread")}),
+        "unit-circles-on-grid": (), "lattice-triples": ("seed", "spread")}),
     "bound": ("kind", {"k": 2, "m": 0, "const0": 1.0}, {
         "thm1-count": ("k",), "thm1-degree": ("k",), "gk-degree": ("k",),
-        "pt-circle": ("k", "m"), "lens-circle": ("k", "m"), "dyadic": ("k",),
-        "recurrence": ("k", "const0")}),
+        "mt": (), "pt-circle": ("k", "m"), "lens-circle": ("k", "m"),
+        "dyadic": ("k",), "recurrence": ("k", "const0")}),
 }
 
 
@@ -140,7 +140,7 @@ def _check_reads(args) -> None:
     for name, default in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-        elif name not in reads.get(choice, ()):
+        elif name not in reads[choice]:
             what = "a scene file" if name == "scene" else f"--{name}"
             raise CircleLensError(f"{option} {choice} does not read {what}")
 
@@ -170,9 +170,19 @@ def _verify_duality(args) -> int:
 def _verify_on_scene(args, prop) -> int:
     scene = _load_scene(args.scene)
     if prop == "oracle":
-        ok = enumerate_lenses(scene) == brute_force_lenses(scene)
-        print(f"oracle {'ok' if ok else 'MISMATCH'}")
-        return 0 if ok else 1
+        # None marks the end of a list
+        pairs = zip(enumerate_lenses(scene) + [None],
+                    brute_force_lenses(scene) + [None])
+        diff = next(((i, *pair) for i, pair in enumerate(pairs)
+                     if pair[0] != pair[1]), None)
+        if not diff:
+            print("oracle ok")
+            return 0
+        i, mine, brute = diff
+        print(f"oracle MISMATCH\nfirst difference at index {i}: enumeration "
+              f"{_lens_text(mine) if mine else 'none'}; brute force "
+              f"{_lens_text(brute) if brute else 'none'}")
+        return 1
     if prop == "order-reversal":
         from .slopes import order_reversal_check
         for lens in enumerate_lenses(scene):
@@ -267,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = sub.add_parser("generate", help="emit a scene file")
-    p.add_argument("--model", default="bundle",
-                   choices=MODELS)
+    p.add_argument("--model", default="bundle", choices=_READS["generate"][2])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
@@ -282,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     on_scene("cut", "cut circles until no k-rich lens remains", cmd_cut)
 
     p = sub.add_parser("verify", help="run an exact property check")
-    p.add_argument("--property", required=True,
-                   choices=("duality", "coplanarity", "order-reversal", "oracle"))
+    p.add_argument("--property", required=True, choices=_READS["verify"][2])
     p.add_argument("scene", nargs="?")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=_count)
@@ -293,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     on_scene("incidence", "Szekely-graph statistics of a scene", cmd_incidence)
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
-    p.add_argument("--kind", required=True,
-                   choices=("thm1-count", "thm1-degree", "gk-degree", "mt",
-                            "pt-circle", "lens-circle", "dyadic", "recurrence"))
+    p.add_argument("--kind", required=True, choices=_READS["bound"][2])
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--k", type=float)
     p.add_argument("--m", type=float)

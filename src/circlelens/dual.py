@@ -38,18 +38,12 @@ from .records import FrozenRecord
 class DualPoint(FrozenRecord):
     _fields = ("x", "y", "z")
 
-    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
-        self.__dict__.update(x=x, y=y, z=z)
-
 
 class DualPlane(FrozenRecord):
     """The plane z = a*x + b*y + d (never vertical by construction), with
     coefficients in the field of the point it is dual to."""
 
     _fields = ("a", "b", "d")
-
-    def __init__(self, a: QuadNum, b: QuadNum, d: QuadNum):
-        self.__dict__.update(a=a, b=b, d=d)
 
     def contains(self, point) -> bool:
         """Exact test in one field: the point's coordinates must be rational
@@ -64,7 +58,7 @@ def lift_circle(c) -> DualPoint:
 
 def dual_plane(p) -> DualPlane:
     p = QuadPoint.of(p)
-    return DualPlane(a=-2 * p.x, b=-2 * p.y, d=p.x * p.x + p.y * p.y)
+    return DualPlane(-2 * p.x, -2 * p.y, p.x * p.x + p.y * p.y)
 
 
 Vec3 = tuple[Fraction, Fraction, Fraction]

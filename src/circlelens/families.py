@@ -32,11 +32,6 @@ class LensFamily(FrozenRecord):
 
     _fields = ("members", "certificate", "total_degree")
 
-    def __init__(self, members: tuple[Lens, ...], certificate: bool,
-                 total_degree: int):
-        self.__dict__.update(members=members, certificate=certificate,
-                             total_degree=total_degree)
-
     def __len__(self):
         return len(self.members)
 
@@ -146,11 +141,15 @@ class CircleArc(FrozenRecord):
     (geometry.canonical_dir) of lens arc midpoints, None for an uncut
     circle; start == end for a circle with a single cut.  keys holds their
     cyclic keys, or None; an arc is built from either (lens_cutting's from
-    keys), and the other is built on first read."""
+    keys), and the other is built on first read.  An arc with one end is
+    DegenerateInput."""
 
     _fields = ("circle_id", "start", "end")
 
     def __init__(self, circle_id: int, start: Dir | None, end: Dir | None):
+        if (start is None) != (end is None):
+            raise DegenerateInput(f"arc on circle {circle_id} needs both "
+                                  "ends or neither")
         self.__dict__.update(circle_id=circle_id, start=start, end=end)
 
     def __getattr__(self, name):
@@ -178,9 +177,6 @@ def _keyed(circle_id: int, keys: tuple) -> CircleArc:
 
 class CutResult(FrozenRecord):
     _fields = ("arcs", "cut_count", "k")
-
-    def __init__(self, arcs: tuple[CircleArc, ...], cut_count: int, k: int):
-        self.__dict__.update(arcs=arcs, cut_count=cut_count, k=k)
 
 
 def _midpoints(kp, kq, forward: bool) -> tuple[tuple, tuple]:

@@ -16,7 +16,8 @@ from .geometry import Circle
 from .pencils import Scene
 from .quadfield import frac
 from .records import FrozenRecord
-from .sceneio import MODELS
+
+MODELS = ("bundle", "uniform-random", "unit-circles-on-grid", "lattice-triples")
 
 
 class GeneratorSpec(FrozenRecord):
@@ -43,11 +44,6 @@ class BundleDescriptor(FrozenRecord):
     """What the extremal construction promises: n/k pencils of degree k."""
 
     _fields = ("pencil_count", "degree", "bases")
-
-    def __init__(self, pencil_count: int, degree: int, bases: tuple[
-            tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]], ...]):
-        self.__dict__.update(pencil_count=pencil_count, degree=degree,
-                             bases=bases)
 
 
 def pencil_bundle_construction(n: int, k: int) -> tuple[Scene, BundleDescriptor]:

@@ -38,9 +38,6 @@ class Line(FrozenRecord):
 
     _fields = ("a", "b", "c")
 
-    def __init__(self, a: int, b: int, c: int):
-        self.__dict__.update(a=a, b=b, c=c)
-
     @classmethod
     def of(cls, a, b, c) -> "Line":
         _, (a, b, c) = cleared((frac(a), frac(b), frac(c)))

@@ -69,12 +69,6 @@ class SzekelyStats(FrozenRecord):
     _fields = ("m", "n", "incidences", "edges", "g0", "g1", "max_multiplicity",
                "crossings")
 
-    def __init__(self, m: int, n: int, incidences: int, edges: int, g0: int,
-                 g1: int, max_multiplicity: int, crossings: int):
-        self.__dict__.update(m=m, n=n, incidences=incidences, edges=edges,
-                             g0=g0, g1=g1, max_multiplicity=max_multiplicity,
-                             crossings=crossings)
-
 
 def _meet_twice(c1, c2) -> bool:
     """|r1 - r2| < |center distance| < r1 + r2, in squared form, for circles

@@ -15,10 +15,6 @@ from .errors import SceneFormatError
 from .geometry import Circle
 from .pencils import Scene
 
-# the models `circlelens generate` draws scenes from (generators.py), named
-# here so that the command line's parser need not load the generators
-MODELS = ("bundle", "uniform-random", "unit-circles-on-grid", "lattice-triples")
-
 
 def _parse_fraction(token: str, lineno: int) -> Fraction:
     try:

@@ -49,11 +49,6 @@ def gamma_point(c: Circle, p, circle_id=None) -> GammaPoint:
 class OrderReversal(FrozenRecord):
     _fields = ("reversed", "order_at_p", "order_at_q", "excluded")
 
-    def __init__(self, reversed: bool, order_at_p: tuple[int, ...],
-                 order_at_q: tuple[int, ...], excluded: tuple[int, ...]):
-        self.__dict__.update(reversed=reversed, order_at_p=order_at_p,
-                             order_at_q=order_at_q, excluded=excluded)
-
 
 def _slope(ua, ub, wa, wb, d, delta: int) -> Surd:
     """The chord-frame slope -(u x d)/(u . d) at a point with
@@ -97,7 +92,5 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
         raise Inconclusive("fewer than two circles with finite slopes")
     by_p = sorted(slopes, key=lambda cid: slopes[cid][0])
     by_q = sorted(slopes, key=lambda cid: slopes[cid][1])
-    return OrderReversal(reversed=by_q == list(reversed(by_p)),
-                         order_at_p=tuple(by_p),
-                         order_at_q=tuple(by_q),
-                         excluded=tuple(excluded))
+    return OrderReversal(by_q == by_p[::-1], tuple(by_p), tuple(by_q),
+                         tuple(excluded))

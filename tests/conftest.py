@@ -1,6 +1,6 @@
-"""Shared scene corpus: extremal bundles, grids, seeded random arrangements,
-and hand-built pencils.  Everything is deterministic so frozen expectations
-stay valid run to run."""
+"""Shared scene corpus: extremal bundles, grids, lattice-triple scenes,
+seeded random arrangements and hand-built pencils.  Everything is
+deterministic so frozen expectations stay valid run to run."""
 
 from __future__ import annotations
 
@@ -35,6 +35,12 @@ def build_corpus() -> list[tuple[str, Scene]]:
     for n in (4, 9, 16, 25):
         corpus.append((f"grid-{n}", random_scene(
             GeneratorSpec(model="unit-circles-on-grid", n=n))))
+    # circumcircles of grid triples: rational and 3-rich lenses, which the
+    # uniform scenes almost never hold
+    for n, seed, spread in ((12, 1, 3), (18, 2, 4), (24, 3, 4)):
+        corpus.append((f"lattice-{n}-s{seed}", random_scene(
+            GeneratorSpec(model="lattice-triples", n=n, seed=seed,
+                          spread=Fraction(spread)))))
     for seed in range(35):
         n = 6 + seed % 7
         corpus.append((f"random-{n}-s{seed}", random_scene(

@@ -3,8 +3,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from circlelens import dual, geometry, slopes
+from circlelens import cli, dual, geometry, slopes
 from circlelens.cli import main
+from circlelens.generators import MODELS
 from circlelens.pencils import enumerate_lenses
 from circlelens.sceneio import parse_scene
 
@@ -120,6 +121,22 @@ def test_verify_failures_exit_1_with_their_messages(monkeypatch, capsys):
         "6 7 8 at 24,-1,24,1\n")
 
 
+@pytest.mark.parametrize("drop,witness", [
+    (1, "first difference at index 1: enumeration lens on circles 3 4 5 at "
+     "12,-1,12,1; brute force lens on circles 6 7 8 at 24,-1,24,1"),
+    (3, "first difference at index 3: enumeration lens on circles 9 10 11 "
+     "at 36,-1,36,1; brute force none")])
+def test_an_oracle_mismatch_names_its_first_difference(drop, witness,
+                                                       monkeypatch, capsys):
+    scene = str(DATA / "bundle-n12-k3.scene")
+    brute = cli.brute_force_lenses
+    monkeypatch.setattr(cli, "brute_force_lenses",
+                        lambda scene: [lens for i, lens in enumerate(
+                            brute(scene)) if i != drop])
+    code, out, _ = run_cli(["verify", "--property", "oracle", scene], capsys)
+    assert (code, out.splitlines()) == (1, ["oracle MISMATCH", witness])
+
+
 def test_a_flagged_audit_names_its_first_triple_and_plane_violation(
         monkeypatch, capsys):
     scene = str(DATA / "bundle-n12-k3.scene")
@@ -228,6 +245,10 @@ def test_bound_options_the_kind_does_not_read_are_input_errors(
                              capsys)
     assert code == 2 and not out
     assert err == f"error: kind {kind} does not read {unread}\n"
+
+
+def test_every_generate_model_has_a_row_of_the_options_it_reads():
+    assert tuple(cli._READS["generate"][2]) == MODELS
 
 
 @pytest.mark.parametrize("argv", [

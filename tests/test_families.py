@@ -353,6 +353,17 @@ def test_verify_cut_needs_arcs_that_chain_around_the_circle():
         verdict(CircleArc(cut, None, None))
 
 
+@pytest.mark.parametrize("end", ["start", "end"])
+def test_an_arc_with_one_end_is_degenerate(end):
+    # neither a cut arc nor a whole circle: with no start it would read as
+    # whole (is_full reads start), and with no end it breaks verify_cut
+    scene = parse_scene((DATA / "lattice-n48-g4-s1.scene").read_text())
+    arc = next(a for a in lens_cutting(scene, 3).arcs if not a.is_full)
+    ends = {"start": arc.start, "end": arc.end, end: None}
+    with pytest.raises(DegenerateInput, match="both ends or neither"):
+        CircleArc(0, ends["start"], ends["end"])
+
+
 def test_verify_cut_checks_the_cut_count():
     # the count is the number of arcs on cut circles, which the cut CLI
     # prints with its ratio to the Theorem 1 degree bound

@@ -112,3 +112,38 @@ def test_list_records_get_fresh_lists_no_hash_and_cannot_change(make):
     with pytest.raises(TypeError):
         hash(a)
     _cannot_change(a)
+
+
+# the records that only store their fields, which the base binds
+BOUND = [case for case in FROZEN if "__init__" not in vars(type(case[0]))]
+
+
+def test_nine_records_leave_binding_to_the_base():
+    assert sorted(map(_id, BOUND)) == [
+        "BundleDescriptor", "CutResult", "DualPlane", "DualPoint",
+        "LensFamily", "Line", "OrderReversal", "SzekelyStats", "TraceRow"]
+
+
+@pytest.mark.parametrize("record,values,text", BOUND, ids=map(_id, BOUND))
+def test_fields_bind_by_position_by_name_or_both(record, values, text):
+    cls, fields = type(record), record._fields
+    named = dict(zip(fields, values))
+    for split in range(len(fields) + 1):
+        rest = dict(list(named.items())[split:])
+        made = cls(*values[:split], **rest)
+        assert made == record and repr(made) == text
+        assert vars(made) == named
+
+
+@pytest.mark.parametrize("record,values,text", BOUND, ids=map(_id, BOUND))
+def test_a_bad_binding_names_the_class_and_its_fields(record, values, text):
+    cls, fields = type(record), record._fields
+    first = {fields[0]: values[0]}
+    message = f"^{cls.__name__} takes its fields {', '.join(fields)} once each$"
+    for args, kwargs in (((*values, 0), {}),  # too many
+                         (values, {"other": 0}),  # an unknown name
+                         (values, first),  # a name given twice
+                         (values[:-1], {}),  # a missing field
+                         ((), {})):
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
