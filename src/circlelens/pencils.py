@@ -1,11 +1,10 @@
 """Lens enumeration, and the one integer record of each lens.
 
-Lenses are merged by base pair, on integers in the scene frame (scene_frame,
-which later stages share): the scene scaled by L, the lcm of the
-denominators of every cx, cy and r^2.  Circle pairs are bucketed by their
-radical axis, an integer triple, and each bucket is grouped by an integer
-chord key (the chord's midpoint and squared half chord, times a^2 + b^2).
-Groups of at least k circles, the richness a caller asks for, are lenses.
+Lenses are found on integers in the scene frame (scene_frame, which later
+stages share): the scene scaled by L, the lcm of the denominators of every
+cx, cy and r^2.  Each circle buckets the later circles by radical axis, so
+each pencil is read once, from its smallest circle; one of k or more
+circles (the richness asked for) through two points is a lens.
 
 Every lens has one integer record (D, delta, P, Q): a denominator D, the
 radicand delta of its base pair (0 when rational), and the parts
@@ -154,7 +153,7 @@ def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
     if kept is None or k < kept[0]:
         kept = (k, _build_lenses(scene, k))
         object.__setattr__(scene, "_kept", kept)
-    return rich_lenses(kept[1], k)
+    return list(kept[1]) if k == kept[0] else rich_lenses(kept[1], k)
 
 
 def _scaled_axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
@@ -297,11 +296,6 @@ def _base_points(record: tuple) -> tuple[QuadPoint, QuadPoint]:
 def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
     """The lenses of degree >= k, in canonical order."""
     scale, scaled = scene_frame(scene)
-    buckets: dict = defaultdict(list)  # axis -> the circles of its pairs
-    for i, j in combinations(range(len(scaled)), 2):
-        axis = _scaled_axis(scaled[i], scaled[j])
-        if axis is not None:
-            buckets[axis] += i, j
     shared: dict[tuple, tuple] = {}  # see rational
     coords: dict[tuple, tuple] = {}  # (n, d) in lowest terms -> its key part
 
@@ -321,36 +315,38 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
             coords[n, d] = ((n << PREFIX_BITS) // d, Surd((n, d, 0, 0)))
         return coords[n, d]
 
-    lenses, keys = [], []
-    for (a, b, c), ids in buckets.items():
-        # m pairs hold at most 2m circles
-        if len(ids) < k or len(ids := set(ids)) < k:
-            continue
-        # circles on one axis with the same chord (midpoint, half-chord^2),
-        # all three times a^2 + b^2
-        d2 = a * a + b * b
-        groups: dict = defaultdict(list)
-        for i in sorted(ids):
-            x, y, r, _ = scaled[i]
-            n = a * x + b * y + c
-            key = (x * d2 - n * a, y * d2 - n * b, r * d2 - n * n)
-            if key[2] > 0:
-                groups[key].append(i)
-        # the base points are the midpoint -+ t*(u, -v): the step (b, -a)
-        # with a >= 0 turned, if needed, so that p < q, since x grows along
-        # it when b > 0 and, when b == 0, x stays and y falls
-        u, v = (b, a) if b > 0 else (-b, -a)
-        # On the axis in the original coordinates, g*(a, b, c/L) with
-        # g = L/gcd(a*L, b*L, c), chord_of gives the midpoint (k0, k1)/m,
-        # m = L*d2, and the radicand g^2*k2/L^2 = n/e in lowest terms; the
-        # points are the midpoint -+ sqrt(n*e)/s * (b, -a) with s = g*d2*e,
-        # all over D = L*s.
-        g = None
-        for (k0, k1, k2), members in groups.items():
-            if len(members) < k:
+    rows = []  # (*sort key, circles, lens)
+    marked = defaultdict(list)  # j -> axes read before j
+    for i in range(len(scaled) - k + 1):  # k - 1 circles follow i
+        cx, cy, cr, _ = circle = scaled[i]
+        pencils = defaultdict(list)  # axis -> circles j > i
+        for j in range(i + 1, len(scaled)):
+            pencils[_scaled_axis(circle, scaled[j])].append(j)
+        for axis in (None, *marked.pop(i, ())):  # concentric, or read before
+            pencils.pop(axis, None)
+        for axis, later in pencils.items():
+            if len(later) < k - 1:
                 continue
-            if g is None:
-                g = scale // gcd(a * scale, b * scale, c)
+            # its last circle buckets none after it
+            for j in later[:-1]:
+                marked[j].append(axis)
+            # its chord's midpoint and half chord^2, times a^2 + b^2
+            a, b, c = axis
+            d2 = a * a + b * b
+            n = a * cx + b * cy + c
+            k0, k1, k2 = cx * d2 - n * a, cy * d2 - n * b, cr * d2 - n * n
+            if k2 <= 0:
+                continue
+            # the base points are the midpoint -+ t*(u, -v): the step (b, -a)
+            # with a >= 0 turned, if needed, so that p < q, since x grows along
+            # it when b > 0 and, when b == 0, x stays and y falls
+            u, v = (b, a) if b > 0 else (-b, -a)
+            # On the axis in the original coordinates, g*(a, b, c/L) with
+            # g = L/gcd(a*L, b*L, c), chord_of gives the midpoint (k0, k1)/m,
+            # m = L*d2, and the radicand g^2*k2/L^2 = n/e in lowest terms; the
+            # points are the midpoint -+ sqrt(n*e)/s * (b, -a) with s = g*d2*e,
+            # all over D = L*s.
+            g = scale // gcd(a * scale, b * scale, c)
             h = gcd(g * g * k2, scale * scale)
             e = scale * scale // h
             delta, d = g * g * k2 // h * e, scale * g * d2 * e
@@ -364,13 +360,12 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
             else:
                 p, q = (x, -u * scale, y, v * scale), (x, u * scale, y, -v * scale)
                 lens_key = _conjugate_key(p, delta, d)
-            members = tuple(members)
-            keys.append((*lens_key, members))
-            lenses.append(Lens._enumerated(members, (d, delta, p, q)))
-    lenses = tuple(lenses[i] for i in sorted(range(len(lenses)),
-                                             key=keys.__getitem__))
-    for i, lens in enumerate(lenses):
-        _set_index(lens, i)
+            members = (i, *later)
+            rows.append((*lens_key, members,
+                         Lens._enumerated(members, (d, delta, p, q))))
+    rows.sort()  # a sort key and its circles name one lens
+    lenses = tuple(row[-1] for row in rows)
+    any(map(_set_index, lenses, range(len(lenses))))  # each gives None
     return lenses
 
 
@@ -378,7 +373,7 @@ def rich_lenses(lenses, k: int) -> list[Lens]:
     """Subsequence of lenses with degree >= k, order preserved."""
     if k < 2:
         raise InvalidRichness("richness k must be at least 2")
-    return [lens for lens in lenses if lens.degree >= k]
+    return [lens for lens in lenses if len(lens.circles) >= k]
 
 
 # the most circles the brute-force oracle takes

@@ -105,6 +105,16 @@ def test_rich_lenses_output_is_byte_identical(name, capsys):
     assert out == (DATA / f"{name}.lenses-k3.csv").read_text()
 
 
+def test_lenses_k4_output_is_byte_identical(capsys):
+    # written by the enumeration that bucketed every circle pair by radical
+    # axis before it read a pencil; a pencil found from its smallest circle
+    # needs k - 1 after it
+    name = "lattice-n48-g4-s1"
+    assert main(["lenses", str(DATA / f"{name}.scene"), "--k", "4"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (DATA / f"{name}.lenses-k4.csv").read_text()
+
+
 @pytest.mark.parametrize("name,k", [("uniform-n12-s5", 2), ("uniform-n16-s9", 2),
                                     ("grid-n12-s3", 2), ("bundle-n12-k3", 3),
                                     ("lattice-n48-g4-s1", 3),

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import combinations
@@ -229,6 +230,28 @@ def test_many_circles_through_one_pair():
     assert all(l.degree == 2 for l in by_degree[2:])
 
 
+def test_pencils_sharing_one_axis_match_the_oracle():
+    # circles x^2 + y^2 - 2ty + C = 0, center (0, t) and r^2 = t^2 - C: each
+    # C is one pencil on the axis y = 0, through (+-sqrt(-C), 0) for C < 0,
+    # missing the axis for C = 1 and tangent to it at the origin for C = 0;
+    # four more circles cross them.  Every member of a pencil buckets the
+    # same axis, so only the one it was found from may read it
+    pencils_by_c = {-1: (0, F(1, 2), 1, 2, 3), -4: (0, 1, 2, 5),
+                    1: (2, 3, 4), 0: (1, 2, 3)}
+    circles = [_c(0, t, t * t - c) for c, ts in pencils_by_c.items()
+               for t in ts]
+    circles += [_c(0, 1, 9), _c(0, 1, 16), _c(1, 0, 1), _c(3, 0, 4)]
+    for seed in range(5):
+        random.Random(seed).shuffle(circles)
+        oracle = brute_force_lenses(Scene(circles=tuple(circles)))
+        counts = []
+        for k in (2, 3, 4, 5):
+            lenses = enumerate_lenses(Scene(circles=tuple(circles)), k)
+            assert lenses == rich_lenses(oracle, k), (seed, k)
+            counts.append(len(lenses))
+        assert counts == [84, 7, 2, 1], seed
+
+
 def test_large_coprime_denominators():
     # Pencils through m +- h*sqrt(3) and through two rational points, with
     # circle parameters over pairwise-coprime primes, so the scene's common
@@ -300,6 +323,21 @@ def test_fast_path_beyond_the_oracle_cap():
         assert repr(lens.base) == repr(tuple(expected)), lens
     assert all(a.compare(b) < 0 for a, b in zip(lenses, lenses[1:]))
     assert {l.base[0].is_rational for l in lenses} == {True, False}
+
+
+def test_enumeration_memory_scales_with_its_output():
+    # each circle buckets only the circles after it, so the peak is the
+    # kept lenses plus one circle's buckets, not every pair of the scene
+    scene = random_scene(GeneratorSpec(model="lattice-triples", n=240, seed=1,
+                                       spread=F(5)))
+    pencils.scene_frame(scene)
+    tracemalloc.start()
+    try:
+        lenses = enumerate_lenses(scene, 3)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lenses and peak <= 3 * retained, (peak, retained)
 
 
 DATA = Path(__file__).parent / "data"
