@@ -185,15 +185,14 @@ def _plane_contains_point(plane, point, w: int) -> bool:
 
 
 def lines_coplanar(l1: DualLine, l2: DualLine, l3: DualLine) -> bool:
-    """Exact test that three lines lie in one common plane."""
-    for a, b in ((l1, l2), (l1, l3), (l2, l3)):
-        if _dot3(_cross3(a.scaled[1], b.scaled[1]), _offset(a, b)):
-            return False
+    """Exact test that three lines lie in one common plane: the plane of
+    the first pair that spans one holds the third line."""
     for a, b, c in ((l1, l2, l3), (l1, l3, l2), (l2, l3, l1)):
         plane = _pair_plane(a, b)
         if plane is not None:
             return _plane_contains_line(plane, c)
-    return True  # no pair spans a plane: all three lines are identical
+    # each pair is skew or identical, and equal lines are equal records
+    return l1 == l2 == l3
 
 
 class AuditReport(FrozenRecord):

@@ -154,18 +154,14 @@ def quadrant(v: IntDir) -> int:
 
 def cross_sign(u: IntDir, v: IntDir) -> int:
     """Sign of u.x*v.y - u.y*v.x.  With u over sqrt(al) and v over sqrt(be)
-    the value is r0 + r1*sqrt(al) + (r2 + r3*sqrt(al))*sqrt(be); two
-    different radicands go through two_field_sign."""
+    the value is r0 + r1*sqrt(al) + (r2 + r3*sqrt(al))*sqrt(be), whose sign
+    is two_field_sign's."""
     uxa, uxb, uya, uyb, al = u
     vxa, vxb, vya, vyb, be = v
     r0 = uxa * vya - uya * vxa
     r1 = uxb * vya - uyb * vxa
     r2 = uxa * vyb - uya * vxb
     r3 = uxb * vyb - uyb * vxb
-    if not al:
-        return sign_q(r0, r2, be)
-    if not be or al == be:
-        return sign_q(r0 + r3 * al, r1 + r2, al)
     return two_field_sign(r0, r1, r2, r3, al, be)
 
 

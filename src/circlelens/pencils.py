@@ -52,12 +52,13 @@ class Scene(FrozenRecord):
         return len(self.circles)
 
 
-class Lens:
+class Lens(FrozenRecord):
     """A base point pair plus the circles passing through both points;
     immutable, as the callers of enumerate_lenses on a scene share them.
     Its base or its integer record, whichever it was not built with, is
     built on first read."""
 
+    _fields = ("base", "circles")
     __slots__ = ("_base", "circles", "_record", "_index", "_vertices")
 
     def __init__(self, base: tuple[QuadPoint, QuadPoint], circles):
@@ -101,9 +102,6 @@ class Lens:
             _set_record(self, (d, delta, p, q))
         return self._record
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Lens is immutable")
-
     @property
     def degree(self) -> int:
         return len(self.circles)
@@ -113,19 +111,11 @@ class Lens:
                 or self.base[1].compare(other.base[1])
                 or (self.circles > other.circles) - (self.circles < other.circles))
 
-    def __eq__(self, other):
-        if not isinstance(other, Lens):
-            return NotImplemented
-        return self.base == other.base and self.circles == other.circles
-
-    def __hash__(self):
-        return hash((self.base, self.circles))
-
     def __repr__(self):
         return f"Lens(base=({self.base[0]}, {self.base[1]}), circles={self.circles})"
 
 
-# the slots' own setters, which Lens.__setattr__ does not reach
+# the slots' own setters, which FrozenRecord.__setattr__ does not reach
 _SETTERS = tuple(getattr(Lens, name).__set__ for name in Lens.__slots__)
 _set_base, _set_circles, _set_record, _set_index, _set_vertices = _SETTERS
 

@@ -9,11 +9,12 @@ made square-free.  One field therefore has many representatives
 is a perfect square, and equality and hashing go through
 (a, sign of b, b*b*delta), which is unique per value.
 
-Signs over two different radicands are decided by squaring once
-(:func:`two_field_sign`), which uses only real-number reasoning and so stays
-sound when the two radicands turn out to name the same field.
-:func:`surd_sign` is the one sign of a + b*sqrt(d) + c*sqrt(e) that
-QuadNum.compare and the integer :class:`Surd` (a + b*sqrt(d))/n share.
+One sign decides every exact predicate of the package:
+:func:`two_field_sign`, of (u0 + u1*sqrt(m1)) + (v0 + v1*sqrt(m1))*sqrt(m2),
+under QuadNum.compare, the integer :class:`Surd` (a + b*sqrt(d))/n and the
+cross sign of geometry's cyclic keys.  Over two different radicands it
+squares once, which uses only real-number reasoning and so stays sound when
+the two radicands turn out to name the same field.
 """
 
 from __future__ import annotations
@@ -43,43 +44,32 @@ def sign_q(a, b, d: int) -> int:
     sb = 1 if b > 0 else -1
     if sa == 0 or sa == sb:
         return sb
-    # sign(a^2 - b^2*d), denominators cleared
-    t = (a.numerator * b.denominator) ** 2 \
-        - (b.numerator * a.denominator) ** 2 * d
+    t = a * a - b * b * d
     return sa * ((t > 0) - (t < 0))
 
 
 def two_field_sign(u0, u1, v0, v1, m1: int, m2: int) -> int:
-    """Exact sign of U + V*sqrt(m2) with U = u0 + u1*sqrt(m1), V = v0 + v1*sqrt(m1).
+    """Exact sign of U + V*sqrt(m2) with U = u0 + u1*sqrt(m1), V = v0 + v1*sqrt(m1),
+    for rationals u0, u1, v0, v1 and integers m1, m2 >= 0.
 
-    If U and V agree in sign (or one is zero) that is the answer; otherwise
-    the sign is sign(U) * sign(U^2 - m2*V^2), one sign in Q(sqrt(m1)).
+    A vanishing term or one radicand leaves one sign_q.  Otherwise, if U and
+    V agree in sign (or one is zero) that is the answer, and else the sign
+    is sign(U) * sign(U^2 - m2*V^2), one sign in Q(sqrt(m1)).  Plain * and -
+    keep the work exact for ints and Fractions alike.
     """
-    su = sign_q(u0, u1, m1)
-    sv = sign_q(v0, v1, m1) if m2 else 0
+    if not m1 or not (u1 or v1):
+        return sign_q(u0, v0, m2)
+    if not m2 or not (v0 or v1):
+        return sign_q(u0, u1, m1)
+    if m1 == m2:
+        return sign_q(u0 + v1 * m1, u1 + v0, m1)
+    su, sv = sign_q(u0, u1, m1), sign_q(v0, v1, m1)
     if sv == 0 or su == sv:
         return su
     if su == 0:
         return sv
-    # scale U and V by a common denominator so the square is over integers
-    den = u0.denominator * u1.denominator * v0.denominator * v1.denominator
-    u0, u1, v0, v1 = (x.numerator * (den // x.denominator)
-                      for x in (u0, u1, v0, v1))
     return su * sign_q(u0 * u0 + u1 * u1 * m1 - m2 * (v0 * v0 + v1 * v1 * m1),
                        2 * (u0 * u1 - m2 * v0 * v1), m1)
-
-
-def surd_sign(a, b, d: int, c, e: int) -> int:
-    """Exact sign of a + b*sqrt(d) + c*sqrt(e) for rationals a, b, c and
-    integers d, e >= 0: one sign_q when a term vanishes or d == e, else
-    two_field_sign."""
-    if not c or not e:
-        return sign_q(a, b, d)
-    if not b or not d:
-        return sign_q(a, c, e)
-    if d == e:
-        return sign_q(a, b + c, d)
-    return two_field_sign(a, b, c, 0, d, e)
 
 
 def _quad(a: Fraction, b: Fraction, delta: int) -> "QuadNum":
@@ -221,8 +211,8 @@ class QuadNum:
     def compare(self, other) -> int:
         """Exact three-way comparison; works across different radicands."""
         other = QuadNum.of(other)
-        return surd_sign(self.a - other.a, self.b, self.delta,
-                         -other.b, other.delta)
+        return two_field_sign(self.a - other.a, self.b, -other.b, 0,
+                              self.delta, other.delta)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -317,7 +307,7 @@ class Surd(tuple):
         """The sign of self - other."""
         a, n, b, d = self
         oa, on, ob, od = other
-        return surd_sign(a * on - oa * n, b * on, d, -ob * n, od)
+        return two_field_sign(a * on - oa * n, b * on, -ob * n, 0, d, od)
 
     def __eq__(self, other):
         return not self._sign(other)

@@ -63,7 +63,8 @@ def _slope(ua, ub, wa, wb, d, delta: int) -> Surd:
     eb = ua * dxb + ub * dxa + wa * dyb + wb * dya
     norm = ea * ea - eb * eb * delta  # zero iff u . d is, as delta is no square
     if norm == 0:
-        raise ZeroDivisionError("QuadNum division by zero")
+        raise ZeroDivisionError(
+            "u . d is zero: the point is on no circle through both base points")
     # -N/E = -N*conj(E)/norm(E)
     a0, a1 = nb * eb * delta - na * ea, na * eb - nb * ea
     return Surd((a0, norm, a1, delta) if norm > 0 else (-a0, -norm, -a1, delta))

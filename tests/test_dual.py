@@ -178,6 +178,9 @@ def test_lines_coplanar_cases():
     # a skew pair: the x axis and a line along y at height 1
     skew = DualLine.of((F(0), F(0), F(1)), (F(0), F(1), F(0)))
     assert not lines_coplanar(a, skew, c)
+    # a repeated line spans no plane: with a skew line, or one in its plane
+    assert not lines_coplanar(a, a, skew)
+    assert lines_coplanar(a, a, c)
 
 
 def _concurrent_chord_scene():

@@ -10,10 +10,11 @@ settles calls far closer than any float can.
 from fractions import Fraction
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelens.quadfield import QuadNum
+from circlelens.quadfield import QuadNum, two_field_sign
 from dir_oracle import cross_sign, dot_sign
 
 P31 = (2147483647, 2147483629, 2147483587)
@@ -183,3 +184,35 @@ def test_parallel_directions_over_two_forms_of_one_field():
     v = (QuadNum.sqrt(9 * n), QuadNum.of(3))  # 3*u, radicand written 9n
     assert cross_sign(u, v) == 0 and dot_sign(u, v) == 1
     assert cross_sign(u, (-v[0], -v[1])) == 0 and dot_sign(u, (-v[0], -v[1])) == -1
+
+
+_M1, _M2 = P31[0] * P30[0], P31[1] * P30[1]
+_R1, _R2 = isqrt(_M1), isqrt(_M2)
+
+
+# (u0, u1, v0, v1, m1, m2) for every branch of two_field_sign
+@pytest.mark.parametrize("args", [
+    (-3, 2, 5, 7, 2, 0),               # m2 = 0 with V != 0
+    (-7, 100, 5, -9, 0, 2),            # m1 = 0 with u1 != 0
+    (-5, 0, 3, 0, 2, 3),               # u1 = v1 = 0: u0 + v0*sqrt(m2)
+    (3, -5, 0, 0, 2, 3),               # V = 0
+    (1, -1, 0, 1, 2, 3),               # V = v1*sqrt(m1) alone
+    (-5, 1, 1, 1, 3, 3),               # m1 == m2
+    (0, 2, -1, 0, 2, 8),               # sqrt(2) against sqrt(8): zero
+    (1, 3, -2, 0, 2, 8),               # and one field in two forms
+    (1, 1, 2, 1, 2, 3),                # U and V of one sign
+    (0, 0, -1, 1, 2, 3),               # U = 0
+    (5, -3, 1, -1, 2, 3),              # U and V of opposite sign
+    (-_R1, 1, _R2 + 1, -1, _M1, _M2),  # a semiprime pair
+    (0, _R2, -_R1, 0, _M1, _M2),
+])
+def test_two_field_sign_branches_match_integer_oracle(args):
+    u0, u1, v0, v1, m1, m2 = args
+    terms = [(u0, 1), (u1, m1), (v0, m2), (v1, m1 * m2)]
+    expected = oracle_sign(terms)
+    assert expected is not None
+    assert two_field_sign(*args) == expected
+    # the same values over a common denominator, as Fractions
+    den = 7 * 10 ** 9
+    parts = [Fraction(x, den) for x in (u0, u1, v0, v1)]
+    assert two_field_sign(*parts, m1, m2) == expected

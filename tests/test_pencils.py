@@ -152,6 +152,8 @@ def test_enumeration_built_once_per_scene(monkeypatch):
     # a returned list is the caller's own, and its lenses cannot change
     with pytest.raises(AttributeError):
         lenses[0].circles = (0, 1)
+    with pytest.raises(AttributeError):
+        del lenses[0].circles
     expected = list(lenses)
     lenses.clear()
     lenses = enumerate_lenses(scene)

@@ -288,8 +288,8 @@ def _rewritten(s: Surd, m: int) -> Surd:
     return Surd((m * a, m * n, m * b, d))
 
 
-# one example per case of surd_sign: the other rational, this one rational,
-# one radicand, two representatives of one field, two fields
+# one example per case of two_field_sign's dispatch: the other rational, this
+# one rational, one radicand, two representatives of one field, two fields
 @example(Surd((1, 1, 1, 2)), Surd((3, 2, 0, 0)), 1)
 @example(Surd((1, 1, 0, 0)), Surd((1, 1, 1, 3)), 1)
 @example(Surd((7, 5, 1, 2)), Surd((3, 2, 1, 2)), 2)

@@ -330,7 +330,7 @@ def test_base_points_in_two_fields_are_rejected():
 def test_slope_denominator_cases():
     # u = (1, 0) is perpendicular to d = (0, 1): u . d = 0.  No circle
     # through both base points gets here, since u . d = -|d|^2/2 for it.
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"u \. d is zero"):
         slopes._slope(1, 0, 0, 0, (0, 0, 1, 0), 0)
     assert tuple(slopes._slope(1, 0, 0, 0, (1, 0, 1, 0), 0)) == (-1, 1, 0, 0)
     # u . d = sqrt(2) has norm -2: -1/sqrt(2) = -sqrt(2)/2, kept over n = 2
