@@ -187,11 +187,13 @@ def _verify_on_scene(args, prop) -> int:
         from .slopes import order_reversal_check
         for lens in enumerate_lenses(scene):
             try:
-                if not order_reversal_check(lens, scene).reversed:
-                    print(f"order reversal FAILED for {lens}")
-                    return 1
+                result = order_reversal_check(lens, scene)
             except Inconclusive:
                 continue
+            if not result.reversed:
+                print(f"order reversal FAILED for {_lens_text(lens)}: order at "
+                      f"p {result.order_at_p}, at q {result.order_at_q}")
+                return 1
         print("order reversal ok")
         return 0
     # coplanarity

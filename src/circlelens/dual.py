@@ -12,9 +12,9 @@ it fixes their common line.  A DualLine keeps its canonical Fraction anchor
 and direction and an integer form: both times their common denominator.
 DualLine.of canonicalises on integers, and the audit builds the line of
 each lens from its integer record (pencils.lens_record).
-The audits run on the integer forms, with the lifted circles taken from the
-scene frame (pencils.scene_frame) as integer points over L^2, so no
-Fraction is built per test.
+The audits run on the integer forms, each lifted circle read from the
+circle's own integer form (geometry.Circle) as the point (X, Y, -P)/D, so
+no Fraction is built per test.
 
 The audits check, with exact arithmetic, that no circle participating in
 three lenses of a certified non-overlapping family has coplanar lens lines,
@@ -30,7 +30,7 @@ from math import gcd
 
 from .errors import DegenerateInput
 from .families import LensFamily
-from .pencils import Scene, lens_record, pair_record, scene_frame
+from .pencils import Scene, lens_record, pair_record
 from .quadfield import QuadNum, QuadPoint, cleared, frac
 from .records import FrozenRecord
 
@@ -178,12 +178,6 @@ def _plane_contains_line(plane, line: DualLine) -> bool:
     return not _dot3(normal, direction) and s * _dot3(normal, anchor) == w * k
 
 
-def _plane_contains_point(plane, point, w: int) -> bool:
-    """Does the plane hold the point point/w (integer point, w > 0)?"""
-    normal, k, s = plane
-    return s * _dot3(normal, point) == w * k
-
-
 def lines_coplanar(l1: DualLine, l2: DualLine, l3: DualLine) -> bool:
     """Exact test that three lines lie in one common plane: the plane of
     the first pair that spans one holds the third line."""
@@ -231,16 +225,15 @@ def coplanarity_audit(scene: Scene, family: LensFamily) -> AuditReport:
                 report.coplanar_triples.append(
                     (cid, tuple(members[i] for i in trio)))
 
-    # lift_circle(c) = (X*L, Y*L, R - X^2 - Y^2)/L^2 in the scene frame
-    scale, scaled = scene_frame(scene)
-    weight = scale * scale
-    lifted = [(x * scale, y * scale, -power) for x, y, _, power in scaled]
+    # lift_circle(c) = (X, Y, -P)/D for the circle's integer form
+    lifted = [(x, y, -p, d) for x, y, p, d in (c.form for c in scene.circles)]
     for i, j in combinations(range(len(members)), 2):
         plane = _pair_plane(lines[i], lines[j])
         if plane is None:
             continue
-        in_plane_circles = {cid for cid, pt in enumerate(lifted)
-                            if _plane_contains_point(plane, pt, weight)}
+        (a, b, c), k, s = plane
+        in_plane_circles = {cid for cid, (x, y, z, d) in enumerate(lifted)
+                            if s * (a * x + b * y + c * z) == d * k}
         incidences = sum(1 for lens, line in zip(members, lines)
                          if _plane_contains_line(plane, line)
                          for cid in lens.circles if cid in in_plane_circles)

@@ -12,7 +12,7 @@ only on ties; tests/dir_oracle.py checks it on QuadNums.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInput, NoRadicalAxis
 from .quadfield import (PREFIX_BITS, QuadNum, QuadPoint, _quad, cleared,
@@ -22,14 +22,26 @@ from .records import FrozenRecord
 
 
 class Circle(FrozenRecord):
-    """Circle with center (cx, cy) and squared radius r2 > 0."""
+    """Circle with center (cx, cy) and squared radius r2 > 0.  Outside its
+    fields it keeps the integer form (X, Y, P, D) the exact stages read:
+    cx = X/D, cy = Y/D and cx^2 + cy^2 - r2 = P/D, D the lcm of their
+    denominators."""
 
     _fields = ("cx", "cy", "r2")
 
     def __init__(self, cx: Fraction, cy: Fraction, r2: Fraction):
-        self.__dict__.update(cx=frac(cx), cy=frac(cy), r2=frac(r2))
-        if self.r2 <= 0:
+        cx, cy, r2 = frac(cx), frac(cy), frac(r2)
+        if r2 <= 0:
             raise DegenerateInput("squared radius must be positive")
+        # cx = x/u, cy = y/v, r2 = r/w: cx^2 + cy^2 - r2 is p/m for
+        # m = lcm(u^2, v^2, w), and (p/h)/(m/h) in lowest terms
+        (x, u), (y, v), (r, w) = (q.as_integer_ratio() for q in (cx, cy, r2))
+        m = lcm(u * u, v * v, w)
+        p = x * x * (m // (u * u)) + y * y * (m // (v * v)) - r * (m // w)
+        h = gcd(p, m)
+        d = lcm(u, v, m // h)
+        self.__dict__.update(cx=cx, cy=cy, r2=r2, form=(
+            x * (d // u), y * (d // v), p // h * (d * h // m), d))
 
 
 class Line(FrozenRecord):

@@ -17,12 +17,12 @@ every point where two drawn circles cross lies on an edge of each, and
 crossings = sum over pairs of drawn circles that meet twice of
 (2 - number of marked points on both).
 
-Incidences are found on integers: the marked points and the scene frame
-(pencils.scene_frame) are scaled by one common denominator, and a point is
-on a circle iff its scaled power is 0.  The same scaled points give each
+Incidences are found on integers, each marked point (x, y)/w over its own
+denominator and each circle in its own integer form (X, Y, P)/D
+(geometry.Circle): the point is on the circle iff its power times D*w^2,
+(x^2 + y^2)*D - 2*w*(x*X + y*Y) + P*w^2, is 0.  The same forms give each
 vertex's integer direction from a drawn circle's center, ordered by
-geometry.cyclic_key.  Whether two circles meet twice is decided on
-the frame's integer circles.
+geometry.cyclic_key, and decide whether two circles meet twice.
 """
 
 from __future__ import annotations
@@ -32,37 +32,27 @@ from itertools import combinations
 
 from .errors import DegenerateInput, InvalidRichness
 from .families import _covered, _greedy
-from .geometry import cyclic_key
-from .pencils import Scene, _forward, scene_frame
+from .geometry import Circle, cyclic_key
+from .pencils import Scene, _forward
 from .quadfield import cleared, frac
 from .records import FrozenRecord
 
 
-def _scaled(points, scene: Scene) -> tuple[int, list[tuple[int, int]]]:
-    """(g, [(Px, Py)]): the rational points scaled by M, the lcm of the scene
-    frame's L (pencils.scene_frame) and the points' denominators, and
-    g = M/L, so that g*(X, Y) is a circle's center times M."""
-    scale = scene_frame(scene)[0]
-    m, coords = cleared([frac(v) for p in points for v in p], scale)
-    return m // scale, list(zip(coords[::2], coords[1::2]))
-
-
-def _on_sets(scene: Scene, g: int, coords) -> list[frozenset[int]]:
-    """Per circle, the indices of the points on it, for points scaled as
-    _scaled gives them: the power of a point times M^2 is the integer
-    Px^2 + Py^2 - 2*g*(Px*X + Py*Y) + g^2*(X^2 + Y^2 - R)."""
-    ints = [(x, y, x * x + y * y) for x, y in coords]
-    on = []
-    for cx, cy, _, power in scene_frame(scene)[1]:
-        ax, ay, k = 2 * g * cx, 2 * g * cy, g * g * power
-        on.append(frozenset(i for i, (x, y, sq) in enumerate(ints)
-                            if sq + k == ax * x + ay * y))
-    return on
+def _on_sets(scene: Scene, points) -> tuple[list, list[frozenset[int]]]:
+    """(forms, on): each rational point as (x, y, w), the point (x/w, y/w)
+    with w the lcm of its denominators, and per circle the indices of the
+    points on it (module docstring)."""
+    forms = [(x, y, w) for w, (x, y) in (cleared((frac(px), frac(py)))
+                                         for px, py in points)]
+    ints = [(x, y, 2 * w, w * w, x * x + y * y) for x, y, w in forms]
+    return forms, [frozenset(i for i, (x, y, w2, ww, sq) in enumerate(ints)
+                             if sq * d + p * ww == w2 * (x * cx + y * cy))
+                   for cx, cy, p, d in (c.form for c in scene.circles)]
 
 
 def count_incidences(points, scene: Scene) -> int:
     """Exact number of (point, circle) containments."""
-    return sum(map(len, _on_sets(scene, *_scaled(points, scene))))
+    return sum(map(len, _on_sets(scene, points)[1]))
 
 
 class SzekelyStats(FrozenRecord):
@@ -70,12 +60,14 @@ class SzekelyStats(FrozenRecord):
                "crossings")
 
 
-def _meet_twice(c1, c2) -> bool:
-    """|r1 - r2| < |center distance| < r1 + r2, in squared form, for circles
-    (X, Y, R, ...) of one scene frame; the test is homogeneous, so the
-    frame's scale drops out."""
-    d2 = (c1[0] - c2[0]) ** 2 + (c1[1] - c2[1]) ** 2
-    return (d2 - c1[2] - c2[2]) ** 2 < 4 * c1[2] * c2[2]
+def _meet_twice(c1: Circle, c2: Circle) -> bool:
+    """|r1 - r2| < |center distance| < r1 + r2, squared, on the circles'
+    integer forms (geometry.Circle) with every length times D1*D2."""
+    (x1, y1, p1, d1), (x2, y2, p2, d2) = c1.form, c2.form
+    dist = (x1 * d2 - x2 * d1) ** 2 + (y1 * d2 - y2 * d1) ** 2
+    s1 = (x1 * x1 + y1 * y1 - p1 * d1) * d2 * d2  # (r1*D1*D2)^2
+    s2 = (x2 * x2 + y2 * y2 - p2 * d2) * d1 * d1
+    return (dist - s1 - s2) ** 2 < 4 * s1 * s2
 
 
 def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
@@ -88,14 +80,14 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     if repeated is not None:
         raise DegenerateInput(
             f"marked point ({repeated[0]}, {repeated[1]}) is repeated")
-    g, coords = _scaled(points, scene)
-    on = _on_sets(scene, g, coords)
+    forms, on = _on_sets(scene, points)
     drawn = [cid for cid, ids in enumerate(on) if len(ids) >= 2]
-    scaled = scene_frame(scene)[1]
-    # each marked point's direction from each drawn circle through it
-    dirs = {cid: {i: (coords[i][0] - g * scaled[cid][0], 0,
-                      coords[i][1] - g * scaled[cid][1], 0, 0) for i in on[cid]}
-            for cid in drawn}
+    circles = scene.circles
+    dirs = {}  # each marked point's direction from each drawn circle through it
+    for cid in drawn:
+        cx, cy, _, d = circles[cid].form
+        dirs[cid] = {i: (x * d - w * cx, 0, y * d - w * cy, 0, 0)
+                     for i in on[cid] for x, y, w in [forms[i]]}
 
     # every circle through both points of a marked pair is in its lens
     through: dict[tuple[int, int], list[int]] = {}
@@ -122,7 +114,7 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     max_mult = max(multiplicity.values(), default=0)
 
     crossings = sum(2 - len(on[i] & on[j]) for i, j in combinations(drawn, 2)
-                    if _meet_twice(scaled[i], scaled[j]))
+                    if _meet_twice(circles[i], circles[j]))
 
     return SzekelyStats(m=len(points), n=len(scene), incidences=sum(map(len, on)),
                         edges=edges, g0=edges - g1, g1=g1,

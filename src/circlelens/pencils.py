@@ -1,13 +1,13 @@
 """Lens enumeration, and the one integer record of each lens.
 
-Lenses are found on integers in the scene frame (scene_frame, which later
-stages share): the scene scaled by L, the lcm of the denominators of every
-cx, cy and r^2.  Each circle buckets the later circles by radical axis, so
-each pencil is read once, from its smallest circle; one of k or more
+Lenses are found on integers, from each circle's own integer form
+(geometry.Circle).  Each circle buckets the later circles by radical axis,
+so each pencil is read once, from its smallest circle; one of k or more
 circles (the richness asked for) through two points is a lens.
 
-Every lens has one integer record (D, delta, P, Q): a denominator D, the
-radicand delta of its base pair (0 when rational), and the parts
+Every lens has one integer record (D, delta, P, Q): a denominator D, from
+its pencil's smallest circle and axis, the radicand delta of its base pair
+(0 when rational), and the parts
 (xa, xb, ya, yb) of p and of q, each point ((xa + xb*sqrt(delta))/D,
 (ya + yb*sqrt(delta))/D), or when delta = 0 the points' keys (X, Y, W) in
 lowest terms, one object per rational point of an enumeration.  Lenses
@@ -25,18 +25,20 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
 from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
                        intersection_points, paired_keys)
-from .quadfield import (PREFIX_BITS, QuadPoint, Surd, _point, _quad, cleared,
+from .quadfield import (PREFIX_BITS, QuadPoint, Surd, _point, _quad,
                         cleared_parts, conjugate_floors, frac, parts_text)
 from .records import FrozenRecord
 
 
 class Scene(FrozenRecord):
-    """An indexed arrangement of distinct circles, with optional marked points."""
+    """An indexed arrangement of distinct circles, with optional marked
+    points.  Each circle keeps its own integer form (geometry.Circle), and
+    the scene keeps outside its fields only its lenses (enumerate_lenses)."""
 
     _fields = ("circles", "points")
 
@@ -146,31 +148,20 @@ def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
     return list(kept[1]) if k == kept[0] else rich_lenses(kept[1], k)
 
 
-def _scaled_axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
-    """The radical axis of two scaled circles (X, Y, R, power constant) as
-    an integer triple with content 1 and first nonzero coefficient positive;
+def _axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
+    """The radical axis of two circles given by their integer forms
+    (X, Y, P, D) (geometry.Circle), as geometry.radical_axis gives it: an
+    integer triple with content 1 and first nonzero coefficient positive;
     None for concentric circles."""
-    a, b = 2 * (v[0] - u[0]), 2 * (v[1] - u[1])
+    (x, y, p, d), (ox, oy, op, od) = u, v
+    a, b = 2 * (ox * d - x * od), 2 * (oy * d - y * od)
     if not a and not b:
         return None
-    c = u[3] - v[3]
+    c = p * od - op * d
     g = gcd(a, b, c)
     if a < 0 or (not a and b < 0):
         g = -g
     return a // g, b // g, c // g
-
-
-def scene_frame(scene: Scene) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The scene cleared of denominators: (L, per circle (X, Y, R, X^2 + Y^2 - R)),
-    with L the lcm of the denominators of every cx, cy and r^2 and
-    (X, Y, R) = (L*cx, L*cy, L^2*r^2); kept on the Scene, like its lenses."""
-    frame = vars(scene).get("_frame")
-    if frame is None:
-        scale, ints = cleared([q for c in scene.circles for q in (c.cx, c.cy, c.r2)])
-        frame = (scale, tuple((x, y, r * scale, x * x + y * y - r * scale)
-                              for x, y, r in zip(ints[::3], ints[1::3], ints[2::3])))
-        object.__setattr__(scene, "_frame", frame)
-    return frame
 
 
 def _forward(vp: IntDir, vq: IntDir) -> bool:
@@ -217,32 +208,33 @@ def base_text(lens: Lens) -> list[str]:
 def lens_dirs(scene: Scene, lens: Lens) -> tuple:
     """Per circle of the lens, in the order of lens.circles, (vp, vq): the
     directions (IntDir) of its base points p < q from the circle's center,
-    scaled with the scene frame by lcm(D, L), over one radicand.  A lens
-    not the scene's own has its circle ids and its points tested on each
-    circle (DegenerateInput for an id outside 0..n-1, two quadratic fields
-    or a point off a circle)."""
-    scale, frame = scene_frame(scene)
-    own = _own(scene, lens)
+    over one radicand, scaled by lcm(D, D_c) for the record's D and the
+    circle's own D_c.  A lens not the scene's own has its circle ids and
+    its points tested on each circle (DegenerateInput for an id outside
+    0..n-1, two quadratic fields or a point off a circle)."""
+    circles, own = scene.circles, _own(scene, lens)
     bad = () if own else [cid for cid in lens.circles
-                          if not 0 <= cid < len(frame)]
+                          if not 0 <= cid < len(circles)]
     if bad:
         raise DegenerateInput(f"lens on circle {bad[0]}, but the scene has "
-                              f"circles 0..{len(frame) - 1}")
+                              f"circles 0..{len(circles) - 1}")
     d, delta, (pxa, pxb, pya, pyb), (qxa, qxb, qya, qyb) = lens_record(lens)
-    t = scale // gcd(d, scale)
-    g = d * t // scale  # the centers times lcm(D, L) = D*t are g*(X, Y)
-    dirs = tuple(((pxa * t - g * x, pxb * t, pya * t - g * y, pyb * t, delta),
-                  (qxa * t - g * x, qxb * t, qya * t - g * y, qyb * t, delta))
-                 for x, y, _, _ in (frame[cid] for cid in lens.circles))
-    for cid, pair in () if own else zip(lens.circles, dirs):
-        r = frame[cid][2]
-        for pt, (u, xb, w, yb, _) in zip(lens.base, pair):
-            # the power of pt times D^2 is (u^2 + w^2 + (xb^2 + yb^2)*delta
-            # - g^2*R) + 2*(u*xb + w*yb)*sqrt(delta), zero iff both are
-            if u * xb + w * yb or \
-                    u * u + w * w + (xb * xb + yb * yb) * delta != g * g * r:
+    dirs = []
+    for cid in lens.circles:
+        x, y, power, w = circles[cid].form
+        m = lcm(d, w)
+        t, g = m // d, m // w  # the center times m is g*(X, Y)
+        pair = ((pxa * t - g * x, pxb * t, pya * t - g * y, pyb * t, delta),
+                (qxa * t - g * x, qxb * t, qya * t - g * y, qyb * t, delta))
+        for pt, (u, xb, v, yb, _) in () if own else zip(lens.base, pair):
+            # with R = X^2 + Y^2 - P*D_c, pt's power times m^2 is (u^2 + v^2
+            # + (xb^2 + yb^2)*delta - g^2*R) + 2*(u*xb + v*yb)*sqrt(delta),
+            # zero iff both parts are
+            if u * xb + v * yb or u * u + v * v + (xb * xb + yb * yb) * delta \
+                    != g * g * (x * x + y * y - power * w):
                 raise DegenerateInput(f"base point {pt} is not on circle {cid}")
-    return dirs
+        dirs.append(pair)
+    return tuple(dirs)
 
 
 def _vertices(scene: Scene, lens: Lens) -> tuple:
@@ -285,7 +277,7 @@ def _base_points(record: tuple) -> tuple[QuadPoint, QuadPoint]:
 
 def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
     """The lenses of degree >= k, in canonical order."""
-    scale, scaled = scene_frame(scene)
+    forms = [c.form for c in scene.circles]
     shared: dict[tuple, tuple] = {}  # see rational
     coords: dict[tuple, tuple] = {}  # (n, d) in lowest terms -> its key part
 
@@ -307,11 +299,12 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
 
     rows = []  # (*sort key, circles, lens)
     marked = defaultdict(list)  # j -> axes read before j
-    for i in range(len(scaled) - k + 1):  # k - 1 circles follow i
-        cx, cy, cr, _ = circle = scaled[i]
+    for i in range(len(forms) - k + 1):  # k - 1 circles follow i
+        cx, cy, cp, cd = circle = forms[i]
+        cr = cx * cx + cy * cy - cp * cd  # r^2 times D^2
         pencils = defaultdict(list)  # axis -> circles j > i
-        for j in range(i + 1, len(scaled)):
-            pencils[_scaled_axis(circle, scaled[j])].append(j)
+        for j in range(i + 1, len(forms)):
+            pencils[_axis(circle, forms[j])].append(j)
         for axis in (None, *marked.pop(i, ())):  # concentric, or read before
             pencils.pop(axis, None)
         for axis, later in pencils.items():
@@ -320,10 +313,10 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
             # its last circle buckets none after it
             for j in later[:-1]:
                 marked[j].append(axis)
-            # its chord's midpoint and half chord^2, times a^2 + b^2
+            # its chord's midpoint times D*d2 and half chord^2 times D^2*d2
             a, b, c = axis
             d2 = a * a + b * b
-            n = a * cx + b * cy + c
+            n = a * cx + b * cy + c * cd
             k0, k1, k2 = cx * d2 - n * a, cy * d2 - n * b, cr * d2 - n * n
             if k2 <= 0:
                 continue
@@ -331,24 +324,20 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
             # with a >= 0 turned, if needed, so that p < q, since x grows along
             # it when b > 0 and, when b == 0, x stays and y falls
             u, v = (b, a) if b > 0 else (-b, -a)
-            # On the axis in the original coordinates, g*(a, b, c/L) with
-            # g = L/gcd(a*L, b*L, c), chord_of gives the midpoint (k0, k1)/m,
-            # m = L*d2, and the radicand g^2*k2/L^2 = n/e in lowest terms; the
-            # points are the midpoint -+ sqrt(n*e)/s * (b, -a) with s = g*d2*e,
-            # all over D = L*s.
-            g = scale // gcd(a * scale, b * scale, c)
-            h = gcd(g * g * k2, scale * scale)
-            e = scale * scale // h
-            delta, d = g * g * k2 // h * e, scale * g * d2 * e
-            x, y, r = k0 * g * e, k1 * g * e, isqrt(delta)
+            # chord_of's x is k2/D^2, (k2/h)/e in lowest terms: the points are
+            # the midpoint -+ sqrt(delta)/(d2*e) * (b, -a), all over D*d2*e
+            h = gcd(k2, cd * cd)
+            e = cd * cd // h
+            delta, d = k2 // h * e, cd * d2 * e
+            x, y, r = k0 * e, k1 * e, isqrt(delta)
             if r * r == delta:
                 # only rational points can be shared between lenses
-                t = scale * r
+                t = cd * r
                 p, pkey = rational(x - u * t, y + v * t, d)
                 q, qkey = rational(x + u * t, y - v * t, d)
                 lens_key, delta = pkey + qkey, 0
             else:
-                p, q = (x, -u * scale, y, v * scale), (x, u * scale, y, -v * scale)
+                p, q = (x, -u * cd, y, v * cd), (x, u * cd, y, -v * cd)
                 lens_key = _conjugate_key(p, delta, d)
             members = (i, *later)
             rows.append((*lens_key, members,

@@ -29,10 +29,10 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def cleared(values, base: int = 1) -> tuple[int, list[int]]:
+def cleared(values) -> tuple[int, list[int]]:
     """(D, [v*D for v in values]) for a sequence of rationals, with D the lcm
-    of base and their denominators, so every v*D is an integer."""
-    d = lcm(base, *(v.denominator for v in values))
+    of their denominators, so every v*D is an integer."""
+    d = lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 

@@ -7,9 +7,9 @@ for the code it compiles per class.  A record names its fields in _fields;
 the base binds them, by position or by name, and gives its repr, == and
 hash.  A record keeps an __init__ only to convert, check or default a value
 (Circle, Scene, GeneratorSpec, GammaPoint, CircleArc, Lens), to hold one
-outside its fields (DualLine), or to give each record fresh lists, appended
-to, never reassigned (AuditReport, RecurrenceTrace).  Lens keeps its
-fields in slots, set through the slots' own setters.
+outside its fields (DualLine, Circle), or to give each record fresh lists,
+appended to, never reassigned (AuditReport, RecurrenceTrace).  Lens keeps
+its fields in slots, set through the slots' own setters.
 """
 
 from __future__ import annotations

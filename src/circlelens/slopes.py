@@ -11,7 +11,7 @@ its component along d over its component across d.
 
 The check runs on integers.  It reads each circle's radii to the base
 points from the lens's vertex record (pencils.lens_vertices, kept on the
-scene's own lenses), scaled with the scene frame by one denominator and
+scene's own lenses), both scaled by one positive integer per circle and
 over the one radicand delta of the base pair, so every quantity lies in
 Z[sqrt(delta)], the base chord d included.  A slope is the integer surd
 A/n (quadfield.Surd) with A in Z[sqrt(delta)] and n > 0.
@@ -55,7 +55,8 @@ def _slope(ua, ub, wa, wb, d, delta: int) -> Surd:
     u = (ua + ub*sqrt(delta), wa + wb*sqrt(delta)), as the surd
     (A0, n, A1, delta) = (A0 + A1*sqrt(delta))/n with n > 0.  On a circle
     through both base points u . d = -|d|^2/2, so the zero and negative norm
-    cases need a point that is not on the circle."""
+    cases need a point that is not on the circle.  Scaling u or d by a
+    positive number leaves the slope as it is, so their scales may differ."""
     dxa, dxb, dya, dyb = d
     na = ua * dya + ub * dyb * delta - wa * dxa - wb * dxb * delta
     nb = ua * dyb + ub * dya - wa * dxb - wb * dxa
@@ -80,7 +81,7 @@ def order_reversal_check(lens: Lens, scene: Scene) -> OrderReversal:
     base points in two quadratic fields.
     """
     dirs = [(kp[2].v, kq[2].v) for kp, kq, _ in lens_vertices(scene, lens)]
-    # vq - vp is q - p, the base chord, in the same scale
+    # vq - vp is q - p, the base chord, at circle 0's scale (see _slope)
     vp, vq = dirs[0]
     d, delta = [b - a for a, b in zip(vp[:4], vq[:4])], vp[4]
     slopes, excluded = {}, []

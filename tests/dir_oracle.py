@@ -2,24 +2,92 @@
 
 The library orders directions on integers (geometry.cyclic_key, on the
 integer directions of the arc model).  These predicates decide the same
-questions from QuadNum directions, rescaling both operands to integers on
-every comparison, and they define the lens-arc rule and lens overlap
-directly: a lens uses the shorter arc between its base points on each of its
-circles (for a diameter, the CCW half from the lexicographically smaller
-point), and two lenses overlap iff their arcs on a shared circle meet.
+questions from QuadNum directions, and they define the lens-arc rule and
+lens overlap directly: a lens uses the shorter arc between its base points
+on each of its circles (for a diameter, the CCW half from the
+lexicographically smaller point), and two lenses overlap iff their arcs on
+a shared circle meet.
+
+Every sign here is the sign of a sum of terms c*sqrt(d), decided apart from
+the library's kernel: the terms are merged per square class, and every root
+is bracketed with isqrt (exact_sign).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from math import isqrt
 
 from circlelens.errors import DegenerateInput
 from circlelens.geometry import Circle, point_on_circle
-from circlelens.quadfield import (QuadNum, QuadPoint, _quad, cleared_parts,
-                                  sign_q, two_field_sign)
+from circlelens.quadfield import QuadNum, QuadPoint, _quad
 
 Dir = tuple[QuadNum, QuadNum]
+
+SCALE = 10 ** 40
+
+
+def _merged(terms) -> list[tuple[Fraction, Fraction]]:
+    """The nonzero terms (c, d) of sum(c*sqrt(d)), merged so that no two
+    radicands lie in one square class (d1*d2 a rational square)."""
+    groups: list[list] = []
+    for c, d in terms:
+        c, d = Fraction(c), Fraction(d)
+        if not c or not d:
+            continue
+        for g in groups:
+            if d == g[1]:
+                g[0] += c
+                break
+            prod = d * g[1]
+            n, m = isqrt(prod.numerator), isqrt(prod.denominator)
+            if n * n == prod.numerator and m * m == prod.denominator:
+                g[0] += c * Fraction(n, m) / g[1]  # sqrt(d) = sqrt(d*g)/g * sqrt(g)
+                break
+        else:
+            groups.append([c, d])
+    return [(c, d) for c, d in groups if c]
+
+
+def _bracket(c: Fraction, d: Fraction, scale: int) -> tuple[Fraction, Fraction]:
+    """c*sqrt(d)*scale as an interval (lo, hi)."""
+    n = d.numerator * d.denominator * scale * scale
+    r = isqrt(n)
+    lo, hi = Fraction(r, d.denominator), Fraction(r + (r * r != n), d.denominator)
+    return (c * lo, c * hi) if c > 0 else (c * hi, c * lo)
+
+
+def oracle_sign(terms, scale: int = SCALE) -> int | None:
+    """Sign of sum(c*sqrt(d)), or None when the brackets at this scale
+    cannot settle it."""
+    merged = _merged(terms)
+    if len(merged) < 2:  # 0, or the sign of one c, as sqrt(d) > 0
+        return (merged[0][0] > 0) - (merged[0][0] < 0) if merged else 0
+    brackets = [_bracket(c, d, scale) for c, d in merged]
+    if sum(b[0] for b in brackets) > 0:
+        return 1
+    if sum(b[1] for b in brackets) < 0:
+        return -1
+    return None
+
+
+def exact_sign(terms) -> int:
+    """Sign of sum(c*sqrt(d)) for rationals c and d >= 0.  Roots of distinct
+    square classes are linearly independent over Q, so the merged sum is 0
+    iff no term is left, and else brackets at a growing scale settle it."""
+    scale = SCALE
+    while (sign := oracle_sign(terms, scale)) is None:
+        scale *= scale
+    return sign
+
+
+def _terms(x: QuadNum, y: QuadNum = QuadNum.of(1), sign: int = 1) -> list:
+    """The nonzero terms of sign*x*y."""
+    return [(sign * u * v, d) for u, v, d in (
+        (x.a, y.a, 1), (x.b, y.a, x.delta), (x.a, y.b, y.delta),
+        (x.b, y.b, x.delta * y.delta)) if u and v]
 
 
 def centered(p: QuadPoint, c: Circle) -> Dir:
@@ -28,47 +96,24 @@ def centered(p: QuadPoint, c: Circle) -> Dir:
     return (_quad(x.a - c.cx, x.b, x.delta), _quad(y.a - c.cy, y.b, y.delta))
 
 
-def _coords(d: Dir) -> tuple:
-    """(xa, xb, ya, yb, m): the direction (xa + xb*sqrt(m), ya + yb*sqrt(m))
-    scaled by a positive integer so that xa, xb, ya, yb are integers."""
-    _, m, ints = cleared_parts(d)
-    return (*ints, m)
-
-
-def _bilinear_sign(u: Dir, v: Dir, cross: bool) -> int:
-    """Sign of u.x*v.y - u.y*v.x (cross) or u.x*v.x + u.y*v.y (dot).
-
-    Both signs are unchanged when u and v are scaled by positive integers, so
-    the work is over integers.  With u over sqrt(al) and v over sqrt(be) the
-    value is r0 + r1*sqrt(al) + (r2 + r3*sqrt(al))*sqrt(be); two different
-    radicands go through two_field_sign."""
-    uxa, uxb, uya, uyb, al = _coords(u)
-    vxa, vxb, vya, vyb, be = _coords(v)
-    if cross:
-        vxa, vxb, vya, vyb = vya, vyb, -vxa, -vxb
-    r0 = uxa * vxa + uya * vya
-    r1 = uxb * vxa + uyb * vya
-    r2 = uxa * vxb + uya * vyb
-    r3 = uxb * vxb + uyb * vyb
-    if not al:
-        return sign_q(r0, r2, be)
-    if not be or al == be:
-        return sign_q(r0 + r3 * al, r1 + r2, al)
-    return two_field_sign(r0, r1, r2, r3, al, be)
+def _compare(p: QuadPoint, q: QuadPoint) -> int:
+    """Lexicographic comparison of two points."""
+    return (exact_sign(_terms(p.x) + _terms(q.x, sign=-1))
+            or exact_sign(_terms(p.y) + _terms(q.y, sign=-1)))
 
 
 def cross_sign(u: Dir, v: Dir) -> int:
     """Sign of u.x*v.y - u.y*v.x; exact across different radicands."""
-    return _bilinear_sign(u, v, cross=True)
+    return exact_sign(_terms(u[0], v[1]) + _terms(u[1], v[0], -1))
 
 
 def dot_sign(u: Dir, v: Dir) -> int:
-    return _bilinear_sign(u, v, cross=False)
+    return exact_sign(_terms(u[0], v[0]) + _terms(u[1], v[1]))
 
 
 def quadrant(d: Dir) -> int:
     """Index of the direction in counterclockwise order from the +x axis."""
-    sx, sy = d[0].sign(), d[1].sign()
+    sx, sy = (exact_sign(_terms(v)) for v in d)
     if sx == 0 and sy == 0:
         raise DegenerateInput("zero direction")
     if sy == 0:
@@ -103,11 +148,11 @@ def opposite_direction(u: Dir, v: Dir) -> bool:
 def canonical_dir(d: Dir) -> Dir:
     """Scale a direction so equal rays become structurally equal (hashable)."""
     x, y = d
-    sx = x.sign()
+    sx = exact_sign(_terms(x))
     if sx != 0:
         inv = x.inverse() if sx > 0 else -(x.inverse())
         return (QuadNum.of(1 if sx > 0 else -1), y * inv)
-    sy = y.sign()
+    sy = exact_sign(_terms(y))
     if sy == 0:
         raise DegenerateInput("zero direction")
     return (QuadNum.of(0), QuadNum.of(1 if sy > 0 else -1))
@@ -135,7 +180,7 @@ def lens_arc(c: Circle, p, q) -> tuple[Dir, Dir]:
     half from the lexicographically smaller base point.
     """
     p, q = QuadPoint.of(p), QuadPoint.of(q)
-    if p.compare(q) > 0:
+    if _compare(p, q) > 0:
         p, q = q, p
     dp, dq = centered(p, c), centered(q, c)
     return (dp, dq) if cross_sign(dp, dq) >= 0 else (dq, dp)

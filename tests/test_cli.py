@@ -103,11 +103,14 @@ def test_verify_failures_exit_1_with_their_messages(monkeypatch, capsys):
     code, out, err = run_cli(["verify", "--property", "duality", "--n", "5"],
                              capsys)
     assert code == 1 and not out and err.startswith("duality violation: p=(")
-    monkeypatch.setattr(slopes, "order_reversal_check",
-                        lambda lens, scene: SimpleNamespace(reversed=False))
+    monkeypatch.setattr(slopes, "order_reversal_check", lambda lens, scene: (
+        SimpleNamespace(reversed=False, order_at_p=lens.circles,
+                        order_at_q=lens.circles)))
     code, out, _ = run_cli(["verify", "--property", "order-reversal", scene],
                            capsys)
-    assert code == 1 and out.startswith("order reversal FAILED for Lens(")
+    assert (code, out) == (
+        1, "order reversal FAILED for lens on circles 0 1 2 at 0,-1,0,1: "
+        "order at p (0, 1, 2), at q (0, 1, 2)\n")
     lenses = enumerate_lenses(parse_scene(Path(scene).read_text()), 3)
     monkeypatch.setattr(dual, "coplanarity_audit", lambda scene, family: (
         SimpleNamespace(clean=False, coplanar_triples=[(1, tuple(lenses[:3]))],

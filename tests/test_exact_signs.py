@@ -2,9 +2,9 @@
 
 Radicands include semiprimes of two ~31-bit primes, which no factoring-based
 kernel handles quickly, and one field written in several forms (k^2*m/j^2).
-The oracle merges the terms of a sum of c*sqrt(d) whose radicands lie in one
-square class, scales by 10^40 and brackets every root with isqrt, so it
-settles calls far closer than any float can.
+The oracle (dir_oracle.oracle_sign) merges the terms of a sum of c*sqrt(d)
+whose radicands lie in one square class, scales by 10^40 and brackets every
+root with isqrt, so it settles calls far closer than any float can.
 """
 
 from fractions import Fraction
@@ -14,53 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circlelens import geometry
+from circlelens.geometry import int_dir
 from circlelens.quadfield import QuadNum, two_field_sign
-from dir_oracle import cross_sign, dot_sign
+from dir_oracle import cross_sign, dot_sign, oracle_sign
 
 P31 = (2147483647, 2147483629, 2147483587)
 P30 = (1000000007, 1000000009, 998244353)
 BASES = [p * q for p in P31 for q in P30] + [2, 3, 6, P30[0]]
-
-SCALE = 10 ** 40
-
-
-def _bracket(c, d):
-    """c*sqrt(d)*SCALE as an interval (lo, hi)."""
-    c, d = Fraction(c), Fraction(d)
-    if c == 0 or d == 0:
-        return Fraction(0), Fraction(0)
-    n = d.numerator * d.denominator * SCALE * SCALE
-    r = isqrt(n)
-    lo, hi = Fraction(r, d.denominator), Fraction(r + (r * r != n), d.denominator)
-    return (c * lo, c * hi) if c > 0 else (c * hi, c * lo)
-
-
-def _merged(terms):
-    """Terms with one radicand per square class (d1*d2 a rational square)."""
-    groups: list[list] = []
-    for c, d in terms:
-        c, d = Fraction(c), Fraction(d)
-        for g in groups:
-            prod = d * g[1]
-            n, m = isqrt(prod.numerator), isqrt(prod.denominator)
-            if n * n == prod.numerator and m * m == prod.denominator:
-                g[0] += c * Fraction(n, m) / g[1]  # sqrt(d) = sqrt(d*g)/g * sqrt(g)
-                break
-        else:
-            groups.append([c, d])
-    return [(c, d) for c, d in groups if c and d]
-
-
-def oracle_sign(terms):
-    """Sign of sum(c*sqrt(d)), or None when the brackets cannot settle it."""
-    brackets = [_bracket(c, d) for c, d in _merged(terms)]
-    lo = sum(b[0] for b in brackets)
-    hi = sum(b[1] for b in brackets)
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    return 0 if not brackets else None
 
 
 def near(terms, digits=25):
@@ -165,10 +126,14 @@ def directions(draw):
 def test_cross_and_dot_sign_match_integer_oracle(uv):
     (ux, uy), (vx, vy) = uv
     u, v = (quad(ux), quad(uy)), (quad(vx), quad(vy))
-    cross = product_terms(ux, vy) + product_terms(uy, vx, -1)
-    dot = product_terms(ux, vx) + product_terms(uy, vy)
-    assert cross_sign(u, v) == oracle_sign(cross)
-    assert dot_sign(u, v) == oracle_sign(dot)
+    cross = oracle_sign(product_terms(ux, vy) + product_terms(uy, vx, -1))
+    dot = oracle_sign(product_terms(ux, vx) + product_terms(uy, vy))
+    assert cross is not None and dot is not None
+    assert cross_sign(u, v) == cross and dot_sign(u, v) == dot
+    # the kernel's cross sign, and its dot sign as the cross sign with v
+    # turned a quarter
+    assert geometry.cross_sign(int_dir(u), int_dir(v)) == cross
+    assert geometry.cross_sign(int_dir(u), int_dir((-v[1], v[0]))) == dot
 
 
 def test_adjacent_semiprime_roots():

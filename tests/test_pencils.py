@@ -7,6 +7,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelens import pencils
 from circlelens.errors import (DegenerateInput, InvalidRichness,
@@ -14,7 +16,8 @@ from circlelens.errors import (DegenerateInput, InvalidRichness,
 from circlelens.families import lens_cutting, verify_cut
 from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
                                    random_scene)
-from circlelens.geometry import Circle, circle_line_points, radical_axis
+from circlelens.geometry import (Circle, circle_line_points,
+                                 intersection_points, radical_axis)
 from circlelens.pencils import (ORACLE_CAP, Lens, Scene, base_text,
                                 brute_force_lenses, enumerate_lenses,
                                 lens_dirs, lens_vertices, rich_lenses)
@@ -137,8 +140,8 @@ def test_enumeration_built_once_per_scene(monkeypatch):
         builds.append(s)
         return real_build(s, k)
 
-    real_axis, real_build = pencils._scaled_axis, pencils._build_lenses
-    monkeypatch.setattr(pencils, "_scaled_axis", counted_axis)
+    real_axis, real_build = pencils._axis, pencils._build_lenses
+    monkeypatch.setattr(pencils, "_axis", counted_axis)
     monkeypatch.setattr(pencils, "_build_lenses", counted_build)
     pairs = len(scene) * (len(scene) - 1) // 2
 
@@ -332,7 +335,6 @@ def test_enumeration_memory_scales_with_its_output():
     # kept lenses plus one circle's buckets, not every pair of the scene
     scene = random_scene(GeneratorSpec(model="lattice-triples", n=240, seed=1,
                                        spread=F(5)))
-    pencils.scene_frame(scene)
     tracemalloc.start()
     try:
         lenses = enumerate_lenses(scene, 3)
@@ -464,6 +466,65 @@ def test_records_agree_with_the_checked_path(name):
         assert apart == lens and hash(apart) == hash(lens)
         assert repr(apart) == repr(lens)
         assert repr(apart.base) == repr(lens.base)
+
+
+def test_a_far_circle_leaves_every_lens_record_alone():
+    # a record reads only its pencil's smallest circle and axis, so a circle
+    # far away, with a 101-bit denominator, changes no lens's record
+    scene = parse_scene((DATA / "lattice-n48-g4-s1.scene").read_text())
+    far = Circle(10 ** 6 + F(1, 2 ** 100 + 277), 0, 1)
+    grown = Scene(scene.circles + (far,), scene.points)
+    lenses, more = enumerate_lenses(scene), enumerate_lenses(grown)
+    assert len(lenses) == len(more) == 806
+    assert [lens.record for lens in more] == [lens.record for lens in lenses]
+    assert list(map(repr, more)) == list(map(repr, lenses))
+
+
+def _degenerate(scene: Scene) -> tuple[tuple[Circle, ...], int]:
+    """(circles, cid): the scene's circles and, for its first rational lens
+    vertex p and that lens's first circle c = circles[cid], a circle
+    concentric with c and the circles tangent to c at p inside (of half its
+    radius) and outside (of its radius)."""
+    lens = next(l for l in enumerate_lenses(scene) if l.base[0].is_rational)
+    cid = lens.circles[0]
+    c, (x, y) = scene.circles[cid], (v.a for v in lens.base[0])
+    return scene.circles + (
+        Circle(c.cx, c.cy, 4 * c.r2),
+        Circle((c.cx + x) / 2, (c.cy + y) / 2, c.r2 / 4),
+        Circle(2 * x - c.cx, 2 * y - c.cy, c.r2)), cid
+
+
+DEGENERATE = {
+    "lattice-24-g4-s1": lambda: random_scene(GeneratorSpec(
+        model="lattice-triples", n=24, seed=1, spread=F(4))),
+    "bundle-12-3": lambda: pencil_bundle_construction(12, 3)[0],
+}
+
+
+@given(st.sampled_from(sorted(DEGENERATE)),
+       st.integers(10 ** 29, 10 ** 30 - 1),
+       st.tuples(*[st.builds(F, st.integers(-10 ** 40, 10 ** 40),
+                             st.integers(10 ** 20, 10 ** 21))] * 2))
+@settings(max_examples=6, deadline=None)
+def test_enumeration_on_large_mixed_denominators(name, q, t):
+    # x -> x/q + t keeps every incidence and gives each circle its own large
+    # denominator; the sweep drops the axis of c and the circle concentric
+    # with it, and the zero half chord of c and each circle tangent to it
+    circles, cid = _degenerate(DEGENERATE[name]())
+    scene = Scene(tuple(Circle(a.cx / q + t[0], a.cy / q + t[1], a.r2 / (q * q))
+                        for a in circles))
+    n = len(scene) - 3
+    c, ring, inner, outer = (scene.circles[i] for i in (cid, n, n + 1, n + 2))
+    assert pencils._axis(c.form, ring.form) is None
+    assert len(intersection_points(c, inner)) == 1
+    assert len(intersection_points(c, outer)) == 1
+    lenses = _assert_matches_oracle(scene)
+    for pair in ((cid, n), (cid, n + 1), (cid, n + 2), (n + 1, n + 2)):
+        assert not any(set(pair) <= set(lens.circles) for lens in lenses)
+    for lens in lenses:
+        apart = Lens(lens.base, lens.circles)
+        assert pencils._own(scene, lens) and not pencils._own(scene, apart)
+        assert lens_vertices(scene, apart) == lens_vertices(scene, lens)
 
 
 def test_base_text_prints_a_pair_built_apart_over_one_radicand():
