@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CircleLensError, Inconclusive
-from .pencils import base_text, brute_force_lenses, enumerate_lenses
+from .pencils import base_text, brute_force_lenses, enumerate_lenses, lens_text
 from .sceneio import parse_scene, serialize_scene
 
 
@@ -103,16 +103,18 @@ def cmd_family(args) -> int:
 
 def cmd_cut(args) -> int:
     from .bounds import bound_eval
-    from .families import lens_cutting, verify_cut
+    from .families import cut_fault, lens_cutting
     scene = _scene_with_circles(args.scene)
     result = lens_cutting(scene, args.k)
-    ok = verify_cut(scene, result)
+    fault = cut_fault(scene, result)
     bound = bound_eval("thm1-degree", n=len(scene), k=args.k)
     rows = [(len(scene), args.k, result.cut_count, len(result.arcs),
              f"{bound:.6g}", f"{result.cut_count / bound:.6g}")]
     _write(args.out, _csv(["n", "k", "cut_count", "arcs", "bound_thm1_degree",
                            "ratio"], rows))
-    return 0 if ok else 1
+    if fault:
+        print(f"cut check FAILED: {fault}", file=sys.stderr)
+    return 1 if fault else 0
 
 
 # per subcommand: the option that makes the choice, the defaults of the
@@ -180,8 +182,8 @@ def _verify_on_scene(args, prop) -> int:
             return 0
         i, mine, brute = diff
         print(f"oracle MISMATCH\nfirst difference at index {i}: enumeration "
-              f"{_lens_text(mine) if mine else 'none'}; brute force "
-              f"{_lens_text(brute) if brute else 'none'}")
+              f"{lens_text(mine) if mine else 'none'}; brute force "
+              f"{lens_text(brute) if brute else 'none'}")
         return 1
     if prop == "order-reversal":
         from .slopes import order_reversal_check
@@ -191,7 +193,7 @@ def _verify_on_scene(args, prop) -> int:
             except Inconclusive:
                 continue
             if not result.reversed:
-                print(f"order reversal FAILED for {_lens_text(lens)}: order at "
+                print(f"order reversal FAILED for {lens_text(lens)}: order at "
                       f"p {result.order_at_p}, at q {result.order_at_q}")
                 return 1
         print("order reversal ok")
@@ -209,17 +211,11 @@ def _verify_on_scene(args, prop) -> int:
           f"{len(report.plane_violations)} plane violations")
     for cid, trio in report.coplanar_triples[:1]:
         print(f"first coplanar triple, on circle {cid}: "
-              + "; ".join(map(_lens_text, trio)))
+              + "; ".join(map(lens_text, trio)))
     for pair, incidences, circles in report.plane_violations[:1]:
-        print(f"first plane violation: {'; '.join(map(_lens_text, pair))}: "
+        print(f"first plane violation: {'; '.join(map(lens_text, pair))}: "
               f"{incidences} incidences on {circles} circles in the plane")
     return 1
-
-
-def _lens_text(lens) -> str:
-    """A lens as its circles and its base points' coordinates px,py,qx,qy."""
-    return (f"lens on circles {' '.join(map(str, lens.circles))} "
-            f"at {','.join(base_text(lens))}")
 
 
 def cmd_verify(args) -> int:

@@ -151,17 +151,11 @@ def _dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _offset(l1: DualLine, l2: DualLine) -> list[int]:
-    """s1*s2 times the anchor of l2 minus the anchor of l1."""
-    (a1, _, s1), (a2, _, s2) = l1.scaled, l2.scaled
-    return [y * s1 - x * s2 for x, y in zip(a1, a2)]
-
-
 def _pair_plane(l1: DualLine, l2: DualLine):
     """Common plane of two coplanar lines as (normal, k, s), or None."""
-    a1, d1, s1 = l1.scaled
-    w = _offset(l1, l2)
-    normal = _cross3(d1, l2.scaled[1])
+    (a1, d1, s1), (a2, d2, s2) = l1.scaled, l2.scaled
+    w = [y * s1 - x * s2 for x, y in zip(a1, a2)]  # (a2 - a1)*s1*s2
+    normal = _cross3(d1, d2)
     if _dot3(normal, w):
         return None  # skew lines
     if not any(normal):

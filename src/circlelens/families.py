@@ -9,7 +9,8 @@ degree-descending scan that bisects each circle's kept arcs) or exact
 (branch-and-bound maximum independent set in the overlap graph), in lens
 order: by enumeration index when all are the scene's own, else by
 Lens.compare.  Lens cutting cuts circles until no k-rich lens lies on k
-arcs, and its arcs keep their end keys; verify_cut re-reads the arcs alone.
+arcs, and its arcs keep their end keys; cut_fault re-reads the arcs alone
+and names a fault, verify_cut its verdict.
 Both keep each circle's cuts as sorted cyclic keys and count covering arcs
 by one rule, _covered.
 """
@@ -23,7 +24,8 @@ from operator import attrgetter, eq, itemgetter
 
 from .errors import CapExceeded, DegenerateInput
 from .geometry import Dir, canonical_dir, cyclic_key, int_dir, paired_keys
-from .pencils import Lens, Scene, _own, enumerate_lenses, lens_vertices
+from .pencils import (Lens, Scene, _own, enumerate_lenses, lens_text,
+                      lens_vertices)
 from .records import FrozenRecord
 
 
@@ -271,10 +273,21 @@ def _covering_counts(scene: Scene, result: CutResult) -> list[int] | None:
             for lens in enumerate_lenses(scene, result.k)]
 
 
-def verify_cut(scene: Scene, result: CutResult) -> bool:
-    """Re-check a cut from its arcs alone: they tile every circle, no k-rich
-    lens lies on k of them, and cut_count is the number of arcs on cut
-    circles.  An arc on a circle the scene lacks raises DegenerateInput."""
+def cut_fault(scene: Scene, result: CutResult) -> str | None:
+    """The first fault of a cut, read from its arcs alone, or None: arcs
+    that fail to tile each circle, a k-rich lens on k arcs, or a wrong
+    cut_count.  An arc on a circle the scene lacks is DegenerateInput."""
     counts = _covering_counts(scene, result)
-    return (counts is not None and all(n < result.k for n in counts)
-            and result.cut_count == sum(not arc.is_full for arc in result.arcs))
+    if counts is None:
+        return "the arcs do not tile every circle"
+    for i, n in enumerate(counts):
+        if n >= result.k:
+            return f"{lens_text(enumerate_lenses(scene, result.k)[i])} lies on {n} arcs"
+    cut = sum(not arc.is_full for arc in result.arcs)
+    return None if result.cut_count == cut else (
+        f"cut_count {result.cut_count}, but {cut} arcs on cut circles")
+
+
+def verify_cut(scene: Scene, result: CutResult) -> bool:
+    """Does the cut pass its re-check (cut_fault)?"""
+    return cut_fault(scene, result) is None

@@ -28,8 +28,8 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInput, InvalidRichness, OracleCapExceeded
-from .geometry import (Circle, IntDir, cross_sign, cyclic_key,
-                       intersection_points, paired_keys)
+from .geometry import (Circle, cross_sign, cyclic_key, intersection_points,
+                       paired_keys)
 from .quadfield import (PREFIX_BITS, QuadPoint, Surd, _point, _quad,
                         cleared_parts, conjugate_floors, frac, parts_text)
 from .records import FrozenRecord
@@ -164,12 +164,6 @@ def _axis(u: tuple, v: tuple) -> tuple[int, int, int] | None:
     return a // g, b // g, c // g
 
 
-def _forward(vp: IntDir, vq: IntDir) -> bool:
-    """Does the lens arc run CCW from p to q?  vp and vq are the directions
-    of a lens's base points p < q (lexicographically) from a circle's center."""
-    return cross_sign(vp, vq) >= 0
-
-
 def _own(scene: Scene, lens: Lens) -> bool:
     """Is the lens one the scene keeps (enumerate_lenses): the one at its
     index among them?"""
@@ -203,6 +197,12 @@ def base_text(lens: Lens) -> list[str]:
     from its record, without building them."""
     d, delta, p, q = lens_record(lens)
     return parts_text((p[:2], p[2:], q[:2], q[2:]), delta, d)
+
+
+def lens_text(lens: Lens) -> str:
+    """A lens as its circles and its base points' coordinates px,py,qx,qy."""
+    return (f"lens on circles {' '.join(map(str, lens.circles))} "
+            f"at {','.join(base_text(lens))}")
 
 
 def lens_dirs(scene: Scene, lens: Lens) -> tuple:
@@ -239,9 +239,10 @@ def lens_dirs(scene: Scene, lens: Lens) -> tuple:
 
 def _vertices(scene: Scene, lens: Lens) -> tuple:
     """The record of lens_vertices, built anew; irrational base points on
-    two circles are conjugates, and so are vp and vq."""
+    two circles are conjugates, and so are vp and vq.  The lens arc runs CCW
+    from p to q iff cross_sign(vp, vq) >= 0."""
     return tuple((*(paired_keys(vp, True) if vp[4] else map(cyclic_key, (vp, vq))),
-                  _forward(vp, vq)) for vp, vq in lens_dirs(scene, lens))
+                  cross_sign(vp, vq) >= 0) for vp, vq in lens_dirs(scene, lens))
 
 
 def lens_vertices(scene: Scene, lens: Lens) -> tuple:

@@ -23,7 +23,7 @@ from random import Random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelens import families, geometry
+from circlelens import families, geometry, incidence
 from circlelens.families import (CircleArc, CutResult, _covering_counts,
                                  _greedy, _lens_arcs, _overlap, lens_cutting,
                                  select_family, verify_cut)
@@ -180,10 +180,21 @@ def tiling(scene, k, cuts) -> CutResult:
     return CutResult(tuple(arcs), count, k)
 
 
+def marked_pairs(points, scene, k) -> dict:
+    """{(u, v): the circles through both} for the pairs u < v of marked
+    points with k or more circles through both."""
+    through = defaultdict(list)
+    for cid, c in enumerate(scene.circles):
+        ids = [i for i, p in enumerate(points) if power_of_point(p, c) == 0]
+        for u, v in combinations(ids, 2):
+            through[u, v].append(cid)
+    return {pair: cids for pair, cids in through.items() if len(cids) >= k}
+
+
 def szekely_oracle(points, scene, k) -> tuple[int, int, int]:
     """(edges, g1, max multiplicity) from the edges between cyclically
     consecutive marked points, sorted by direction on each circle, and the
-    lens_arc directions of the greedy family."""
+    lens_arc directions of the greedy family on the marked pairs' lenses."""
     on = [[i for i, p in enumerate(points) if power_of_point(p, c) == 0]
           for c in scene.circles]
     edges = []  # (circle, u, v, (direction of u, direction of v))
@@ -194,12 +205,8 @@ def szekely_oracle(points, scene, k) -> tuple[int, int, int]:
             ids = sorted(ids, key=lambda i: cyclic_key(dirs[i]))
             edges += [(cid, u, v, (dirs[u], dirs[v]))
                       for u, v in zip(ids, ids[1:] + ids[:1])]
-    through = defaultdict(list)
-    for cid, ids in enumerate(on):
-        for u, v in combinations(ids, 2):
-            through[u, v].append(cid)
     pool = [Lens((points[u], points[v]), cids)
-            for (u, v), cids in through.items() if len(cids) >= k]
+            for (u, v), cids in marked_pairs(points, scene, k).items()]
     lens_edges = {(cid, lens_arc(scene.circles[cid], *lens.base))
                   for lens in greedy_oracle(pool, scene) for cid in lens.circles}
     g1 = sum((cid, arc) in lens_edges for cid, _, _, arc in edges)
@@ -290,15 +297,18 @@ def test_covering_counts_on_one_cut_base_point_cuts_and_a_shared_gap():
     assert not verify_cut(scene, result)
 
 
-def test_only_family_selection_builds_an_arc_model(monkeypatch):
-    # cutting and its re-check read the base pairs' keys, not lens arcs
+def test_family_selection_and_szekely_stats_build_one_arc_model_each(
+        monkeypatch):
+    # cutting and its re-check read the base pairs' keys, not lens arcs;
+    # incidence imports the name, so it is patched there too
     built = []
 
     def counted(scene, lenses):
         built.append(len(lenses))
         return _lens_arcs(scene, lenses)
 
-    monkeypatch.setattr(families, "_lens_arcs", counted)
+    for module in (families, incidence):
+        monkeypatch.setattr(module, "_lens_arcs", counted)
     scene = lattice(14, 3, 3)
     result = lens_cutting(scene, 2)
     assert result.cut_count and verify_cut(scene, result)
@@ -306,6 +316,37 @@ def test_only_family_selection_builds_an_arc_model(monkeypatch):
     rich = enumerate_lenses(scene, 2)
     assert select_family(rich, scene).certificate
     assert built == [len(rich)]
+    points = marked_points(scene)
+    szekely_stats(points, scene, 2)
+    pool = len(marked_pairs(points, scene, 2))
+    assert pool and built == [len(rich), pool]
+
+
+def test_the_szekely_pool_is_the_marked_pairs_lens_for_lens(corpus,
+                                                            monkeypatch):
+    # the pool that szekely_stats hands to _lens_arcs, against the lenses of
+    # the marked pairs in (u, v) order over the sorted points
+    pools = []
+    monkeypatch.setattr(incidence, "_lens_arcs", lambda scene, lenses: (
+        pools.append(lenses) or _lens_arcs(scene, lenses)))
+    sizes = []
+    for scene in (LATTICE_18, HALF_18, *(scene for _, scene in corpus)):
+        points = sorted(marked_points(scene))
+        for k in (2, 3):
+            szekely_stats(points, scene, k)
+            pool = pools.pop()
+            assert pool == [Lens((points[u], points[v]), cids) for (u, v), cids
+                            in sorted(marked_pairs(points, scene, k).items())]
+            sizes.append(len(pool))
+    # most corpus scenes are uniform-random, with no rational lens
+    assert not pools and sum(sizes) > 300 and len(sizes) - sizes.count(0) >= 20
+
+
+# the rational lens vertices of a lattice scene, all marked (and two points
+# on no circle) or every other one, so that 35 rational lenses have one
+# marked base point and are no pool lens
+LATTICE_18 = Scene(lattice(18, 1, 4).circles)
+HALF_18 = Scene(LATTICE_18.circles, marked_points(LATTICE_18)[:-2:2])
 
 
 # a uniform scene with a rational lens, whose two arcs join G1 at k = 2; a
@@ -313,6 +354,10 @@ def test_only_family_selection_builds_an_arc_model(monkeypatch):
 @given(scenes, st.sampled_from((2, 3)))
 @example(uniform(14, 2, 3), 2)
 @example(lattice(20, 1, 3), 2)
+@example(LATTICE_18, 2)
+@example(LATTICE_18, 3)
+@example(HALF_18, 2)
+@example(HALF_18, 3)
 @settings(max_examples=16, deadline=None)
 def test_szekely_g1_matches_lens_arc_directions(scene, k):
     points = marked_points(scene)

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from circlelens import cli, dual, geometry, slopes
+from circlelens import cli, dual, families, geometry, slopes
+from circlelens.families import CircleArc, CutResult
 from circlelens.cli import main
 from circlelens.generators import MODELS
 from circlelens.pencils import enumerate_lenses
@@ -74,6 +75,42 @@ def test_cut_command(tmp_path, capsys):
     header, row = out.strip().splitlines()
     assert header.startswith("n,k,cut_count")
     assert row.startswith("12,3,")
+
+
+def _uncut(result, scene):
+    return CutResult(tuple(CircleArc(cid, None, None)
+                           for cid in range(len(scene))), 0, result.k)
+
+
+def _one_cut_more(result, scene):
+    return CutResult(result.arcs, result.cut_count + 1, result.k)
+
+
+def _first_cut_arc_dropped(result, scene):
+    cut = next(i for i, arc in enumerate(result.arcs) if not arc.is_full)
+    return CutResult(result.arcs[:cut] + result.arcs[cut + 1:],
+                     result.cut_count, result.k)
+
+
+@pytest.mark.parametrize("name,k,fake,row,fault", [
+    ("bundle-n12-k3", 3, _uncut, "12,3,0,12,",
+     "lens on circles 0 1 2 at 0,-1,0,1 lies on 3 arcs"),
+    ("lattice-n48-g4-s1", 3, _one_cut_more, "48,3,81,97,",
+     "cut_count 81, but 80 arcs on cut circles"),
+    ("lattice-n48-g4-s1", 2, _first_cut_arc_dropped, "48,2,203,203,",
+     "the arcs do not tile every circle")])
+def test_a_failed_cut_check_names_its_first_fault(name, k, fake, row, fault,
+                                                  monkeypatch, capsys):
+    # cutting never fails its check, so its result is altered; the CSV row
+    # is still written, and one stderr line names the fault
+    cut = families.lens_cutting
+    monkeypatch.setattr(families, "lens_cutting",
+                        lambda scene, k: fake(cut(scene, k), scene))
+    code, out, err = run_cli(["cut", str(DATA / f"{name}.scene"), "--k",
+                              str(k)], capsys)
+    assert code == 1
+    assert out.splitlines()[1].startswith(row)
+    assert err == f"cut check FAILED: {fault}\n"
 
 
 def test_verify_duality(capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,11 @@ from circlelens.families import select_family
 from circlelens.generators import (GeneratorSpec, pencil_bundle_construction,
                                    random_scene)
 from circlelens.geometry import Circle, power_of_point
-from circlelens.incidence import count_incidences, szekely_stats
+from circlelens.incidence import SzekelyStats, count_incidences, szekely_stats
 from circlelens.pencils import Scene, enumerate_lenses, rich_lenses
+from circlelens.sceneio import parse_scene
+
+DATA = Path(__file__).parent / "data"
 
 
 def _two_circle_instance():
@@ -87,6 +91,25 @@ def test_bundle_base_points():
     assert stats.edges == 24  # each circle joins its 2 points by both arcs
     assert stats.max_multiplicity == 6  # 3 circles x 2 arcs per pencil pair
     assert stats.crossings == 0
+
+
+def test_szekely_stats_with_every_rational_lens_vertex_marked():
+    # the lattice-n48-g4-s1 circles with their 399 rational lens vertices
+    # marked, built in memory, since a .scene file would join the pinned
+    # hash of tests/data; the figures are those of the marked-pair pool
+    text = (DATA / "lattice-n48-g4-s1.scene").read_text()
+    scene = Scene(parse_scene(text).circles)
+    lenses = enumerate_lenses(scene)
+    points = sorted({(p.x.a, p.y.a) for lens in lenses for p in lens.base
+                     if p.is_rational})
+    assert len(points) == 399
+    # every rational lens has both base points marked, so all are pool lenses
+    assert sum(lens.base[0].is_rational for lens in lenses) == 533
+    assert szekely_stats(points, scene, 2) == SzekelyStats(
+        m=399, n=48, incidences=993, edges=993, g0=987, g1=6,
+        max_multiplicity=2, crossings=546)
+    stats = szekely_stats(points, scene, 3)
+    assert (stats.edges, stats.g0, stats.g1) == (993, 993, 0)
 
 
 def test_richness_validation():

@@ -133,12 +133,14 @@ def test_cut_output_is_byte_identical(name, k, capsys):
     assert out == (DATA / f"{name}.cut-k{k}.csv").read_text()
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_incidence_output_is_byte_identical(k, capsys):
     # incidence-k3 was written by the Szekely statistics that tested
     # incidences and circle meetings over Fraction, before the integer scene
     # frame; incidence-k4 (g1 = 8, against 17 at k = 3) by the statistics
-    # that matched lens edges apart from the arc model of families
+    # that matched lens edges apart from the arc model of families;
+    # incidence-k2 by the statistics whose lens pool was every marked pair
+    # on two circles, before it came from the scene's enumeration
     name = "lattice-n48-g4-s1"
     assert main(["incidence", str(DATA / f"{name}.scene"), "--k", str(k)]) == 0
     out, _ = capsys.readouterr()
