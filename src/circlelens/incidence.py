@@ -36,7 +36,7 @@ from itertools import combinations
 
 from .errors import DegenerateInput
 from .families import _covered, _greedy, _lens_arcs
-from .geometry import Circle, cyclic_key
+from .geometry import cyclic_key
 from .pencils import Scene, enumerate_lenses
 from .quadfield import cleared, frac
 from .records import FrozenRecord
@@ -61,16 +61,6 @@ def count_incidences(points, scene: Scene) -> int:
 class SzekelyStats(FrozenRecord):
     _fields = ("m", "n", "incidences", "edges", "g0", "g1", "max_multiplicity",
                "crossings")
-
-
-def _meet_twice(c1: Circle, c2: Circle) -> bool:
-    """|r1 - r2| < |center distance| < r1 + r2, squared, on the circles'
-    integer forms (geometry.Circle) with every length times D1*D2."""
-    (x1, y1, p1, d1), (x2, y2, p2, d2) = c1.form, c2.form
-    dist = (x1 * d2 - x2 * d1) ** 2 + (y1 * d2 - y2 * d1) ** 2
-    s1 = (x1 * x1 + y1 * y1 - p1 * d1) * d2 * d2  # (r1*D1*D2)^2
-    s2 = (x2 * x2 + y2 * y2 - p2 * d2) * d1 * d1
-    return (dist - s1 - s2) ** 2 < 4 * s1 * s2
 
 
 def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
@@ -105,8 +95,16 @@ def szekely_stats(points, scene: Scene, k: int) -> SzekelyStats:
     multiplicity = Counter(frozenset((ids[j - 1], u))
                            for ids in order.values() for j, u in enumerate(ids))
 
-    crossings = sum(2 - len(on[i] & on[j]) for i, j in combinations(drawn, 2)
-                    if _meet_twice(circles[i], circles[j]))
+    # two drawn circles meet twice iff |r1 - r2| < |center distance| < r1 +
+    # r2, squared: with every length times D1*D2, (dist - s1 - s2)^2 <
+    # 4*s1*s2 for s1 = R1*D2^2, s2 = R2*D1^2 and R = X^2 + Y^2 - P*D
+    discs = [(x, y, d, x * x + y * y - p * d, on[cid])
+             for cid in drawn for x, y, p, d in [circles[cid].form]]
+    crossings = sum(
+        2 - len(o1 & o2)
+        for (x1, y1, d1, r1, o1), (x2, y2, d2, r2, o2) in combinations(discs, 2)
+        if ((x1 * d2 - x2 * d1) ** 2 + (y1 * d2 - y2 * d1) ** 2
+            - r1 * d2 * d2 - r2 * d1 * d1) ** 2 < 4 * r1 * r2 * (d1 * d2) ** 2)
 
     return SzekelyStats(m=len(points), n=len(scene), incidences=sum(map(len, on)),
                         edges=edges, g0=edges - g1, g1=g1,

@@ -11,9 +11,11 @@ its pencil's smallest circle and axis, the radicand delta of its base pair
 (xa, xb, ya, yb) of p and of q, each point ((xa + xb*sqrt(delta))/D,
 (ya + yb*sqrt(delta))/D), or when delta = 0 the points' keys (X, Y, W) in
 lowest terms, one object per rational point of an enumeration.  Lenses
-are sorted by keys read from it: per coordinate the prefix floor(2^K * v),
-then the exact value as a quadfield.Surd, compared only on a prefix tie,
-so a lens's index is its place in lens order.  Lens.base and Lens.record
+are sorted on plain ints read from it, the prefixes floor(2^K * v) of px,
+py, qx and qy and then the circles.  One pass over adjacent rows checks
+that prefixes they share name equal values; only if two do not are the
+rows sorted again by exact keys, each value a quadfield.Surd after its
+prefix.  A lens's index is its place in lens order.  Lens.base and Lens.record
 are each built on first read from the other.  The scene's own lenses, of
 the smallest k built so far, keep their index and vertex record, and skip
 the circle-id and on-circle tests.
@@ -78,13 +80,15 @@ class Lens(FrozenRecord):
             setter(self, value)
 
     @classmethod
-    def _enumerated(cls, circles: tuple, record: tuple) -> "Lens":
-        """A lens of an enumeration, which sets its index: at least two
-        sorted, distinct circle ids and the record of base points p < q."""
+    def _enumerated(cls, row: tuple, index: int) -> "Lens":
+        """The lens at the index of an enumeration, from its sort row
+        (prefixes, circles, record): at least two sorted, distinct circle
+        ids and the record of base points p < q."""
         lens = object.__new__(cls)
         _set_base(lens, None)
-        _set_circles(lens, circles)
-        _set_record(lens, record)
+        _set_circles(lens, row[4])
+        _set_record(lens, row[5])
+        _set_index(lens, index)
         _set_vertices(lens, None)
         return lens
 
@@ -120,17 +124,6 @@ class Lens(FrozenRecord):
 # the slots' own setters, which FrozenRecord.__setattr__ does not reach
 _SETTERS = tuple(getattr(Lens, name).__set__ for name in Lens.__slots__)
 _set_base, _set_circles, _set_record, _set_index, _set_vertices = _SETTERS
-
-
-def _conjugate_key(p: tuple, delta: int, d: int) -> tuple:
-    """The sort keys of the point with integer parts p = (xa, xb, ya, yb)
-    over D = d and radicand delta and of its conjugate: per coordinate v,
-    (floor(2^K*v), v as a Surd), the floors paired (conjugate_floors)."""
-    xa, xb, ya, yb = p
-    px, qx = conjugate_floors(xa, xb, delta, d, PREFIX_BITS)
-    py, qy = conjugate_floors(ya, yb, delta, d, PREFIX_BITS)
-    return (px, Surd((xa, d, xb, delta)), py, Surd((ya, d, yb, delta)),
-            qx, Surd((xa, d, -xb, delta)), qy, Surd((ya, d, -yb, delta)))
 
 
 def enumerate_lenses(scene: Scene, k: int = 2) -> list[Lens]:
@@ -276,29 +269,70 @@ def _base_points(record: tuple) -> tuple[QuadPoint, QuadPoint]:
             _point(_quad(fx, -u, delta), _quad(fy, -v, delta)))
 
 
+def _coordinate(record: tuple, c: int) -> tuple[int, int, int, int]:
+    """(a, b, delta, n) with coordinate c of (px, py, qx, qy) of an
+    enumerated lens's record equal to (a + b*sqrt(delta))/n."""
+    d, delta = record[:2]
+    point, c = record[2 + (c >> 1)], c & 1
+    if not delta:  # the key (X, Y, W)
+        return point[c], 0, 0, point[2]
+    return point[2 * c], point[2 * c + 1], delta, d
+
+
+def _same(u: tuple, v: tuple) -> bool:
+    """Are the coordinates u and v, each (a, b, delta, n) (_coordinate),
+    equal: their rational parts, their signs of b and their b^2*delta over
+    n^2?  Over non-square radicands a value has one such form."""
+    (a, b, delta, n), (oa, ob, odelta, on) = u, v
+    return (a * on == oa * n and (b > 0) - (b < 0) == (ob > 0) - (ob < 0)
+            and b * b * delta * on * on == ob * ob * odelta * n * n)
+
+
+def _ties_are_exact(rows: list) -> bool:
+    """Is the order of rows sorted by their prefixes the exact one: does
+    each leading run of prefixes that two adjacent rows share name equal
+    coordinates?  Where the first unequal prefixes differ, so do the
+    values, the same way."""
+    for r, s in zip(rows, rows[1:]):
+        for c in range(4):
+            if r[c] != s[c]:
+                break
+            rec, other, at = r[5], s[5], 2 + (c >> 1)
+            if rec[1] == other[1] == 0 and rec[at] is other[at]:
+                continue  # one rational point, one key object
+            if not _same(_coordinate(rec, c), _coordinate(other, c)):
+                return False
+    return True
+
+
+def _exact_key(row: tuple) -> tuple:
+    """The exact sort key of a row: per coordinate its prefix and then its
+    value as a Surd, and then the circles."""
+    key = []
+    for c in range(4):
+        a, b, delta, n = _coordinate(row[5], c)
+        key += (row[c], Surd((a, n, b, delta)))
+    return (*key, row[4])
+
+
 def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
-    """The lenses of degree >= k, in canonical order."""
+    """The lenses of degree >= k, in canonical order: rows (prefixes of px,
+    py, qx, qy, circles, record) sorted on ints, and sorted again by their
+    exact keys only if two tied prefixes name unequal values."""
     forms = [c.form for c in scene.circles]
-    shared: dict[tuple, tuple] = {}  # see rational
-    coords: dict[tuple, tuple] = {}  # (n, d) in lowest terms -> its key part
+    shared: dict[tuple, tuple] = {}  # key -> (key, prefixes), one per point
 
     def rational(x: int, y: int, d: int) -> tuple:
-        """(key, sort key) of the rational point (x/d, y/d): its key, one
-        object per point, and a sort key that shares each coordinate's part
-        with every equal one."""
+        """(key, prefixes of x/d and y/d) of the rational point (x/d, y/d),
+        one object per point."""
         key = _point_key(x, y, d)
         if key not in shared:
-            shared[key] = (key, coord(key[0], key[2]) + coord(key[1], key[2]))
+            x, y, w = key
+            shared[key] = (key, ((x << PREFIX_BITS) // w,
+                                 (y << PREFIX_BITS) // w))
         return shared[key]
 
-    def coord(n: int, d: int) -> tuple:
-        h = gcd(n, d)
-        n, d = n // h, d // h
-        if (n, d) not in coords:
-            coords[n, d] = ((n << PREFIX_BITS) // d, Surd((n, d, 0, 0)))
-        return coords[n, d]
-
-    rows = []  # (*sort key, circles, lens)
+    rows = []  # (px, py, qx, qy prefixes, circles, record)
     marked = defaultdict(list)  # j -> axes read before j
     for i in range(len(forms) - k + 1):  # k - 1 circles follow i
         cx, cy, cp, cd = circle = forms[i]
@@ -331,22 +365,25 @@ def _build_lenses(scene: Scene, k: int) -> tuple[Lens, ...]:
             e = cd * cd // h
             delta, d = k2 // h * e, cd * d2 * e
             x, y, r = k0 * e, k1 * e, isqrt(delta)
+            members = (i, *later)
             if r * r == delta:
                 # only rational points can be shared between lenses
                 t = cd * r
-                p, pkey = rational(x - u * t, y + v * t, d)
-                q, qkey = rational(x + u * t, y - v * t, d)
-                lens_key, delta = pkey + qkey, 0
+                p, (px, py) = rational(x - u * t, y + v * t, d)
+                q, (qx, qy) = rational(x + u * t, y - v * t, d)
+                rows.append((px, py, qx, qy, members, (d, 0, p, q)))
             else:
-                p, q = (x, -u * cd, y, v * cd), (x, u * cd, y, -v * cd)
-                lens_key = _conjugate_key(p, delta, d)
-            members = (i, *later)
-            rows.append((*lens_key, members,
-                         Lens._enumerated(members, (d, delta, p, q))))
-    rows.sort()  # a sort key and its circles name one lens
-    lenses = tuple(row[-1] for row in rows)
-    any(map(_set_index, lenses, range(len(lenses))))  # each gives None
-    return lenses
+                xb, yb = u * cd, v * cd
+                px, qx = conjugate_floors(x, -xb, delta, d, PREFIX_BITS)
+                py, qy = conjugate_floors(y, yb, delta, d, PREFIX_BITS)
+                rows.append((px, py, qx, qy, members,
+                             (d, delta, (x, -xb, y, yb), (x, xb, y, -yb))))
+    rows.sort()  # prefixes and circles name one lens
+    if not _ties_are_exact(rows):
+        rows.sort(key=_exact_key)
+    for i, row in enumerate(rows):  # each row goes as its lens comes
+        rows[i] = Lens._enumerated(row, i)
+    return tuple(rows)
 
 
 def rich_lenses(lenses, k: int) -> list[Lens]:

@@ -20,7 +20,7 @@ the two radicands turn out to name the same field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, sqrt
+from math import gcd, isqrt, lcm, prod, sqrt
 
 _ZERO = Fraction(0)
 
@@ -82,18 +82,35 @@ def _quad(a: Fraction, b: Fraction, delta: int) -> "QuadNum":
     return x
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
 # Squares of these primes are taken out of a radicand when it is printed.
-_PRINT_PRIMES = tuple(p for p in range(2, 1000)
-                      if all(p % q for q in range(2, isqrt(p) + 1)))
+_PRINT_PRIMES = _primes_below(1000)
+_PRINT_PRODUCT = prod(_PRINT_PRIMES)
 
 
 def _printed_radicand(n: int) -> tuple[int, int]:
-    """n = s*s*m with m free of the squares of the primes below 1000."""
+    """n = s*s*m with m free of the squares of the primes below 1000.  Only
+    the primes of h = gcd(n/g, g), g = gcd(n, product of those primes), the
+    ones whose square divides n, are tried."""
+    g = gcd(n, _PRINT_PRODUCT)
+    h = gcd(n // g, g)
     s = 1
     for p in _PRINT_PRIMES:
-        pp = p * p
-        if pp > n:
+        if p > h:
             break
+        if h % p:
+            continue
+        h //= p
+        pp = p * p
         while n % pp == 0:
             n //= pp
             s *= p

@@ -83,14 +83,16 @@ print(sorted(set(cl.__all__) - set(star)))
 
 @pytest.mark.parametrize("name", ["uniform-n12-s5", "uniform-n16-s9",
                                   "grid-n12-s3", "lattice-n48-g4-s1",
-                                  "prefix-tie-n4"])
+                                  "prefix-tie-n4", "prefix-tie-rational-n4"])
 def test_lenses_output_is_byte_identical(name, capsys):
     # expected files were written by the square-free kernel that factored
     # every radicand; printing strips squares without factoring.
     # lattice-n48-g4-s1.lenses.csv (806 lenses) was written by the
     # enumeration that sorted with Lens.compare alone, before integer chord
     # keys; prefix-tie-n4.lenses.csv by the enumeration that sorted base
-    # points as QuadNums, before integer lens records
+    # points as QuadNums, before integer lens records;
+    # prefix-tie-rational-n4.lenses.csv by the enumeration that built an
+    # exact key for every lens
     assert main(["lenses", str(DATA / f"{name}.scene")]) == 0
     out, _ = capsys.readouterr()
     assert out == (DATA / f"{name}.lenses.csv").read_text()

@@ -344,6 +344,21 @@ def test_enumeration_memory_scales_with_its_output():
     assert lenses and peak <= 3 * retained, (peak, retained)
 
 
+def test_k2_enumeration_memory_is_near_its_output():
+    # the sort rows hold plain ints, and each row goes as its lens comes, so
+    # at k = 2 the peak stays near the kept lenses (1.18x here; a Surd per
+    # coordinate of every row takes it to about 1.7x)
+    scene = random_scene(GeneratorSpec(model="lattice-triples", n=120, seed=1,
+                                       spread=F(4)))
+    tracemalloc.start()
+    try:
+        lenses = enumerate_lenses(scene, 2)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lenses) == 4703 and peak <= 1.4 * retained, (peak, retained)
+
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -435,6 +450,48 @@ def test_enumeration_breaks_a_prefix_tie_exactly(monkeypatch):
     assert p2.y < p1.y
     assert lenses == sorted(lenses, key=cmp_to_key(Lens.compare))
     assert lenses == brute_force_lenses(scene)
+
+
+def _counted_surds(monkeypatch) -> list:
+    """The Surds enumeration builds from now on, in a list."""
+    built = []
+
+    class Counted(Surd):
+        __slots__ = ()
+
+        def __new__(cls, parts):
+            built.append(parts)
+            return Surd.__new__(cls, parts)
+
+    monkeypatch.setattr(pencils, "Surd", Counted)
+    return built
+
+
+def test_enumeration_breaks_a_rational_prefix_tie_exactly(monkeypatch):
+    # the rational lower base points (1/3, 0) (circles 0, 1) and
+    # (1/3 + 2^-40, -1) (circles 2, 3) share floor(2^32*x), and y falls as
+    # x grows, so the order of the prefixes is not the exact one
+    scene = parse_scene((DATA / "prefix-tie-rational-n4.scene").read_text())
+    built = _counted_surds(monkeypatch)
+    lenses = enumerate_lenses(scene)
+    assert built
+    assert [l.circles for l in lenses] == [(0, 1), (2, 3)]
+    (p1, _), (p2, _) = (l.base for l in lenses)
+    assert (p1.x.a, p2.x.a) == (F(1, 3), F(1, 3) + F(1, 2 ** 40))
+    assert math.floor(p1.x.a * 2 ** 32) == math.floor(p2.x.a * 2 ** 32)
+    assert p2.y < p1.y and p1.is_rational and p2.is_rational
+    assert lenses == brute_force_lenses(scene)
+
+
+@pytest.mark.parametrize("name", ["lattice-n48-g4-s1", "uniform-n16-s9",
+                                  "grid-n12-s3", "bundle-n12-k3"])
+def test_enumeration_builds_no_exact_key_without_a_prefix_tie(name, monkeypatch):
+    # tied prefixes of equal values need no exact key; only two unequal
+    # values under one prefix would
+    built = _counted_surds(monkeypatch)
+    lenses = enumerate_lenses(RICH_SCENES[name]())
+    assert lenses and not built
+    assert [l._index for l in lenses] == list(range(len(lenses)))
 
 
 def _ray(v):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelens.quadfield import (QuadNum, QuadPoint, Surd, _quad,
-                                  cleared_parts, conjugate_floors, sign_q,
-                                  two_field_sign)
+from circlelens.quadfield import (QuadNum, QuadPoint, Surd,
+                                  _printed_radicand, _quad, cleared_parts,
+                                  conjugate_floors, sign_q, two_field_sign)
 
 
 def test_canonical_storage_folds_square_radicands():
@@ -306,3 +306,37 @@ def test_surd_order_matches_fraction_and_quadnum(x, y, m):
         assert x._sign(other) == want == -other._sign(x)
         assert (x < other, x == other) == (want < 0, want == 0)
     assert x == _rewritten(x, m)
+
+
+def _trial_division_radicand(n: int) -> tuple[int, int]:
+    """The oracle: n = s*s*m, the square of every prime below 1000 taken out
+    by trial division, the prime table built by trial division too."""
+    s = 1
+    for p in range(2, 1000):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        if p * p > n:
+            break
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+    return s, n
+
+
+# products of prime powers, near 1000 and past it among them
+_RADICANDS = st.builds(
+    lambda factors, rest: math.prod(p ** e for p, e in factors) * rest,
+    st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 97, 541, 983, 991, 997,
+                                        1009, 1013]),
+                       st.integers(1, 5)), max_size=5),
+    st.integers(1, 10 ** 12))
+
+
+@settings(max_examples=300, deadline=None)
+@example(997 ** 2 * 991 ** 2 * 2)
+@example(1009 ** 2 * 3)
+@example(2 ** 7 * 997 ** 3)
+@example(1)
+@given(_RADICANDS)
+def test_printed_radicand_matches_trial_division(n):
+    assert _printed_radicand(n) == _trial_division_radicand(n)
